@@ -7,22 +7,22 @@ Subcommands:
   verify          run a property suite (rnc, conormal, xg, fitting, families, all)
   family          build / rescale / order / discriminant over pi-adic families
 
-Every command prints one JSON document {"status": ..., "payload": ...}.  The
-bytes depend only on the inputs and --seed: randomized checks derive their
-generator from a stable checksum of (seed, suite, property, params), and
-wall-clock timing goes to stderr, never into the document.  Exit status is 0
-only when the status is "ok" and, for verify, every property passed.  The
-environment variable RIBBONLAB_THREADS caps how many suite items run at once;
-items are pure, so the report is identical at any thread count.
+Every command prints one JSON document {"status": ..., "payload": ...},
+whatever its input: a failure is a status "error" document whose payload
+carries the message (an exception of an unexpected type is named in it, and
+its traceback goes to stderr).  The bytes depend only on the inputs
+and --seed: randomized checks derive their generator from a stable checksum
+of (seed, suite, property, params), verify runs its items one after another
+in a fixed order, and wall-clock timing goes to stderr, never into the
+document.  Exit status is 0 only when the status is "ok" and, for verify,
+every property passed.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -116,24 +116,13 @@ def _parse_family(data) -> TruncatedFamily:
         raise CommandError("malformed family JSON: %s" % exc)
 
 
-def _thread_cap(n_items: int) -> int:
-    raw = os.environ.get("RIBBONLAB_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_items))
-
-
 def _rng_for(seed: int, suite: str, prop: str, params: dict) -> Random:
     tag = "%d:%s:%s:%s" % (seed, suite, prop, json.dumps(params, sort_keys=True))
     return Random(zlib.crc32(tag.encode("utf-8")))
 
 
 def _run_items(suite: str, items, seed: int):
-    """Evaluate (property, params, fn) triples; failures are data, not crashes."""
+    """Evaluate (property, params, fn) triples in order; failures are data, not crashes."""
 
     def run(entry):
         prop, params, fn = entry
@@ -150,10 +139,6 @@ def _run_items(suite: str, items, seed: int):
             item["detail"] = detail
         return item
 
-    workers = _thread_cap(len(items))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, items))
     return [run(entry) for entry in items]
 
 
@@ -717,7 +702,10 @@ def _check_even_odd_signs(g, d, rng):
 
 
 def _check_discriminant_zero_nonzero(g, rng):
-    h = _random_binary_form(2 * g + 2, rng)
+    # generic leg: 2g+2 pairwise distinct linear factors, squarefree by construction
+    h = BinaryForm(0, [1])
+    for r in rng.sample(range(-(2 * g + 2), 2 * g + 3), 2 * g + 2):
+        h = h * BinaryForm(1, [r, 1])
     if binary_discriminant(h) == 0:
         return False, {"h": h.to_json(), "case": "generic"}, None
     factor = _random_binary_form(2 * g, rng)
@@ -1003,6 +991,13 @@ def main(argv=None) -> int:
         status = "ok"
     except (CommandError, ValueError, ArithmeticError, KeyError) as exc:
         payload = {"message": str(exc)}
+        status = "error"
+    except Exception as exc:
+        # input that slipped past validation: still one document, exit 1
+        if not args.quiet:
+            import traceback
+            traceback.print_exc()
+        payload = {"message": "%s: %s" % (type(exc).__name__, exc)}
         status = "error"
     document = json.dumps({"status": status, "payload": payload},
                           indent=2, sort_keys=True)

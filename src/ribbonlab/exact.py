@@ -2,8 +2,9 @@
 
 Every computation in this package is exact: scalars are `fractions.Fraction`
 (already kept in lowest terms with positive denominator) or truncated
-polynomials in pi over Q, and matrices are eliminated with rational pivots.
-Floating point is never used.
+polynomials in pi over Q.  Every elimination (rank, rref, kernel) runs in
+one sparse engine, RowEliminator; only the determinant keeps its own
+fraction-free loop.  Floating point is never used.
 
 Rationals serialize as "p/q" (or just "p" when the denominator is 1).
 """
@@ -11,6 +12,7 @@ Rationals serialize as "p/q" (or just "p" when the denominator is 1).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def rat(value) -> Fraction:
@@ -183,8 +185,9 @@ class TruncatedScalar:
 class RatMatrix:
     """Dense matrix over Q, immutable after construction.
 
-    Elimination uses the deterministic first-nonzero pivot rule, so reduced
-    forms (and hence canonical subspace bases) are reproducible byte for byte.
+    Elimination (rref, rank, kernel) is delegated to the sparse RowEliminator,
+    whose canonical forms make subspace bases reproducible byte for byte; the
+    determinant keeps its own fraction-free loop.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
@@ -204,28 +207,12 @@ class RatMatrix:
             self.ncols = ncols
 
     @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def entry(self, i, j) -> Fraction:
-        return self.rows[i][j]
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix([[self.rows[i][j] for i in range(self.nrows)]
                           for j in range(self.ncols)], ncols=self.nrows)
-
-    def mat_mul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        out = []
-        for row in self.rows:
-            out.append([sum((row[k] * other.rows[k][j] for k in range(self.ncols)),
-                            Fraction(0)) for j in range(other.ncols)])
-        return RatMatrix(out, ncols=other.ncols)
 
     def apply(self, vec):
         """Matrix-vector product."""
@@ -235,53 +222,22 @@ class RatMatrix:
                      for row in self.rows)
 
     def rref(self):
-        """Reduced row echelon form.  Returns (RatMatrix, pivot columns)."""
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, len(rows)):
-                if rows[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = 1 / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return RatMatrix(rows, ncols=self.ncols), tuple(pivots)
+        """Reduced row echelon form, padded with zero rows to the row count.
+
+        Returns (RatMatrix, pivot columns).
+        """
+        reduced = RowEliminator(self.ncols, self.rows).reduced_rows()
+        dense = [_dense(row, self.ncols) for row in reduced]
+        dense.extend([_ZERO] * self.ncols for _ in range(self.nrows - len(reduced)))
+        return RatMatrix(dense, ncols=self.ncols), tuple(min(row) for row in reduced)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return RowEliminator(self.ncols, self.rows).rank
 
     def kernel_basis(self):
-        """Canonical basis of the right kernel, one vector per free column.
-
-        The vector for free column f has entry 1 there and -R[i][f] at the
-        i-th pivot column of the rref R, so equality of kernels is equality
-        of these lists.
-        """
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.ncols):
-            if f in pivot_set:
-                continue
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                v[p] = -R.rows[i][f]
-            basis.append(tuple(v))
-        return basis
+        """Canonical basis of the right kernel as tuples (see RowEliminator.kernel)."""
+        return [tuple(_dense(v, self.ncols))
+                for v in RowEliminator(self.ncols, self.rows).kernel()]
 
     def det(self) -> Fraction:
         """Determinant by fraction-free (Bareiss) elimination.
@@ -300,7 +256,7 @@ class RatMatrix:
         for row in self.rows:
             denom_lcm = 1
             for x in row:
-                denom_lcm = denom_lcm * x.denominator // _gcd(denom_lcm, x.denominator)
+                denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
             scale *= denom_lcm
             m.append([int(x * denom_lcm) for x in row])
         sign = 1
@@ -324,61 +280,6 @@ class RatMatrix:
             prev = pivot
         return Fraction(sign * m[n - 1][n - 1]) / scale
 
-    def solve(self, b):
-        """Solve A x = b.
-
-        Returns None when the system is inconsistent, otherwise a pair
-        (x, unique) where x is one solution (free variables set to zero) and
-        unique tells whether it is the only one.
-        """
-        sols, unique = self.solve_columns([list(b)])
-        if sols[0] is None:
-            return None
-        return sols[0], unique
-
-    def solve_columns(self, columns):
-        """Solve A x = b for several right-hand sides with one elimination.
-
-        `columns` is a list of right-hand-side vectors.  Returns
-        (solutions, unique): solutions[i] is a tuple or None (inconsistent),
-        and unique is rank == ncols, shared by every consistent system.
-        """
-        k = len(columns)
-        aug = [list(self.rows[i]) + [rat(col[i]) for col in columns]
-               for i in range(self.nrows)]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, len(aug)):
-                if aug[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-            inv = 1 / aug[r][c]
-            aug[r] = [x * inv for x in aug[r]]
-            for i in range(len(aug)):
-                if i != r and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
-        rank = len(pivots)
-        unique = rank == self.ncols
-        solutions = []
-        for t in range(k):
-            col = self.ncols + t
-            if any(aug[i][col] for i in range(rank, self.nrows)):
-                solutions.append(None)
-                continue
-            x = [Fraction(0)] * self.ncols
-            for i, p in enumerate(pivots):
-                x[p] = aug[i][col]
-            solutions.append(tuple(x))
-        return solutions, unique
-
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -394,10 +295,13 @@ class RatMatrix:
         return [[rat_to_str(x) for x in row] for row in self.rows]
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _dense(row, ncols):
+    """The sparse row {column: value} as a list of length ncols."""
+    return [row.get(c, _ZERO) for c in range(ncols)]
 
 
 def row_space_matrix(vectors, ncols) -> RatMatrix:
@@ -405,119 +309,114 @@ def row_space_matrix(vectors, ncols) -> RatMatrix:
 
     Two collections span the same subspace iff these matrices are equal.
     """
-    if not vectors:
-        return RatMatrix([], ncols=ncols)
-    R, pivots = RatMatrix(vectors, ncols=ncols).rref()
-    return RatMatrix(R.rows[:len(pivots)], ncols=ncols)
-
-
-def _sparse_forward(rows):
-    """Forward elimination on dict rows; pivot rows are triangular.
-
-    Returns {lead: tail} where tail maps columns (> lead) to coefficients
-    and each stored row encodes x_lead + sum(tail[c] * x_c) = 0.
-    """
-    pivots = {}
-    queue = sorted((r for r in rows if r), key=len)
-    for row in queue:
-        row = dict(row)
-        while True:
-            hit = None
-            for c in row:
-                if c in pivots:
-                    if hit is None or c < hit:
-                        hit = c
-            if hit is None:
-                break
-            factor = row.pop(hit)
-            for c, v in pivots[hit].items():
-                if c in row:
-                    val = row[c] - factor * v
-                    if val:
-                        row[c] = val
-                    else:
-                        del row[c]
-                else:
-                    row[c] = -factor * v
-        if row:
-            lead = min(row)
-            inv = 1 / row[lead]
-            pivots[lead] = {c: v * inv for c, v in row.items() if c != lead}
-    return pivots
+    reduced = RowEliminator(ncols, vectors).reduced_rows()
+    return RatMatrix([_dense(row, ncols) for row in reduced], ncols=ncols)
 
 
 def sparse_rank(rows, ncols) -> int:
-    """Rank of a sparse matrix given as dicts {column: coefficient}.
-
-    Forward elimination with shortest-row pivot preference.  Rows here come
-    from generator-times-monomial spans whose rows have very few terms, so
-    the elimination stays sparse; results agree with dense rref rank.
-    """
-    return len(_sparse_forward(rows))
+    """Rank of a matrix given as rows {column: coefficient}."""
+    return RowEliminator(ncols, rows).rank
 
 
 def sparse_kernel_basis(rows, ncols):
-    """Kernel of the sparse matrix, as the same canonical basis rref gives.
-
-    One kernel vector per non-pivot column f: x_f = 1, other free columns
-    zero, pivot values back-solved in descending column order (pivot rows
-    only involve larger columns, so this is a triangular solve).
-    """
-    pivots = _sparse_forward(rows)
-    order = sorted(pivots, reverse=True)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        values = {f: Fraction(1)}
-        for p in order:
-            if p > f:
-                continue
-            s = Fraction(0)
-            for c, v in pivots[p].items():
-                xv = values.get(c)
-                if xv:
-                    s += v * xv
-            if s:
-                values[p] = -s
-        basis.append(tuple(values.get(c, Fraction(0)) for c in range(ncols)))
-    return basis
+    """Canonical right kernel of the sparse matrix, as dicts (see RowEliminator.kernel)."""
+    return RowEliminator(ncols, rows).kernel()
 
 
 class RowEliminator:
-    """Incremental Gaussian elimination for rank growth tests.
+    """Sparse exact Gaussian elimination over Q; the package's one engine.
 
-    add() reduces a vector against the pivots collected so far and either
-    absorbs it (returning True if it was independent) or discards it.
+    Rows are dicts {column: value} or dense sequences; every entry goes
+    through `rat`.  Each independent row is stored as a monic pivot keyed by
+    its lead, its smallest column, so `pivots[lead]` holds the rest of the
+    row, all on columns above the lead.  Rows given to the constructor are
+    absorbed shortest first, which keeps fill-in low; the canonical forms
+    below do not depend on the order rows arrive in.
     """
 
     __slots__ = ("ncols", "pivots")
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, rows=()):
         self.ncols = ncols
         self.pivots = {}
+        for row in sorted((_sparse(row) for row in rows), key=len):
+            self._absorb(row)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def add(self, vec) -> bool:
-        if isinstance(vec, dict):
-            row = {c: v for c, v in vec.items() if v}
-        else:
-            row = {c: v for c, v in enumerate(vec) if v}
+        """Reduce vec against the pivots; keep it and return True if independent."""
+        return self._absorb(_sparse(vec))
+
+    def _absorb(self, row) -> bool:
+        pivots = self.pivots
         while row:
             lead = min(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                factor = row.pop(lead)
-                self.pivots[lead] = {c: v / factor for c, v in row.items()}
-                return True
             factor = row.pop(lead)
-            for c, v in piv.items():
-                val = row.get(c, Fraction(0)) - factor * v
-                if val:
-                    row[c] = val
-                else:
-                    row.pop(c, None)
+            tail = pivots.get(lead)
+            if tail is None:
+                inv = 1 / factor
+                pivots[lead] = {c: v * inv for c, v in row.items()}
+                return True
+            _subtract(row, factor, tail)
         return False
+
+    def _back_substituted(self):
+        """{lead: tail} of the rref; every tail lies on non-pivot columns.
+
+        Pivots are finished in descending lead order, so each pivot column in
+        a tail is cleared by one already reduced row, which cannot bring a
+        pivot column back.
+        """
+        reduced = {}
+        for lead in sorted(self.pivots, reverse=True):
+            row = dict(self.pivots[lead])
+            for p in [c for c in row if c in reduced]:
+                _subtract(row, row.pop(p), reduced[p])
+            reduced[lead] = row
+        return reduced
+
+    def reduced_rows(self):
+        """The canonical rref as dicts in ascending lead order, lead value 1 first."""
+        reduced = self._back_substituted()
+        return [{lead: _ONE, **reduced[lead]} for lead in sorted(reduced)]
+
+    def kernel(self):
+        """Canonical right kernel, one dict vector per free column f.
+
+        The vector for f has entry 1 at f and -R[p][f] at each pivot column p
+        of the rref R, so equality of kernels is equality of these lists.
+        """
+        basis = {f: {f: _ONE} for f in range(self.ncols) if f not in self.pivots}
+        reduced = self._back_substituted()
+        for lead in sorted(reduced):
+            for c, v in reduced[lead].items():
+                basis[c][lead] = -v
+        return list(basis.values())
+
+
+def _subtract(row, factor, other):
+    """row -= factor * other, in place, dropping entries that cancel."""
+    for c, v in other.items():
+        val = row.get(c)
+        if val is None:
+            row[c] = -factor * v
+        else:
+            val -= factor * v
+            if val:
+                row[c] = val
+            else:
+                del row[c]
+
+
+def _sparse(vec):
+    """A fresh row {column: rational} without zero entries."""
+    row = {}
+    for c, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+        if v:
+            v = rat(v)
+            if v:
+                row[c] = v
+    return row

@@ -23,9 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import RowEliminator, TruncatedScalar, rat_to_str
-from .poly import BinaryForm, WPoly, monomials, resultant, veronese_pullback
+from .poly import BinaryForm, WPoly, resultant, veronese_pullback
 from .xg import (
     XgIdeal,
+    generator_multiples,
     hyperelliptic_model,
     uu_base_poly,
     uu_keys,
@@ -243,7 +244,9 @@ def even_odd_split(family: TruncatedFamily, base: XgIdeal):
         sign = GROUP_SIGNS[name]
         epart, opart = [], []
         for (key, p), (bkey, bp) in zip(family.group_items(name), base.group_items(name)):
-            assert key == bkey
+            if key != bkey:
+                raise ValueError("%s keys of the family and the base differ: %s vs %s"
+                                 % (name, key, bkey))
             dev = p - _lift_poly(bp, n)
             et, ot = {}, {}
             for e, c in dev.terms.items():
@@ -449,27 +452,15 @@ def reduction_hilbert_function(family: TruncatedFamily, modulus: int, degrees):
     """
     if not 1 <= modulus <= family.order_bound:
         raise ValueError("modulus must lie between 1 and the order bound")
-    g = family.g
-    gens = [(GROUP_DEGREES[name], p)
-            for name in GROUP_NAMES for _, p in family.group_items(name)]
+    gens = [p for name in GROUP_NAMES for _, p in family.group_items(name)]
     out = []
     for degree in degrees:
-        basis = monomials(g, degree, "weighted")
-        index = {e: i for i, e in enumerate(basis)}
-        elim = RowEliminator(len(basis) * modulus)
-        for weight, p in gens:
-            if degree < weight:
-                continue
-            for mu in monomials(g, degree - weight, "weighted"):
-                for layer in range(modulus):
-                    row = {}
-                    for e, c in p.terms.items():
-                        col = index[tuple(a + b for a, b in zip(mu, e))]
-                        for t in range(layer, modulus):
-                            a = c.coeffs[t - layer]
-                            if a:
-                                row[col * modulus + t] = a
-                    if row:
-                        elim.add(row)
-        out.append(len(basis) * modulus - elim.rank)
+        _, rows, columns = generator_multiples(gens, degree, "weighted")
+        # pi^layer * row, one column per (monomial, pi digit)
+        layered = [{col * modulus + t: c.coeffs[t - layer]
+                    for col, c in row.items()
+                    for t in range(layer, modulus) if c.coeffs[t - layer]}
+                   for row in rows for layer in range(modulus)]
+        ncols = len(columns) * modulus
+        out.append(ncols - RowEliminator(ncols, layered).rank)
     return out

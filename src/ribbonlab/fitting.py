@@ -156,7 +156,7 @@ def minor_for_monomial(matrix: LinFormMatrix, monomial):
     """Column selection realizing the monomial as +/- one maximal minor.
 
     `monomial` is an exponent tuple of degree r = matrix.nrows.  Returns
-    (column labels, minor polynomial); raises AssertionError if the
+    (column labels, minor polynomial); raises ArithmeticError if the
     computed determinant is not +/- the requested monomial, which would
     falsify the construction.
     """
@@ -187,8 +187,8 @@ def minor_for_monomial(matrix: LinFormMatrix, monomial):
         raise ValueError("unknown matrix kind %r" % matrix.kind)
     cols = [label_index[lab] for lab in labels]
     det = symbolic_minor(matrix, cols)
-    assert set(det) == {monomial} and abs(det[monomial]) == 1, \
-        "minor is not +/- the requested monomial"
+    if set(det) != {monomial} or abs(det[monomial]) != 1:
+        raise ArithmeticError("minor is not +/- the requested monomial")
     return labels, det
 
 
@@ -219,7 +219,7 @@ def verify_power_ideal(m: int, r: int, mode: str = "phi2"):
         count += 1
         try:
             labels, det = minor_for_monomial(matrix, monomial)
-        except AssertionError:
+        except ArithmeticError:
             all_realized = False
             witnesses.append({"monomial": list(monomial), "columns": None,
                               "sign": None})
@@ -229,6 +229,8 @@ def verify_power_ideal(m: int, r: int, mode: str = "phi2"):
             "columns": [list(lab) for lab in labels],
             "sign": int(det[monomial]),
         })
-    assert count == comb(m + r - 1, r)
+    if count != comb(m + r - 1, r):
+        raise ArithmeticError("checked %d monomials, expected %d"
+                              % (count, comb(m + r - 1, r)))
     return {"m": m, "r": r, "mode": mode, "monomials_checked": count,
             "all_realized": all_realized, "witnesses": witnesses}

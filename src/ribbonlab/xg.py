@@ -19,13 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import (
-    RatMatrix,
-    RowEliminator,
-    row_space_matrix,
-    sparse_kernel_basis,
-    sparse_rank,
-)
+from .exact import RowEliminator, row_space_matrix, sparse_kernel_basis, sparse_rank
 from .poly import (
     MONOMIAL_ORDERS,
     BinaryForm,
@@ -197,7 +191,8 @@ def ribbon_ell_space(g: int):
     WPoly aligned with uu_keys(g).
     """
     split = split_ribbon_ideal(g)
-    kernel, layout = _syzygy_kernel(split, 3)
+    layout, rows, columns = generator_multiples(split.generators(), 3, "weighted")
+    kernel = _left_kernel(rows, len(columns))
     nuu = len(split.UU)
     nv = g - 2
     nz = nuu * nv
@@ -207,34 +202,33 @@ def ribbon_ell_space(g: int):
     conditions = []
     for vec in kernel:
         sigma = {}
-        for col, c in enumerate(vec):
-            if c:
-                e, m = layout[col]
-                if e < nuu:
-                    i = next(t for t in range(g) if m[t])
-                    sigma.setdefault(e, {})[i] = c
+        for col, c in vec.items():
+            e, m = layout[col]
+            if e < nuu:
+                i = next(t for t in range(g) if m[t])
+                sigma.setdefault(e, {})[i] = c
         if sigma:
             conditions.append(sigma)
     ny = len(uv_gens)
     total = nz + len(conditions) * ny
     eqs = []
     for r, sigma in enumerate(conditions):
-        block = [[Fraction(0)] * total for _ in uv_monos]
+        block = [{} for _ in uv_monos]
         for e, lin in sigma.items():
             for i, c in lin.items():
                 for n in range(nv):
-                    block[mono_idx[(i, n)]][e * nv + n] += c
+                    row = block[mono_idx[(i, n)]]
+                    row[e * nv + n] = row.get(e * nv + n, 0) + c
         for f, gen in enumerate(uv_gens):
             ycol = nz + r * ny + f
             for exp, c in gen.terms.items():
                 i = next(t for t in range(g) if exp[t])
                 n = next(t for t in range(nv) if exp[g + t])
-                block[mono_idx[(i, n)]][ycol] -= c
+                row = block[mono_idx[(i, n)]]
+                row[ycol] = row.get(ycol, 0) - c
         eqs.extend(block)
-    if eqs:
-        zvecs = [v[:nz] for v in RatMatrix(eqs, ncols=total).kernel_basis()]
-    else:
-        zvecs = [row for row in RatMatrix.identity(nz).rows]
+    zvecs = [{c: v for c, v in vec.items() if c < nz}
+             for vec in sparse_kernel_basis(eqs, total)]
     basis = row_space_matrix(zvecs, nz)
     out = []
     for row in basis.rows:
@@ -320,30 +314,41 @@ def split_ribbon_contains(p: WPoly) -> bool:
     return first.is_zero() and second.is_zero()
 
 
-def ring_dimension(g: int, degree: int, grading: str = "weighted") -> int:
-    return len(monomials(g, degree, grading))
+def generator_multiples(gens, degree: int, grading: str, columns=None):
+    """Rows of every multiple m * gen of the given degree: the one matrix builder.
 
-
-def _slice_rows(ideal: XgIdeal, degree: int, grading: str):
-    """Sparse rows spanning the degree slice of the ideal, plus the column basis."""
-    g = ideal.g
-    basis = monomials(g, degree, grading)
-    idx = monomial_index(basis)
-    rows = []
-    for gen in ideal.generators():
+    For each generator of degree w <= degree (in order) and each monomial m
+    of degree - w (in `monomials` order), one sparse row {column: coeff} of
+    m * gen over `columns`, which defaults to monomials(g, degree, grading);
+    pass another order to change the column order.  Returns (layout, rows,
+    columns) with layout[i] = (generator index, m) for row i.  Coefficients
+    are taken as they are, so truncated families work too.
+    """
+    gens = list(gens)
+    if columns is None:
+        columns = monomials(gens[0].g, degree, grading) if gens else []
+    idx = monomial_index(columns)
+    layout, rows = [], []
+    for e, gen in enumerate(gens):
         if not gen.is_homogeneous(grading):
             raise ValueError("generator is inhomogeneous in the %s grading" % grading)
         w = gen.degree(grading)
         if w is None or w > degree:
             continue
         terms = list(gen.terms.items())
-        for m in monomials(g, degree - w, grading):
-            row = {}
-            for e, c in terms:
-                col = idx[tuple(a + b for a, b in zip(m, e))]
-                row[col] = row.get(col, Fraction(0)) + c
-            rows.append({k: v for k, v in row.items() if v})
-    return rows, basis
+        for m in monomials(gen.g, degree - w, grading):
+            layout.append((e, m))
+            rows.append({idx[tuple(a + b for a, b in zip(m, t))]: c for t, c in terms})
+    return layout, rows, columns
+
+
+def _left_kernel(rows, ncols):
+    """Canonical kernel of (a_i) -> sum_i a_i * rows[i]: the relations among rows."""
+    transposed = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            transposed[c][i] = v
+    return sparse_kernel_basis(transposed, len(rows))
 
 
 def hilbert_function(ideal: XgIdeal, grading, degrees):
@@ -355,14 +360,14 @@ def hilbert_function(ideal: XgIdeal, grading, degrees):
     """
     out = []
     for degree in degrees:
-        rows, basis = _slice_rows(ideal, degree, grading)
-        out.append(len(basis) - sparse_rank(rows, len(basis)))
+        _, rows, columns = generator_multiples(ideal.generators(), degree, grading)
+        out.append(len(columns) - sparse_rank(rows, len(columns)))
     return out
 
 
 def ideal_slice_dimension(ideal: XgIdeal, degree: int, grading: str = "weighted") -> int:
-    rows, basis = _slice_rows(ideal, degree, grading)
-    return sparse_rank(rows, len(basis))
+    _, rows, columns = generator_multiples(ideal.generators(), degree, grading)
+    return sparse_rank(rows, len(columns))
 
 
 def eliminate_v(ideal: XgIdeal, max_degree: int):
@@ -377,40 +382,20 @@ def eliminate_v(ideal: XgIdeal, max_degree: int):
 def eliminate_v_degree(ideal: XgIdeal, degree: int) -> IdealSlice:
     """u-polynomials of the given weighted degree lying in the ideal's slice.
 
-    Degreewise linear algebra: order the slice columns with v-involving
-    monomials first, reduce, and keep the rref rows supported on the u-only
-    block.  No elimination order or Groebner step is involved.
+    Degreewise linear algebra: put the v-involving monomials first, reduce
+    the generator multiples, and keep the rref rows whose lead is a u-only
+    monomial; they span the u-only part of the slice.  No elimination order
+    or Groebner step is involved.
     """
     g = ideal.g
-    basis = monomials(g, degree, "weighted")
-    v_cols = [e for e in basis if any(e[g:])]
-    u_cols = [e for e in basis if not any(e[g:])]
-    ordered = v_cols + u_cols
-    idx = monomial_index(ordered)
-    rows = []
-    for gen in ideal.generators():
-        w = gen.degree("weighted")
-        if w is None or w > degree:
-            continue
-        for m in monomials(g, degree - w, "weighted"):
-            vec = [Fraction(0)] * len(ordered)
-            for e, c in gen.terms.items():
-                vec[idx[tuple(a + b for a, b in zip(m, e))]] += c
-            rows.append(vec)
-    if not rows:
-        return IdealSlice(g, degree, [])
-    R, pivots = RatMatrix(rows, ncols=len(ordered)).rref()
+    v_cols = [e for e in monomials(g, degree, "weighted") if any(e[g:])]
+    u_cols = monomials(g, degree, u_only=True)
+    _, rows, columns = generator_multiples(ideal.generators(), degree, "weighted",
+                                           v_cols + u_cols)
     nv = len(v_cols)
-    u_idx = monomial_index(monomials(g, degree, u_only=True))
-    vectors = []
-    for row in R.rows[:len(pivots)]:
-        if any(row[:nv]):
-            continue
-        vec = [Fraction(0)] * len(u_idx)
-        for col, c in enumerate(row[nv:]):
-            if c:
-                vec[u_idx[u_cols[col]]] = c
-        vectors.append(vec)
+    vectors = [{c - nv: v for c, v in row.items()}
+               for row in RowEliminator(len(columns), rows).reduced_rows()
+               if min(row) >= nv]
     return IdealSlice(g, degree, vectors)
 
 
@@ -585,37 +570,6 @@ class SyzygyRecord:
                 % (self.degree, self.minimal_count, self.shape_name, self.shape_matched))
 
 
-def _syzygy_columns(ideal: XgIdeal, degree: int):
-    """Domain column layout for syzygies of a weighted degree."""
-    g = ideal.g
-    gens = ideal.generators()
-    layout = []
-    for e, gen in enumerate(gens):
-        w = gen.degree("weighted")
-        if degree - w < 0:
-            continue
-        for m in monomials(g, degree - w, "weighted"):
-            layout.append((e, m))
-    return gens, layout
-
-
-def _syzygy_kernel(ideal: XgIdeal, degree: int):
-    """Kernel vectors of (a_e) -> sum a_e gen_e in the weighted degree."""
-    g = ideal.g
-    gens, layout = _syzygy_columns(ideal, degree)
-    if not layout:
-        return [], layout
-    cod = monomials(g, degree, "weighted")
-    idx = monomial_index(cod)
-    rows = [{} for _ in cod]
-    for col, (e, m) in enumerate(layout):
-        for t, c in gens[e].terms.items():
-            row = rows[idx[tuple(a + b for a, b in zip(m, t))]]
-            row[col] = row.get(col, Fraction(0)) + c
-    rows = [{k: v for k, v in r.items() if v} for r in rows]
-    return sparse_kernel_basis(rows, len(layout)), layout
-
-
 def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
                        shape_table: str = "ribbon"):
     """First syzygies of the generator set, degree by weighted degree.
@@ -635,7 +589,9 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
     layouts = {}
     min_gen_degree = min(p.degree("weighted") for p in ideal.generators())
     for degree in range(min_gen_degree + 1, max_degree + 1):
-        kernel, layout = _syzygy_kernel(ideal, degree)
+        layout, rows, columns = generator_multiples(ideal.generators(), degree,
+                                                    "weighted")
+        kernel = _left_kernel(rows, len(columns))
         layouts[degree] = layout
         index_to = {col_key: i for i, col_key in enumerate(layout)}
         lifted_rows = []
@@ -645,11 +601,9 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
             for m_extra in monomials(g, shift, "weighted"):
                 for vec in reps:
                     lifted = {}
-                    for col, c in enumerate(vec):
-                        if c:
-                            e, m = lower_layout[col]
-                            t = index_to[(e, tuple(a + b for a, b in zip(m, m_extra)))]
-                            lifted[t] = lifted.get(t, Fraction(0)) + c
+                    for col, c in vec.items():
+                        e, m = lower_layout[col]
+                        lifted[index_to[(e, tuple(a + b for a, b in zip(m, m_extra)))]] = c
                     lifted_rows.append(lifted)
         elim = RowEliminator(len(layout))
         for row in lifted_rows:
@@ -670,7 +624,9 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
                     want = allowed.get(groups[e])
                     if want is not None and (sum(m[:g]), sum(m[g:])) == want:
                         pure_cols.append(col)
-                pure = _restricted_kernel(ideal, degree, layout, pure_cols)
+                pure = [{pure_cols[local]: c for local, c in v.items()}
+                        for v in _left_kernel([rows[col] for col in pure_cols],
+                                              len(columns))]
                 elim2 = RowEliminator(len(layout))
                 for row in lifted_rows:
                     elim2.add(row)
@@ -683,37 +639,12 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
     return records
 
 
-def _restricted_kernel(ideal: XgIdeal, degree: int, layout, cols):
-    """Syzygies supported on the given columns, embedded in full coordinates."""
-    if not cols:
-        return []
-    g = ideal.g
-    gens = ideal.generators()
-    cod = monomials(g, degree, "weighted")
-    idx = monomial_index(cod)
-    rows = [{} for _ in cod]
-    for local, col in enumerate(cols):
-        e, m = layout[col]
-        for t, c in gens[e].terms.items():
-            row = rows[idx[tuple(a + b for a, b in zip(m, t))]]
-            row[local] = row.get(local, Fraction(0)) + c
-    rows = [{k: v for k, v in r.items() if v} for r in rows]
-    out = []
-    for v in sparse_kernel_basis(rows, len(cols)):
-        full = [Fraction(0)] * len(layout)
-        for local, c in enumerate(v):
-            full[cols[local]] = c
-        out.append(full)
-    return out
-
-
 def _vectors_to_polys(ideal: XgIdeal, layout, vec):
     """Repackage a kernel vector as one coefficient WPoly per generator."""
     g = ideal.g
     per_gen = {}
-    for col, c in enumerate(vec):
-        if c:
-            e, m = layout[col]
-            per_gen.setdefault(e, {})[m] = per_gen.get(e, {}).get(m, Fraction(0)) + c
+    for col, c in vec.items():
+        e, m = layout[col]
+        per_gen.setdefault(e, {})[m] = c
     n_gens = len(ideal.generators())
     return [WPoly(g, per_gen.get(e, {})) for e in range(n_gens)]

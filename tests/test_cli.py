@@ -1,8 +1,8 @@
 import json
-import os
 
 import pytest
 
+from ribbonlab import cli
 from ribbonlab.cli import main
 
 
@@ -97,6 +97,26 @@ def test_limit_relation_rejects_outside_ideal(capsys):
     assert doc["payload"]["message"] == "not a canonical relation"
 
 
+def test_unhandled_input_errors_end_in_one_error_document(capsys):
+    # a bare number list is no term list; 1e400 parses as a float infinity
+    for argv in (["limit-relation", "--g", "3", "--poly", "[1,2]"],
+                 ["limit-quadric", "--g", "4", "--q", "[[1,0],[0,1e400]]"]):
+        code, doc = run_cli(capsys, *argv)
+        assert code == 1
+        assert doc["status"] == "error"
+        assert doc["payload"]["message"].startswith("TypeError: ")
+
+
+def test_discriminant_item_passes_at_former_failing_seeds():
+    # at these seeds a random "generic" form used to have a repeated factor
+    items = [item for item in cli._families_items(5, 2)
+             if item[0] == "discriminant_zero_iff_square_factor"]
+    assert [params["g"] for _, params, _ in items] == [3, 4, 5]
+    for seed in (10, 25, 44):
+        results = cli._run_items("families", items, seed)
+        assert all(r["pass"] for r in results), (seed, results)
+
+
 def test_verify_small_suites_pass(capsys):
     for suite in ("rnc", "fitting"):
         code, doc = run_cli(capsys, "verify", "--suite", suite,
@@ -125,11 +145,7 @@ def test_verify_rerun_is_byte_identical(tmp_path, capsys):
     args = ["verify", "--suite", "xg", "--gmax", "3", "--dmax", "3",
             "--seed", "7", "--quiet"]
     assert main(args + ["--json-out", str(a)]) == 0
-    os.environ["RIBBONLAB_THREADS"] = "3"
-    try:
-        assert main(args + ["--json-out", str(b)]) == 0
-    finally:
-        del os.environ["RIBBONLAB_THREADS"]
+    assert main(args + ["--json-out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert capsys.readouterr().out == ""  # --quiet keeps stdout empty
 

@@ -44,6 +44,73 @@ def laplace_det(m: RatMatrix) -> Fraction:
     return total
 
 
+def dense_rref(rows, ncols):
+    """Test-only oracle: textbook dense Gauss-Jordan with first-nonzero pivots.
+
+    Returns (reduced rows with zero rows dropped, pivot columns).
+    """
+    rows = [[rat(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in rows[:r]], tuple(pivots)
+
+
+def dense_kernel(rows, ncols):
+    """Oracle kernel: one vector per free column f, 1 at f, -R[i][f] at pivot i."""
+    reduced, pivots = dense_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def rand_entry(rng, span=3):
+    """A random rational as a Fraction, an int or a string, zero half the time."""
+    if rng.random() < 0.5:
+        return rng.choice([0, "0", Fraction(0)])
+    x = rand_fraction(rng, span)
+    return rng.choice([x, str(x), x.numerator])
+
+
+def rand_case(rng, max_rows=8, max_cols=8):
+    """A random (dense rows, sparse rows, ncols) case, empty and all-zero ones included."""
+    ncols = rng.randint(1, max_cols)
+    kind = rng.random()
+    if kind < 0.1:
+        dense = []
+    elif kind < 0.2:
+        dense = [[0] * ncols for _ in range(rng.randint(1, max_rows))]
+    else:
+        dense = [[rand_entry(rng) for _ in range(ncols)]
+                 for _ in range(rng.randint(1, max_rows))]
+    sparse = [{c: x for c, x in enumerate(row) if rng.random() < 0.5 or rat(x)}
+              for row in dense]
+    return dense, sparse, ncols
+
+
+def to_dense(vec, ncols):
+    return tuple(vec.get(c, Fraction(0)) for c in range(ncols))
+
+
 def test_rat_string_round_trip():
     assert rat_to_str(Fraction(3, 1)) == "3"
     assert rat_to_str(Fraction(-3, 7)) == "-3/7"
@@ -65,18 +132,6 @@ def test_kernel_of_rank_one_matrix():
 
 def test_det_swap_matrix():
     assert RatMatrix([[0, 1], [1, 0]]).det() == -1
-
-
-def test_solve_underdetermined_flags_non_unique():
-    result = RatMatrix([[1, 1]]).solve([2])
-    assert result is not None
-    x, unique = result
-    assert x[0] + x[1] == 2
-    assert not unique
-
-
-def test_solve_inconsistent_returns_none():
-    assert RatMatrix([[1], [1]]).solve([1, 2]) is None
 
 
 def test_det_matches_laplace_oracle():
@@ -117,73 +172,52 @@ def test_kernel_vectors_annihilate_and_count():
             assert all(x == 0 for x in m.apply(v))
 
 
-def test_solve_consistent_systems():
-    rng = random.Random(13)
-    for _ in range(10):
-        m = rand_matrix(rng, 4, 3, span=4)
-        target = [rand_fraction(rng) for _ in range(3)]
-        b = m.apply(target)
-        result = m.solve(b)
-        assert result is not None
-        x, unique = result
-        assert m.apply(x) == tuple(b)
-        assert unique == (m.rank() == 3)
-
-
-def test_solve_columns_agrees_with_single_solves():
-    rng = random.Random(17)
-    m = rand_matrix(rng, 4, 3, span=4)
-    rhs = []
-    for _ in range(3):
-        rhs.append(list(m.apply([rand_fraction(rng) for _ in range(3)])))
-    rhs.append([rand_fraction(rng) for _ in range(4)])  # probably inconsistent
-    sols, unique = m.solve_columns(rhs)
-    for b, s in zip(rhs, sols):
-        single = m.solve(b)
-        if single is None:
-            assert s is None
-        else:
-            assert s == single[0] and unique == single[1]
-
-
 def test_sparse_rank_matches_dense():
     rng = random.Random(23)
-    for _ in range(12):
-        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
-        dense = [[Fraction(0)] * ncols for _ in range(nrows)]
-        rows = []
-        for i in range(nrows):
-            row = {}
-            for _ in range(rng.randint(0, 3)):
-                c = rng.randrange(ncols)
-                v = rand_fraction(rng, 3)
-                if v:
-                    row[c] = row.get(c, Fraction(0)) + v
-            row = {c: v for c, v in row.items() if v}
-            for c, v in row.items():
-                dense[i][c] = v
-            rows.append(row)
-        assert sparse_rank(rows, ncols) == RatMatrix(dense, ncols=ncols).rank()
+    for _ in range(60):
+        dense, sparse, ncols = rand_case(rng)
+        want = len(dense_rref(dense, ncols)[1])
+        assert sparse_rank(sparse, ncols) == want
+        assert sparse_rank(dense, ncols) == want
+        if dense:
+            assert RatMatrix(dense, ncols=ncols).rank() == want
 
 
 def test_sparse_kernel_matches_dense_kernel():
     rng = random.Random(37)
-    for _ in range(12):
-        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
-        dense = [[Fraction(0)] * ncols for _ in range(nrows)]
-        rows = []
-        for i in range(nrows):
-            row = {}
-            for _ in range(rng.randint(0, 3)):
-                c = rng.randrange(ncols)
-                v = rand_fraction(rng, 3)
-                if v:
-                    row[c] = row.get(c, Fraction(0)) + v
-            row = {c: v for c, v in row.items() if v}
-            for c, v in row.items():
-                dense[i][c] = v
-            rows.append(row)
-        assert sparse_kernel_basis(rows, ncols) == RatMatrix(dense, ncols=ncols).kernel_basis()
+    for _ in range(60):
+        dense, sparse, ncols = rand_case(rng)
+        want = dense_kernel(dense, ncols)
+        kernel = sparse_kernel_basis(sparse, ncols)
+        assert all(all(isinstance(x, Fraction) and x for x in v.values()) for v in kernel)
+        assert [to_dense(v, ncols) for v in kernel] == want
+        if dense:
+            assert RatMatrix(dense, ncols=ncols).kernel_basis() == want
+
+
+def test_rref_and_row_space_match_dense_oracle():
+    rng = random.Random(43)
+    for _ in range(60):
+        dense, sparse, ncols = rand_case(rng)
+        reduced, pivots = dense_rref(dense, ncols)
+        assert row_space_matrix(sparse, ncols).rows == tuple(reduced)
+        assert row_space_matrix(dense, ncols).rows == tuple(reduced)
+        if dense:
+            R, got_pivots = RatMatrix(dense, ncols=ncols).rref()
+            zero = (Fraction(0),) * ncols
+            assert got_pivots == pivots
+            assert R.rows == tuple(reduced) + (zero,) * (len(dense) - len(reduced))
+
+
+def test_engine_coerces_every_entry():
+    m = row_space_matrix([(1, 2, 0)], 3)
+    assert m.rows == ((Fraction(1), Fraction(2), Fraction(0)),)
+    assert all(type(x) is Fraction for x in m.rows[0])
+    assert sparse_kernel_basis([{0: "1/2", 1: 3, 2: "0"}], 3) == [
+        {1: Fraction(1), 0: Fraction(-6)}, {2: Fraction(1)}]
+    elim = RowEliminator(2, [["0", 0]])
+    assert elim.rank == 0 and not elim.add({0: "0"})
+    assert elim.reduced_rows() == [] and elim.kernel() == [{0: 1}, {1: 1}]
 
 
 def test_row_eliminator_tracks_dense_rank():
@@ -201,11 +235,13 @@ def test_row_eliminator_tracks_dense_rank():
                 dense_row = [rand_fraction(rng, 3) if rng.random() < 0.5 else Fraction(0)
                              for c in range(ncols)]
                 vec = dense_row
-            before = RatMatrix(seen, ncols=ncols).rank() if seen else 0
+            before = len(dense_rref(seen, ncols)[1])
             seen.append(dense_row)
-            grew = RatMatrix(seen, ncols=ncols).rank() > before
+            grew = len(dense_rref(seen, ncols)[1]) > before
             assert elim.add(vec) == grew
-        assert elim.rank == RatMatrix(seen, ncols=ncols).rank()
+        assert elim.rank == len(dense_rref(seen, ncols)[1])
+        assert elim.reduced_rows() == [
+            {c: x for c, x in enumerate(row) if x} for row in dense_rref(seen, ncols)[0]]
 
 
 def test_row_space_matrix_is_canonical():

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import ribbonlab
 from ribbonlab.exact import RatMatrix
 from ribbonlab.fitting import (
     LinFormMatrix,
@@ -118,3 +122,18 @@ def test_verify_power_ideal_guards():
 def test_entries_must_be_linear():
     with pytest.raises(ValueError):
         LinFormMatrix(2, [[(1, 0, 0)]], "phi2", [(0, 0)])
+
+
+def test_power_ideal_check_survives_python_O():
+    # python -O strips assert statements; the check must still see bad minors
+    script = ("import ribbonlab.fitting as f\n"
+              "exact = f.symbolic_minor\n"
+              "f.symbolic_minor = lambda m, cols: {e: 2 * c for e, c in exact(m, cols).items()}\n"
+              "print(f.verify_power_ideal(3, 3, 'phi2')['all_realized'])\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ribbonlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonlab.poly import BinaryForm, WPoly, veronese_pullback
+from ribbonlab.poly import BinaryForm, WPoly, monomials, veronese_pullback
 from ribbonlab.rnc import IdealSlice, ideal_slice
 from ribbonlab.xg import (
     XgIdeal,
@@ -23,6 +23,8 @@ from ribbonlab.xg import (
     syzygies_by_degree,
     uu_keys,
 )
+
+from test_exact import dense_rref
 
 
 def u(g, i):
@@ -302,3 +304,29 @@ def test_xg_ideal_json_round_trip():
     assert loaded.UU == ideal.UU
     assert loaded.UV == ideal.UV
     assert loaded.VV == ideal.VV
+
+
+def test_eliminate_v_degree_matches_dense_oracle():
+    # dense rows of all generator multiples over v-first columns, textbook
+    # rref, and the rows with no v entry: the u-only part of the slice
+    rng = random.Random(19)
+    for g in (3, 4):
+        models = [split_ribbon_ideal(g), canonical_ribbon_ideal(g, random_ribbon_ell(g, rng))]
+        for ideal in models:
+            for degree in range(2, 6 - (g - 3)):
+                basis = monomials(g, degree, "weighted")
+                cols = [e for e in basis if any(e[g:])] + [e for e in basis if not any(e[g:])]
+                nv = sum(1 for e in basis if any(e[g:]))
+                rows = []
+                for gen in ideal.generators():
+                    w = gen.degree("weighted")
+                    if w > degree:
+                        continue
+                    for m in monomials(g, degree - w, "weighted"):
+                        p = WPoly(g, {m: Fraction(1)}) * gen
+                        rows.append([p.terms.get(e, Fraction(0)) for e in cols])
+                reduced, _ = dense_rref(rows, len(cols))
+                want = IdealSlice.from_polys(g, degree, [
+                    WPoly(g, {e: c for e, c in zip(cols[nv:], row[nv:]) if c})
+                    for row in reduced if not any(row[:nv])])
+                assert eliminate_v_degree(ideal, degree) == want, (g, degree)
