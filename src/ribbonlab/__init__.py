@@ -67,6 +67,7 @@ from .xg import (
     hilbert_function,
     hyperelliptic_model,
     random_ribbon_ell,
+    ribbon_ell,
     ribbon_ell_space,
     split_ribbon_ideal,
     syzygies_by_degree,
@@ -120,6 +121,7 @@ __all__ = [
     "reduction_hilbert_function",
     "rescale_v",
     "resultant",
+    "ribbon_ell",
     "ribbon_ell_space",
     "ribbon_order",
     "ribbon_slice",

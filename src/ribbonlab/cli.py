@@ -822,7 +822,7 @@ def cmd_limit_relation(args):
     if (not x.is_u_only() or not x.is_homogeneous("weighted")
             or x.degree("weighted") != d):
         raise CommandError("not a canonical relation")
-    if not ideal_slice(args.g, d).contains(x):
+    if not veronese_pullback(x).is_zero():
         raise CommandError("not a canonical relation")
     limit, witness = is_limit_relation(x, d)
     matrix = phi_d(x, d)

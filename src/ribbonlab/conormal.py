@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import RatMatrix, rat, rat_from_str, rat_to_str
+from .exact import RatMatrix, left_kernel, rat, rat_from_str, rat_to_str
 from .poly import BinaryForm, WPoly, monomial_index, veronese_pullback
 from .rnc import IdealSlice, QuadForm, ideal_slice
 
@@ -213,22 +213,26 @@ def phi_map_matrix(slice_: IdealSlice) -> RatMatrix:
     return RatMatrix(rows, ncols=width)
 
 
-def phi_kernel_slice(slice_: IdealSlice) -> IdealSlice:
-    """ker(phi_d) intersected with the given slice, in canonical form."""
-    stacked = phi_map_matrix(slice_)
-    combos = RatMatrix([[stacked.rows[b][c] for b in range(stacked.nrows)]
-                        for c in range(stacked.ncols)],
-                       ncols=stacked.nrows).kernel_basis()
+def _kernel_in_slice(slice_: IdealSlice, images) -> IdealSlice:
+    """The combinations sum_b a_b basis_b of the slice with sum_b a_b images[b] = 0.
+
+    images[b] is the coefficient sequence of the image of basis element b;
+    the result is in canonical form.
+    """
     idx = monomial_index(slice_.monomials)
     vectors = []
-    for a in combos:
-        vec = [Fraction(0)] * len(slice_.monomials)
-        for b, coeff in enumerate(a):
-            if coeff:
-                for e, c in slice_.basis[b].terms.items():
-                    vec[idx[e]] += coeff * c
+    for relation in left_kernel(images, len(images[0]) if images else 0):
+        vec = {}
+        for b, a in relation.items():
+            for e, c in slice_.basis[b].terms.items():
+                vec[idx[e]] = vec.get(idx[e], 0) + a * c
         vectors.append(vec)
     return IdealSlice(slice_.g, slice_.d, vectors)
+
+
+def phi_kernel_slice(slice_: IdealSlice) -> IdealSlice:
+    """ker(phi_d) intersected with the given slice, in canonical form."""
+    return _kernel_in_slice(slice_, phi_map_matrix(slice_).rows)
 
 
 def ribbon_slice(lam: LambdaFunctional, g: int, d: int) -> IdealSlice:
@@ -242,19 +246,4 @@ def ribbon_slice(lam: LambdaFunctional, g: int, d: int) -> IdealSlice:
     if lam.is_zero():
         raise ValueError("lambda must be nonzero")
     full = ideal_slice(g, d)
-    width = (d - 1) * (g - 1) - 1
-    cols = []
-    for p in full.basis:
-        cols.append(psi_d(lam, p, d).coeffs)
-    combo_matrix = RatMatrix([[cols[b][a] for b in range(len(cols))]
-                              for a in range(width)], ncols=len(cols))
-    idx = monomial_index(full.monomials)
-    vectors = []
-    for a in combo_matrix.kernel_basis():
-        vec = [Fraction(0)] * len(full.monomials)
-        for b, coeff in enumerate(a):
-            if coeff:
-                for e, c in full.basis[b].terms.items():
-                    vec[idx[e]] += coeff * c
-        vectors.append(vec)
-    return IdealSlice(g, d, vectors)
+    return _kernel_in_slice(full, [psi_d(lam, p, d).coeffs for p in full.basis])

@@ -56,15 +56,6 @@ class TruncatedScalar:
     def from_rational(cls, x, order: int) -> "TruncatedScalar":
         return cls((rat(x),) + (Fraction(0),) * (order - 1))
 
-    @classmethod
-    def pi(cls, order: int, power: int = 1) -> "TruncatedScalar":
-        if power < 0:
-            raise ValueError("pi power must be nonnegative")
-        coeffs = [Fraction(0)] * order
-        if power < order:
-            coeffs[power] = Fraction(1)
-        return cls(coeffs)
-
     @property
     def order(self) -> int:
         return len(self.coeffs)
@@ -214,13 +205,6 @@ class RatMatrix:
         return RatMatrix([[self.rows[i][j] for i in range(self.nrows)]
                           for j in range(self.ncols)], ncols=self.nrows)
 
-    def apply(self, vec):
-        """Matrix-vector product."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum((row[j] * vec[j] for j in range(self.ncols)), Fraction(0))
-                     for row in self.rows)
-
     def rref(self):
         """Reduced row echelon form, padded with zero rows to the row count.
 
@@ -321,6 +305,18 @@ def sparse_rank(rows, ncols) -> int:
 def sparse_kernel_basis(rows, ncols):
     """Canonical right kernel of the sparse matrix, as dicts (see RowEliminator.kernel)."""
     return RowEliminator(ncols, rows).kernel()
+
+
+def left_kernel(rows, ncols):
+    """Canonical kernel of (a_i) -> sum_i a_i * rows[i]: the relations among rows.
+
+    Rows are dicts {column: value} or dense sequences over ncols columns.
+    """
+    transposed = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in _sparse(row).items():
+            transposed[c][i] = v
+    return sparse_kernel_basis(transposed, len(rows))
 
 
 class RowEliminator:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from .exact import RowEliminator, TruncatedScalar, rat_to_str
 from .poly import BinaryForm, WPoly, resultant, veronese_pullback
 from .xg import (
+    GROUPS,
     XgIdeal,
     generator_multiples,
     hyperelliptic_model,
@@ -36,7 +37,6 @@ from .xg import (
     vv_keys,
 )
 
-GROUP_NAMES = ("UU", "UV", "VV")
 GROUP_DEGREES = {"UU": 2, "UV": 3, "VV": 4}
 
 # Involution signs: v -> -v composed with these per-group signs fixes
@@ -95,7 +95,7 @@ class TruncatedFamily:
 
     def _map_polys(self, order_bound, fn) -> "TruncatedFamily":
         groups = {name: [(key, fn(p)) for key, p in self.group_items(name)]
-                  for name in GROUP_NAMES}
+                  for name in GROUPS}
         return TruncatedFamily(self.g, order_bound,
                                groups["UU"], groups["UV"], groups["VV"])
 
@@ -189,7 +189,7 @@ def rescale_v(family: TruncatedFamily, k: int) -> TruncatedFamily:
         raise ValueError("rescaling by k=%d needs order bound above %d" % (k, drop))
     mult = {"UU": 0, "UV": k, "VV": 2 * k}
     groups = {}
-    for name in GROUP_NAMES:
+    for name in GROUPS:
         items = []
         for key, p in family.group_items(name):
             terms = {}
@@ -222,7 +222,7 @@ def negate_v(family: TruncatedFamily) -> TruncatedFamily:
             e: (c if sign * (-1 if sum(e[family.g:]) % 2 else 1) == 1 else -c)
             for e, c in p.terms.items()})
     groups = {name: [(key, flip(name, p)) for key, p in family.group_items(name)]
-              for name in GROUP_NAMES}
+              for name in GROUPS}
     return TruncatedFamily(family.g, family.order_bound,
                            groups["UU"], groups["UV"], groups["VV"])
 
@@ -240,7 +240,7 @@ def even_odd_split(family: TruncatedFamily, base: XgIdeal):
         raise ValueError("family does not reduce to the given ideal mod pi")
     n = family.order_bound
     even, odd = {}, {}
-    for name in GROUP_NAMES:
+    for name in GROUPS:
         sign = GROUP_SIGNS[name]
         epart, opart = [], []
         for (key, p), (bkey, bp) in zip(family.group_items(name), base.group_items(name)):
@@ -268,7 +268,7 @@ def _shape_order(family: TruncatedFamily, allowed_v_degrees) -> int:
     for deviation monomials whose v-degree is allowed for the group.
     """
     m = family.order_bound
-    for name in GROUP_NAMES:
+    for name in GROUPS:
         for key, p in family.group_items(name):
             dev = p - _lift_poly(_BASE_POLY[name](family.g, key), family.order_bound)
             for e, c in dev.terms.items():
@@ -452,7 +452,7 @@ def reduction_hilbert_function(family: TruncatedFamily, modulus: int, degrees):
     """
     if not 1 <= modulus <= family.order_bound:
         raise ValueError("modulus must lie between 1 and the order bound")
-    gens = [p for name in GROUP_NAMES for _, p in family.group_items(name)]
+    gens = [p for name in GROUPS for _, p in family.group_items(name)]
     out = []
     for degree in degrees:
         _, rows, columns = generator_multiples(gens, degree, "weighted")

@@ -344,14 +344,6 @@ class WPoly:
     def is_u_only(self) -> bool:
         return all(not any(self.v_exps(e)) for e in self.terms)
 
-    def v_degree_split(self):
-        """Split into parts of constant total v-degree: {v_deg: WPoly}."""
-        parts = {}
-        for e, c in self.terms.items():
-            b = sum(self.v_exps(e))
-            parts.setdefault(b, {})[e] = c
-        return {b: WPoly(self.g, t) for b, t in sorted(parts.items())}
-
     def partial(self, var: int) -> "WPoly":
         """Formal partial derivative with respect to variable index var."""
         if not 0 <= var < 2 * self.g - 2:

@@ -172,11 +172,20 @@ class IdealSlice:
         return vec
 
     def contains(self, p: WPoly) -> bool:
+        """Membership by one pass of p's vector over the stored canonical rows.
+
+        Each row is zero on the other rows' leads, so subtracting it clears its
+        lead without touching another one; p lies in the slice iff nothing is
+        left.
+        """
         if not p:
             return True
         vec = self.vector_of(p)
-        stacked = row_space_matrix(list(self.matrix.rows) + [vec], len(self.monomials))
-        return stacked.nrows == self.matrix.nrows
+        for row in self.matrix.rows:
+            factor = vec[next(c for c, x in enumerate(row) if x)]
+            if factor:
+                vec = [a - factor * b for a, b in zip(vec, row)]
+        return not any(vec)
 
     def __eq__(self, other):
         if not isinstance(other, IdealSlice):
@@ -190,22 +199,18 @@ class IdealSlice:
 def ideal_slice(g: int, d: int) -> IdealSlice:
     """Degree-d slice of the ideal of the rational normal curve.
 
-    Kernel of the evaluation map sending a degree-d monomial in u to its
-    pullback x0^a x1^(d(g-1)-a); dimension C(g-1+d, d) - (d(g-1)+1).
+    The pullback sends a degree-d monomial e in u to x0^a x1^(d(g-1)-a) with
+    a = sum_i i*e_i, so the slice is spanned by the differences of monomials
+    in one fibre of a.  The rows m - m_last, for every monomial m that is not
+    the last of its fibre in column order, are already the canonical rref.
+    Dimension C(g-1+d, d) - (d(g-1)+1).
     """
     if g < 3 or d < 1:
         raise ValueError("need g >= 3 and d >= 1")
-    basis = monomials(g, d, u_only=True)
-    nrows = d * (g - 1) + 1
-    cols = []
-    for e in basis:
-        a = sum(i * k for i, k in enumerate(e[:g]))
-        cols.append(a)
-    eval_rows = [[Fraction(0)] * len(basis) for _ in range(nrows)]
-    for col, a in enumerate(cols):
-        eval_rows[a][col] = Fraction(1)
-    kernel = RatMatrix(eval_rows, ncols=len(basis)).kernel_basis()
-    return IdealSlice(g, d, kernel)
+    fibres = [sum(i * k for i, k in enumerate(e[:g])) for e in monomials(g, d, u_only=True)]
+    last = {a: col for col, a in enumerate(fibres)}
+    rows = [{col: 1, last[a]: -1} for col, a in enumerate(fibres) if col != last[a]]
+    return IdealSlice(g, d, rows)
 
 
 def ideal_square_slice(g: int, d: int) -> IdealSlice:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import RowEliminator, row_space_matrix, sparse_kernel_basis, sparse_rank
+from .exact import RowEliminator, left_kernel, rat, sparse_rank
 from .poly import (
     MONOMIAL_ORDERS,
     BinaryForm,
@@ -159,22 +159,30 @@ def canonical_ribbon_ideal(g: int, ell) -> XgIdeal:
     )
 
 
-def random_ell(g: int, rng, bound: int = 3):
-    """Random unconstrained v-linear forms aligned with uu_keys(g).
+def ribbon_ell(g: int, lam):
+    """The v-linear corrections of the canonical ribbon with functional lam.
 
-    Arbitrary corrections generally do NOT give a ribbon: the subscheme
-    they cut out can be smaller than a ribbon in low degrees.  Use
-    random_ribbon_ell for corrections from the canonical-form family.
+    lam holds the g-2 coordinates of a functional on H^0(O(g-3)).  The entry
+    for the UU key (i, j, k, l) is
+
+        ell_(i,j) = sum_t lam_t * max(0, min(t-i, j-2-t) + 1) * v_{i+j-2-t}.
+
+    Read it as a walk from (i, j) to the balanced pair by steps
+    (a, b) -> (a+1, b-1); each step adds sum_{a<=t<=b-2} lam_t v_{a+b-2-t}.
+    Returns a list of WPoly aligned with uu_keys(g).
     """
+    lam = [rat(c) for c in lam]
+    if len(lam) != g - 2:
+        raise ValueError("expected %d coordinates" % (g - 2))
     out = []
-    for _ in uu_keys(g):
+    for i, j, _, _ in uu_keys(g):
         terms = {}
-        for j in range(g - 2):
-            c = rng.randint(-bound, bound)
-            if c:
-                e = [0] * (2 * g - 2)
-                e[g + j] = 1
-                terms[tuple(e)] = Fraction(c)
+        for t, c in enumerate(lam):
+            steps = min(t - i, j - 2 - t) + 1
+            if c and steps > 0:
+                exp = [0] * (2 * g - 2)
+                exp[g + i + j - 2 - t] = 1
+                terms[tuple(exp)] = c * steps
         out.append(WPoly(g, terms))
     return out
 
@@ -182,78 +190,17 @@ def random_ell(g: int, rng, bound: int = 3):
 def ribbon_ell_space(g: int):
     """Basis of v-linear corrections that keep the split Hilbert function.
 
-    A correction list ell is admissible iff for every linear syzygy
-    sum_e sigma_e (uu)_{0,e} + (uv-part) = 0 of the split equations, the
-    combination sum_e sigma_e ell_e lies in the span of the UV relations;
-    otherwise new degree-3 elements appear and the subscheme is smaller
-    than a ribbon.  Degree 4 and higher impose nothing extra because the
-    VV group spans all v-quadratics.  Each basis element is a list of
-    WPoly aligned with uu_keys(g).
+    Element t is ribbon_ell(g, e_t), the ribbon whose classifying functional
+    is the unit vector e_t.  This is the canonical rref basis of the space:
+    element t has lead ((0, t+2), v_0) with value 1 and vanishes on the
+    other leads.  Each element is a list of WPoly aligned with uu_keys(g).
     """
-    split = split_ribbon_ideal(g)
-    layout, rows, columns = generator_multiples(split.generators(), 3, "weighted")
-    kernel = _left_kernel(rows, len(columns))
-    nuu = len(split.UU)
-    nv = g - 2
-    nz = nuu * nv
-    uv_gens = [p for _, p in split.UV]
-    uv_monos = [(i, n) for i in range(g) for n in range(nv)]
-    mono_idx = {m: t for t, m in enumerate(uv_monos)}
-    conditions = []
-    for vec in kernel:
-        sigma = {}
-        for col, c in vec.items():
-            e, m = layout[col]
-            if e < nuu:
-                i = next(t for t in range(g) if m[t])
-                sigma.setdefault(e, {})[i] = c
-        if sigma:
-            conditions.append(sigma)
-    ny = len(uv_gens)
-    total = nz + len(conditions) * ny
-    eqs = []
-    for r, sigma in enumerate(conditions):
-        block = [{} for _ in uv_monos]
-        for e, lin in sigma.items():
-            for i, c in lin.items():
-                for n in range(nv):
-                    row = block[mono_idx[(i, n)]]
-                    row[e * nv + n] = row.get(e * nv + n, 0) + c
-        for f, gen in enumerate(uv_gens):
-            ycol = nz + r * ny + f
-            for exp, c in gen.terms.items():
-                i = next(t for t in range(g) if exp[t])
-                n = next(t for t in range(nv) if exp[g + t])
-                row = block[mono_idx[(i, n)]]
-                row[ycol] = row.get(ycol, 0) - c
-        eqs.extend(block)
-    zvecs = [{c: v for c, v in vec.items() if c < nz}
-             for vec in sparse_kernel_basis(eqs, total)]
-    basis = row_space_matrix(zvecs, nz)
-    out = []
-    for row in basis.rows:
-        ell = []
-        for e in range(nuu):
-            terms = {}
-            for n in range(nv):
-                if row[e * nv + n]:
-                    exp = [0] * (2 * g - 2)
-                    exp[g + n] = 1
-                    terms[tuple(exp)] = row[e * nv + n]
-            ell.append(WPoly(g, terms))
-        out.append(ell)
-    return out
+    return [ribbon_ell(g, [int(s == t) for s in range(g - 2)]) for t in range(g - 2)]
 
 
 def random_ribbon_ell(g: int, rng, bound: int = 5):
-    """Random member of the canonical-form family of corrections."""
-    space = ribbon_ell_space(g)
-    out = [WPoly.zero(g) for _ in uu_keys(g)]
-    for ell in space:
-        c = Fraction(rng.randint(-bound, bound))
-        if c:
-            out = [acc + e * c for acc, e in zip(out, ell)]
-    return out
+    """ribbon_ell of a random functional: g-2 draws rng.randint(-bound, bound)."""
+    return ribbon_ell(g, [rng.randint(-bound, bound) for _ in range(g - 2)])
 
 
 def hyperelliptic_model(g: int, h: BinaryForm) -> XgIdeal:
@@ -340,15 +287,6 @@ def generator_multiples(gens, degree: int, grading: str, columns=None):
             layout.append((e, m))
             rows.append({idx[tuple(a + b for a, b in zip(m, t))]: c for t, c in terms})
     return layout, rows, columns
-
-
-def _left_kernel(rows, ncols):
-    """Canonical kernel of (a_i) -> sum_i a_i * rows[i]: the relations among rows."""
-    transposed = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            transposed[c][i] = v
-    return sparse_kernel_basis(transposed, len(rows))
 
 
 def hilbert_function(ideal: XgIdeal, grading, degrees):
@@ -591,7 +529,7 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
     for degree in range(min_gen_degree + 1, max_degree + 1):
         layout, rows, columns = generator_multiples(ideal.generators(), degree,
                                                     "weighted")
-        kernel = _left_kernel(rows, len(columns))
+        kernel = left_kernel(rows, len(columns))
         layouts[degree] = layout
         index_to = {col_key: i for i, col_key in enumerate(layout)}
         lifted_rows = []
@@ -605,10 +543,9 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
                         e, m = lower_layout[col]
                         lifted[index_to[(e, tuple(a + b for a, b in zip(m, m_extra)))]] = c
                     lifted_rows.append(lifted)
-        elim = RowEliminator(len(layout))
-        for row in lifted_rows:
-            elim.add(row)
+        elim = RowEliminator(len(layout), lifted_rows)
         low_dim = elim.rank
+        lifted_pivots = dict(elim.pivots)
         new_reps = [v for v in kernel if elim.add(v)]
         minimal_count = len(new_reps)
         shape_entry = shapes.get(degree)
@@ -625,12 +562,11 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
                     if want is not None and (sum(m[:g]), sum(m[g:])) == want:
                         pure_cols.append(col)
                 pure = [{pure_cols[local]: c for local, c in v.items()}
-                        for v in _left_kernel([rows[col] for col in pure_cols],
-                                              len(columns))]
-                elim2 = RowEliminator(len(layout))
-                for row in lifted_rows:
-                    elim2.add(row)
-                covered = sum(1 for v in pure if elim2.add(v))
+                        for v in left_kernel([rows[col] for col in pure_cols],
+                                             len(columns))]
+                # back to the lifted rows alone: adding never mutates a stored pivot
+                elim.pivots = lifted_pivots
+                covered = sum(1 for v in pure if elim.add(v))
                 shape_matched = covered == minimal_count
         records[degree] = SyzygyRecord(
             degree, len(kernel), low_dim, minimal_count, shape_name,

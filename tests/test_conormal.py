@@ -111,7 +111,8 @@ def test_is_limit_quadric_witness_annihilates():
             q = rank_deficient_quadform(rng, g)
             flag, witness = is_limit_quadric(q)
             assert flag
-            assert all(x == 0 for x in q.mat.apply(witness.coords))
+            assert all(sum(a * b for a, b in zip(row, witness.coords)) == 0
+                       for row in q.mat.rows)
             if not q.is_zero():
                 first = next(c for c in witness.coords if c)
                 assert first == 1

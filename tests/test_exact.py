@@ -169,7 +169,7 @@ def test_kernel_vectors_annihilate_and_count():
         kernel = m.kernel_basis()
         assert len(kernel) == m.ncols - m.rank()
         for v in kernel:
-            assert all(x == 0 for x in m.apply(v))
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.rows)
 
 
 def test_sparse_rank_matches_dense():
@@ -269,7 +269,7 @@ def test_truncated_ring_axioms():
 
 
 def test_truncated_pi_is_nilpotent():
-    pi = TruncatedScalar.pi(3)
+    pi = TruncatedScalar([0, 1, 0])
     assert pi * pi * pi == 0
     assert bool(pi * pi)
     assert (pi * pi).valuation() == 2

@@ -52,7 +52,7 @@ def worked_family(order_bound=4):
 def test_perturbed_family_matches_hand_expansion():
     fam = worked_family()
     one = TruncatedScalar.from_rational(1, 4)
-    pi = TruncatedScalar.pi(4)
+    pi = TruncatedScalar([0, 1, 0, 0])
     assert fam.g == 3 and fam.order_bound == 4
     key, p = fam.UU[0]
     assert key == (0, 2, 1, 1)
@@ -99,7 +99,7 @@ def test_rescale_worked_example():
     # the cleared pi costs one digit of precision
     assert out.order_bound == 3
     one = TruncatedScalar.from_rational(1, 3)
-    pi2 = TruncatedScalar.pi(3, 2)
+    pi2 = TruncatedScalar([0, 0, 1])
     assert out.UU[0][1] == WPoly(3, {(1, 0, 1, 0): one, (0, 2, 0, 0): -one,
                                      (0, 0, 0, 1): one})
     assert out.VV[0][1] == WPoly(3, {(0, 0, 0, 2): one, (0, 0, 4, 0): -pi2,
@@ -250,7 +250,7 @@ def test_base_change_pi_squared_doubles_orders():
     assert stretched.order_bound == 7
     assert hyperell_order(fam) == 1 and hyperell_order(stretched) == 2
     coeff = dict(stretched.UU[0][1].terms)[(0, 0, 0, 1)]
-    assert coeff == TruncatedScalar.pi(7, 2)
+    assert coeff == TruncatedScalar([0, 0, 1, 0, 0, 0, 0])
     rescaled = rescale_v(fam, 1)
     assert ribbon_order(base_change_pi_squared(rescaled)) == 2 * ribbon_order(rescaled)
 

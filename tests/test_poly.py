@@ -156,11 +156,7 @@ def test_wpoly_degrees_and_splits():
     assert p.degree("weighted") == 2
     with pytest.raises(ValueError):
         p.degree("koszul")
-    parts = p.v_degree_split()
-    assert set(parts) == {0, 1}
-    assert parts[0] == WPoly.u_var(g, 0) * WPoly.u_var(g, 3)
     assert not p.is_u_only()
-    assert parts[0].is_u_only()
 
 
 def test_veronese_pullback_examples():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonlab.poly import WPoly, quartic_lift, veronese_pullback
+from ribbonlab.conormal import LambdaFunctional, ribbon_slice
+from ribbonlab.poly import WPoly, monomials, quartic_lift, veronese_pullback
 from ribbonlab.rnc import (
     IdealSlice,
     QuadForm,
@@ -15,6 +16,8 @@ from ribbonlab.rnc import (
     ideal_square_slice,
     q_to_quadric,
 )
+
+from test_exact import dense_kernel, dense_rref
 
 
 def rand_quadform(rng, g, span=5):
@@ -75,6 +78,42 @@ def test_ideal_slice_examples():
     assert ideal_slice(3, 2).dim == 1
     assert ideal_slice(5, 2).dim == 6
     assert ideal_slice(3, 1).dim == 0
+
+
+def test_ideal_slice_matches_dense_evaluation_kernel():
+    # oracle: the textbook kernel of the evaluation matrix (one row per
+    # binary monomial x0^a x1^(d(g-1)-a)), brought to canonical rref
+    for g in range(3, 9):
+        for d in range(1, 5 if g <= 6 else 4):
+            basis = monomials(g, d, u_only=True)
+            evaluation = [[Fraction(0)] * len(basis) for _ in range(d * (g - 1) + 1)]
+            for col, e in enumerate(basis):
+                evaluation[sum(i * k for i, k in enumerate(e[:g]))][col] = Fraction(1)
+            kernel = dense_kernel(evaluation, len(basis))
+            want = dense_rref(kernel, len(basis))[0]
+            assert list(ideal_slice(g, d).matrix.rows) == want, (g, d)
+
+
+def _stacked_rank_contains(slice_, p):
+    rows = list(slice_.matrix.rows) + [slice_.vector_of(p)]
+    return len(dense_rref(rows, len(slice_.monomials))[1]) == slice_.dim
+
+
+def test_contains_matches_rank_oracle():
+    rng = random.Random(13)
+    slices = [ideal_slice(4, 3), ideal_slice(5, 3), ideal_slice(6, 2),
+              ideal_square_slice(4, 4),
+              ribbon_slice(LambdaFunctional(5, [1, -2, 3]), 5, 3)]
+    for s in slices:
+        for _ in range(6):
+            member = WPoly.zero(s.g)
+            for b in s.basis:
+                member = member + rng.randint(-3, 3) * b
+            assert s.contains(member) and _stacked_rank_contains(s, member)
+            m = rng.choice(s.monomials)
+            other = member + WPoly(s.g, {m: Fraction(rng.choice([-2, -1, 1, 3]))})
+            assert s.contains(other) == _stacked_rank_contains(s, other)
+            assert not s.contains(other)
 
 
 def test_ideal_slice_elements_vanish_on_curve():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from ribbonlab.conormal import LambdaFunctional, phi_d, ribbon_slice
+from ribbonlab.exact import left_kernel, row_space_matrix, sparse_kernel_basis
 from ribbonlab.poly import BinaryForm, WPoly, monomials, veronese_pullback
 from ribbonlab.rnc import IdealSlice, ideal_slice
 from ribbonlab.xg import (
@@ -12,10 +14,11 @@ from ribbonlab.xg import (
     certify_groebner,
     eliminate_v,
     eliminate_v_degree,
+    generator_multiples,
     hilbert_function,
     hyperelliptic_model,
-    random_ell,
     random_ribbon_ell,
+    ribbon_ell,
     ribbon_ell_space,
     split_ribbon_contains,
     split_ribbon_evaluation,
@@ -24,7 +27,7 @@ from ribbonlab.xg import (
     uu_keys,
 )
 
-from test_exact import dense_rref
+from test_exact import dense_kernel, dense_rref
 
 
 def u(g, i):
@@ -33,6 +36,89 @@ def u(g, i):
 
 def v(g, j):
     return WPoly.v_var(g, j)
+
+
+def random_ell(g, rng, bound=3):
+    """Random unconstrained v-linear forms aligned with uu_keys(g).
+
+    Arbitrary corrections generally do NOT give a ribbon: the subscheme they
+    cut out can be smaller than a ribbon in low degrees.
+    """
+    out = []
+    for _ in uu_keys(g):
+        terms = {}
+        for j in range(g - 2):
+            c = rng.randint(-bound, bound)
+            if c:
+                e = [0] * (2 * g - 2)
+                e[g + j] = 1
+                terms[tuple(e)] = Fraction(c)
+        out.append(WPoly(g, terms))
+    return out
+
+
+def syzygy_ell_space(g):
+    """Oracle: the admissible corrections, from the linear syzygies of the split model.
+
+    A correction list ell is admissible iff for every linear syzygy
+    sum_e sigma_e (uu)_{0,e} + (uv-part) = 0 of the split equations, the
+    combination sum_e sigma_e ell_e lies in the span of the UV relations;
+    otherwise new degree-3 elements appear and the subscheme is smaller
+    than a ribbon.  Degree 4 and higher impose nothing extra because the
+    VV group spans all v-quadratics.  Returns the canonical rref basis.
+    """
+    split = split_ribbon_ideal(g)
+    layout, rows, columns = generator_multiples(split.generators(), 3, "weighted")
+    kernel = left_kernel(rows, len(columns))
+    nuu = len(split.UU)
+    nv = g - 2
+    nz = nuu * nv
+    uv_gens = [p for _, p in split.UV]
+    uv_monos = [(i, n) for i in range(g) for n in range(nv)]
+    mono_idx = {m: t for t, m in enumerate(uv_monos)}
+    conditions = []
+    for vec in kernel:
+        sigma = {}
+        for col, c in vec.items():
+            e, m = layout[col]
+            if e < nuu:
+                i = next(t for t in range(g) if m[t])
+                sigma.setdefault(e, {})[i] = c
+        if sigma:
+            conditions.append(sigma)
+    ny = len(uv_gens)
+    total = nz + len(conditions) * ny
+    eqs = []
+    for r, sigma in enumerate(conditions):
+        block = [{} for _ in uv_monos]
+        for e, lin in sigma.items():
+            for i, c in lin.items():
+                for n in range(nv):
+                    row = block[mono_idx[(i, n)]]
+                    row[e * nv + n] = row.get(e * nv + n, 0) + c
+        for f, gen in enumerate(uv_gens):
+            ycol = nz + r * ny + f
+            for exp, c in gen.terms.items():
+                i = next(t for t in range(g) if exp[t])
+                n = next(t for t in range(nv) if exp[g + t])
+                row = block[mono_idx[(i, n)]]
+                row[ycol] = row.get(ycol, 0) - c
+        eqs.extend(block)
+    zvecs = [{c: v for c, v in vec.items() if c < nz}
+             for vec in sparse_kernel_basis(eqs, total)]
+    out = []
+    for row in row_space_matrix(zvecs, nz).rows:
+        ell = []
+        for e in range(nuu):
+            terms = {}
+            for n in range(nv):
+                if row[e * nv + n]:
+                    exp = [0] * (2 * g - 2)
+                    exp[g + n] = 1
+                    terms[tuple(exp)] = row[e * nv + n]
+            ell.append(WPoly(g, terms))
+        out.append(ell)
+    return out
 
 
 def test_generator_group_sizes():
@@ -119,6 +205,43 @@ def test_admissible_correction_space():
     # one parameter per coordinate of the classifying functional
     for g in (3, 4, 5):
         assert len(ribbon_ell_space(g)) == g - 2
+
+
+def test_ribbon_ell_space_matches_syzygy_oracle():
+    for g in range(3, 8):
+        assert ribbon_ell_space(g) == syzygy_ell_space(g), g
+
+
+def test_lambda_dictionary_recovers_lambda():
+    # the u-only quadrics of the ribbon with functional lam are killed by
+    # psi_2(lam, -) and by no other direction: solving psi_2(mu, x) = 0 for mu
+    # over them gives back the line of lam, and its ribbon slice is exactly
+    # the eliminated slice
+    rng = random.Random(29)
+    for g in range(4, 8):
+        lam = [Fraction(rng.randint(-4, 4)) for _ in range(g - 2)]
+        while not any(lam):
+            lam = [Fraction(rng.randint(-4, 4)) for _ in range(g - 2)]
+        eliminated = eliminate_v_degree(canonical_ribbon_ideal(g, ribbon_ell(g, lam)), 2)
+        rows = []
+        for p in eliminated.basis:
+            m = phi_d(p, 2)
+            for a in range(m.form_degree + 1):
+                rows.append([m.row_form(i).coeff(a) for i in range(g - 2)])
+        kernel = dense_kernel(rows, g - 2)
+        assert len(kernel) == 1, g
+        assert (LambdaFunctional(g, kernel[0]).normalized()
+                == LambdaFunctional(g, lam).normalized()), g
+        assert ribbon_slice(LambdaFunctional(g, lam), g, 2) == eliminated, g
+
+
+def test_random_ribbon_ell_draws_one_integer_per_coordinate():
+    for g in range(3, 8):
+        rng, twin = random.Random(g), random.Random(g)
+        ell = random_ribbon_ell(g, rng)
+        draws = [twin.randint(-5, 5) for _ in range(g - 2)]
+        assert rng.getstate() == twin.getstate()
+        assert ell == ribbon_ell(g, draws)
 
 
 def test_arbitrary_correction_can_shrink_the_scheme():
