@@ -62,7 +62,6 @@ from .xg import (
     buchberger,
     canonical_ribbon_ideal,
     certify_groebner,
-    eliminate_v,
     eliminate_v_degree,
     hilbert_function,
     hyperelliptic_model,
@@ -94,7 +93,6 @@ __all__ = [
     "certify_groebner",
     "constant_family",
     "discriminant_section",
-    "eliminate_v",
     "eliminate_v_degree",
     "even_odd_split",
     "hankel_generators",

@@ -80,17 +80,26 @@ class CommandError(ValueError):
 # ---------------------------------------------------------------------------
 # plumbing
 
+def _reject_float(literal):
+    raise CommandError("JSON number %s is not exact; write it as an integer "
+                       "or a \"p/q\" string" % literal)
+
+
+# json's hooks for non-integer numbers and for NaN/Infinity
+_EXACT_JSON = {"parse_float": _reject_float, "parse_constant": _reject_float}
+
+
 def _load_json_arg(text):
-    """Accept inline JSON or a path to a JSON file."""
+    """Accept inline JSON or a path to a JSON file; a float literal is refused."""
     stripped = text.strip()
     if stripped and stripped[0] in "[{-0123456789\"":
         try:
-            return json.loads(stripped)
+            return json.loads(stripped, **_EXACT_JSON)
         except json.JSONDecodeError as exc:
             raise CommandError("inline JSON is malformed: %s" % exc)
     try:
         with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, **_EXACT_JSON)
     except OSError as exc:
         raise CommandError("cannot read %r: %s" % (text, exc))
     except json.JSONDecodeError as exc:

@@ -4,7 +4,10 @@ Every computation in this package is exact: scalars are `fractions.Fraction`
 (already kept in lowest terms with positive denominator) or truncated
 polynomials in pi over Q.  Every elimination (rank, rref, kernel) runs in
 one sparse engine, RowEliminator; only the determinant keeps its own
-fraction-free loop.  Floating point is never used.
+fraction-free loop.  Binomial rows c*(e_a - e_b), which make up most of the
+generator-multiple matrices of the models in X_g, are taken by a union-find
+pre-pass in that engine rather than by elimination steps.  Floating point is
+never used.
 
 Rationals serialize as "p/q" (or just "p" when the denominator is 1).
 """
@@ -281,6 +284,7 @@ class RatMatrix:
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def _dense(row, ncols):
@@ -325,9 +329,16 @@ class RowEliminator:
     Rows are dicts {column: value} or dense sequences; every entry goes
     through `rat`.  Each independent row is stored as a monic pivot keyed by
     its lead, its smallest column, so `pivots[lead]` holds the rest of the
-    row, all on columns above the lead.  Rows given to the constructor are
-    absorbed shortest first, which keeps fill-in low; the canonical forms
-    below do not depend on the order rows arrive in.
+    row, all on columns above the lead.  The canonical forms below do not
+    depend on the order rows arrive in.
+
+    Rows given to the constructor go in two passes.  A binomial row
+    c*(e_a - e_b) only says that columns a and b are equal, so these rows
+    join their columns by union-find; each component is rooted at its
+    largest column top, and every other column c of it becomes the pivot
+    {top: -1}, already a row of the rref.  The remaining rows are then
+    absorbed shortest first, which keeps fill-in low; each of their entries
+    on a joined column moves to its top in one step.
     """
 
     __slots__ = ("ncols", "pivots")
@@ -335,7 +346,20 @@ class RowEliminator:
     def __init__(self, ncols: int, rows=()):
         self.ncols = ncols
         self.pivots = {}
-        for row in sorted((_sparse(row) for row in rows), key=len):
+        parent = {}
+        rest = []
+        for row in map(_sparse, rows):
+            if len(row) == 2:
+                (a, x), (b, y) = row.items()
+                if x == -y:
+                    a, b = _find(parent, a), _find(parent, b)
+                    if a != b:
+                        parent[min(a, b)] = max(a, b)
+                    continue
+            rest.append(row)
+        for c in parent:
+            self.pivots[c] = {_find(parent, c): _MINUS_ONE}
+        for row in sorted(rest, key=len):
             self._absorb(row)
 
     @property
@@ -391,6 +415,16 @@ class RowEliminator:
             for c, v in reduced[lead].items():
                 basis[c][lead] = -v
         return list(basis.values())
+
+
+def _find(parent, c):
+    """Root of c in the union-find forest `parent`, compressing the path."""
+    root = c
+    while root in parent:
+        root = parent[root]
+    while c != root:
+        parent[c], c = root, parent[c]
+    return root
 
 
 def _subtract(row, factor, other):

@@ -18,6 +18,7 @@ UU by v-linear terms; a hyperelliptic curve bends VV by lifted quartics.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .exact import RowEliminator, left_kernel, rat, sparse_rank
 from .poly import (
@@ -267,25 +268,30 @@ def generator_multiples(gens, degree: int, grading: str, columns=None):
     For each generator of degree w <= degree (in order) and each monomial m
     of degree - w (in `monomials` order), one sparse row {column: coeff} of
     m * gen over `columns`, which defaults to monomials(g, degree, grading);
-    pass another order to change the column order.  Returns (layout, rows,
-    columns) with layout[i] = (generator index, m) for row i.  Coefficients
-    are taken as they are, so truncated families work too.
+    pass another order to change the column order.  The multiplier list of
+    each weight w is enumerated once and shared by the generators of that
+    weight.  Returns (layout, rows, columns) with layout[i] = (generator
+    index, m) for row i.  Coefficients are taken as they are, so truncated
+    families work too.
     """
     gens = list(gens)
     if columns is None:
         columns = monomials(gens[0].g, degree, grading) if gens else []
     idx = monomial_index(columns)
     layout, rows = [], []
+    multipliers = {}
     for e, gen in enumerate(gens):
         if not gen.is_homogeneous(grading):
             raise ValueError("generator is inhomogeneous in the %s grading" % grading)
         w = gen.degree(grading)
         if w is None or w > degree:
             continue
+        if w not in multipliers:
+            multipliers[w] = monomials(gen.g, degree - w, grading)
         terms = list(gen.terms.items())
-        for m in monomials(gen.g, degree - w, grading):
+        for m in multipliers[w]:
             layout.append((e, m))
-            rows.append({idx[tuple(a + b for a, b in zip(m, t))]: c for t, c in terms})
+            rows.append({idx[tuple(map(add, m, t))]: c for t, c in terms})
     return layout, rows, columns
 
 
@@ -306,15 +312,6 @@ def hilbert_function(ideal: XgIdeal, grading, degrees):
 def ideal_slice_dimension(ideal: XgIdeal, degree: int, grading: str = "weighted") -> int:
     _, rows, columns = generator_multiples(ideal.generators(), degree, grading)
     return sparse_rank(rows, len(columns))
-
-
-def eliminate_v(ideal: XgIdeal, max_degree: int):
-    """u-only polynomials in the ideal, one IdealSlice per weighted degree.
-
-    Entry d of the returned list is the slice at degree d, for d up to
-    max_degree inclusive.
-    """
-    return [eliminate_v_degree(ideal, d) for d in range(max_degree + 1)]
 
 
 def eliminate_v_degree(ideal: XgIdeal, degree: int) -> IdealSlice:

@@ -98,13 +98,35 @@ def test_limit_relation_rejects_outside_ideal(capsys):
 
 
 def test_unhandled_input_errors_end_in_one_error_document(capsys):
-    # a bare number list is no term list; 1e400 parses as a float infinity
-    for argv in (["limit-relation", "--g", "3", "--poly", "[1,2]"],
-                 ["limit-quadric", "--g", "4", "--q", "[[1,0],[0,1e400]]"]):
+    # a bare number list is no term list
+    code, doc = run_cli(capsys, "limit-relation", "--g", "3", "--poly", "[1,2]")
+    assert code == 1
+    assert doc["status"] == "error"
+    assert doc["payload"]["message"].startswith("TypeError: ")
+    code, doc = run_cli(capsys, "limit-quadric", "--g", "4", "--q", "[[1,0],[0,1e400]]")
+    assert code == 1
+    assert doc["status"] == "error"
+    assert doc["payload"]["message"].startswith("JSON number 1e400 is not exact")
+
+
+def test_json_floats_are_rejected_by_name(tmp_path, capsys):
+    poly = '[{"u":[1,1,0,0],"v":[0,0],"c":0.5}]'
+    path = tmp_path / "q.json"
+    path.write_text("[[1,0],[0,-Infinity]]")
+    for argv, literal in (
+            (["limit-relation", "--g", "4", "--d", "2", "--poly", poly], "0.5"),
+            (["limit-quadric", "--g", "4", "--q", "[[1,0],[0,1.5]]"], "1.5"),
+            (["limit-quadric", "--g", "4", "--q", "[[1,0],[0,NaN]]"], "NaN"),
+            (["limit-quadric", "--g", "4", "--q", str(path)], "-Infinity")):
         code, doc = run_cli(capsys, *argv)
         assert code == 1
         assert doc["status"] == "error"
-        assert doc["payload"]["message"].startswith("TypeError: ")
+        assert doc["payload"]["message"] == (
+            'JSON number %s is not exact; write it as an integer or a "p/q" string'
+            % literal)
+    # exact spellings of the same numbers still work
+    code, doc = run_cli(capsys, "limit-quadric", "--g", "4", "--q", '[[1,0],[0,"3/2"]]')
+    assert code == 0 and doc["payload"]["det"] == "3/2"
 
 
 def test_discriminant_item_passes_at_former_failing_seeds():

@@ -244,6 +244,95 @@ def test_row_eliminator_tracks_dense_rank():
             {c: x for c, x in enumerate(row) if x} for row in dense_rref(seen, ncols)[0]]
 
 
+def rand_nonzero(rng, span=4):
+    x = Fraction(0)
+    while not x:
+        x = rand_fraction(rng, span)
+    return x
+
+
+def rand_binomial_rows(rng, ncols):
+    """Rows mostly c*(e_a - e_b) (chains, cycles, repeated edges), in mixed spellings.
+
+    Mixed in: two-entry rows whose entries do not cancel, single-entry rows,
+    empty rows and a few longer ones.
+    """
+    def edge(a, b):
+        c = rng.choice([1, -1, 2, -3, Fraction(2, 3), Fraction(-5, 7)])
+        kind = rng.random()
+        if kind < 0.2:
+            row = {a: str(c), b: str(-c)}
+            row.setdefault(rng.randrange(ncols), "0")
+            return row
+        if kind < 0.3:
+            return [c if k == a else -c if k == b else 0 for k in range(ncols)]
+        return {a: c, b: -c}
+
+    rows = []
+    chain = rng.sample(range(ncols), rng.randint(2, ncols))
+    rows += [edge(a, b) for a, b in zip(chain, chain[1:])]
+    cycle = rng.sample(range(ncols), rng.randint(2, ncols))
+    rows += [edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    for _ in range(rng.randint(0, ncols)):
+        rows.append(edge(*rng.sample(range(ncols), 2)))
+    rows += [rows[rng.randrange(len(rows))] for _ in range(2)]
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(range(ncols), 2)
+        x = rand_nonzero(rng)
+        y = rand_nonzero(rng)
+        rows.append({a: x, b: y if y != -x else 2 * y})
+    for _ in range(rng.randint(0, 2)):
+        rows.append({rng.randrange(ncols): rand_nonzero(rng)})
+    rows += [{}] * rng.randint(0, 1)
+    for _ in range(rng.randint(0, 1)):
+        rows.append({c: rand_nonzero(rng) for c in rng.sample(range(ncols), 3)})
+    rng.shuffle(rows)
+    return rows
+
+
+def rand_vector(rng, ncols):
+    if rng.random() < 0.5:
+        a, b = rng.sample(range(ncols), 2)
+        return {a: 1, b: -1}
+    return {c: rand_nonzero(rng) for c in range(ncols) if rng.random() < 0.4}
+
+
+def test_binomial_pre_pass_matches_incremental_adds():
+    # the constructor takes c*(e_a - e_b) rows by union-find; adding the same
+    # rows one by one, and the dense oracle, must give the same canonical forms
+    rng = random.Random(53)
+    for _ in range(150):
+        ncols = rng.randint(3, 10)
+        rows = rand_binomial_rows(rng, ncols)
+        fast = RowEliminator(ncols, rows)
+        slow = RowEliminator(ncols)
+        for row in rows:
+            slow.add(row)
+        dense = [[rat(row.get(c, 0)) for c in range(ncols)] if isinstance(row, dict)
+                 else [rat(x) for x in row] for row in rows]
+        reduced, _ = dense_rref(dense, ncols)
+        assert fast.rank == slow.rank == len(reduced)
+        assert fast.reduced_rows() == slow.reduced_rows() == [
+            {c: x for c, x in enumerate(row) if x} for row in reduced]
+        assert fast.kernel() == slow.kernel()
+        assert [to_dense(v, ncols) for v in fast.kernel()] == dense_kernel(dense, ncols)
+        # later adds, then a rewind to the constructor's pivots
+        snapshot = dict(fast.pivots)
+        for _ in range(3):
+            vec = rand_vector(rng, ncols)
+            assert fast.add(vec) == slow.add(vec)
+        assert fast.reduced_rows() == slow.reduced_rows()
+        fast.pivots = snapshot
+        slow = RowEliminator(ncols)
+        for row in rows:
+            slow.add(row)
+        for _ in range(3):
+            vec = rand_vector(rng, ncols)
+            assert fast.add(vec) == slow.add(vec)
+        assert fast.reduced_rows() == slow.reduced_rows()
+        assert fast.kernel() == slow.kernel()
+
+
 def test_row_space_matrix_is_canonical():
     a = row_space_matrix([(1, 2, 0), (0, 0, 1)], 3)
     b = row_space_matrix([(2, 4, 6), (1, 2, 5), (3, 6, 1)], 3)

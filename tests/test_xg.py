@@ -12,7 +12,6 @@ from ribbonlab.xg import (
     buchberger,
     canonical_ribbon_ideal,
     certify_groebner,
-    eliminate_v,
     eliminate_v_degree,
     generator_multiples,
     hilbert_function,
@@ -191,6 +190,60 @@ def test_hilbert_function_hyperelliptic_matches_split():
         ideal = hyperelliptic_model(g, h)
         values = hilbert_function(ideal, "weighted", range(2, 6))
         assert values == [(2 * d - 1) * (g - 1) for d in range(2, 6)]
+
+
+def test_hilbert_function_hyperelliptic_g7():
+    g = 7
+    rng = random.Random(17)
+    h = BinaryForm(2 * g + 2, [rng.randint(-5, 5) for _ in range(2 * g + 3)])
+    values = hilbert_function(hyperelliptic_model(g, h), "weighted", range(2, 7))
+    assert values == [(2 * d - 1) * (g - 1) for d in range(2, 7)]
+
+
+def per_generator_multiples(gens, degree, grading, columns=None):
+    """Test-only oracle: the matrix builder enumerating multipliers once per generator."""
+    gens = list(gens)
+    if columns is None:
+        columns = monomials(gens[0].g, degree, grading) if gens else []
+    idx = {e: i for i, e in enumerate(columns)}
+    layout, rows = [], []
+    for e, gen in enumerate(gens):
+        if not gen.is_homogeneous(grading):
+            raise ValueError("generator is inhomogeneous in the %s grading" % grading)
+        w = gen.degree(grading)
+        if w is None or w > degree:
+            continue
+        terms = list(gen.terms.items())
+        for m in monomials(gen.g, degree - w, grading):
+            layout.append((e, m))
+            rows.append({idx[tuple(a + b for a, b in zip(m, t))]: c for t, c in terms})
+    return layout, rows, columns
+
+
+def test_generator_multiples_matches_per_generator_builder():
+    rng = random.Random(29)
+    for g in range(3, 7):
+        h = BinaryForm(2 * g + 2, [rng.randint(-3, 3) for _ in range(2 * g + 3)])
+        models = {"split": split_ribbon_ideal(g),
+                  "hyperelliptic": hyperelliptic_model(g, h),
+                  "ribbon": canonical_ribbon_ideal(
+                      g, ribbon_ell(g, [rng.randint(1, 5) for _ in range(g - 2)]))}
+        for name, ideal in models.items():
+            gens = ideal.generators()
+            for degree in range(2, 7 if g < 6 else 6):
+                basis = monomials(g, degree, "weighted")
+                v_first = [e for e in basis if any(e[g:])] + [e for e in basis if not any(e[g:])]
+                for columns in (None, v_first):
+                    assert generator_multiples(gens, degree, "weighted", columns) == \
+                        per_generator_multiples(gens, degree, "weighted", columns)
+                # v, u_i u_j and v_i v_j all have Koszul degree 2, but the
+                # v-linear and u-quartic corrections bend it
+                if name == "split":
+                    assert generator_multiples(gens, degree, "koszul") == \
+                        per_generator_multiples(gens, degree, "koszul")
+                else:
+                    with pytest.raises(ValueError, match="inhomogeneous"):
+                        generator_multiples(gens, degree, "koszul")
 
 
 def test_hilbert_function_canonical_matches_split():
@@ -376,8 +429,8 @@ def test_syzygies_hyperelliptic_g3():
 def test_eliminate_v_canonical_g3():
     conic = u(3, 0) * u(3, 2) - u(3, 1) * u(3, 1)
     ideal = canonical_ribbon_ideal(3, [v(3, 0)])
-    slices = eliminate_v(ideal, 4)
-    assert slices[2].dim == 0
+    slices = [eliminate_v_degree(ideal, d) for d in range(5)]
+    assert [s.dim for s in slices] == [0, 0, 0, 0, 1]
     assert slices[4] == IdealSlice.from_polys(3, 4, [conic * conic])
 
 
