@@ -16,6 +16,10 @@ of (seed, suite, property, params), verify runs its items one after another
 in a fixed order, and wall-clock timing goes to stderr, never into the
 document.  Exit status is 0 only when the status is "ok" and, for verify,
 every property passed.
+
+limit-relation and verify refuse, before building anything, arguments that
+reach a degree-d slice in g coordinates with more than MAX_SLICE_MONOMIALS
+monomials: (g, d) for limit-relation, (gmax, max(dmax, 4)) for verify.
 """
 
 import argparse
@@ -75,6 +79,33 @@ from .xg import (
 
 class CommandError(ValueError):
     """Bad input or unusable arguments; reported as status error."""
+
+
+# Cost guard: the largest slice of degree-d forms in u_0..u_{g-1} that a
+# command may reach, counted by its comb(g - 1 + d, d) monomials.  5000
+# admits the degree-4 slices up to g = 17, the degree-5 ones up to g = 12,
+# the defaults of every command and every benchmark size; ideal_slice at
+# (g, d) = (12, 5), 4368 monomials, takes several seconds.
+MAX_SLICE_MONOMIALS = 5000
+
+
+def _check_slice_size(g, d):
+    """Refuse (g, d) before anything is built if its slice is over the guard.
+
+    comb(g - 1 + d, d) is built up as comb(n - m + k, k) for k = 1..m with
+    m = min(d, g - 1); every partial product is a smaller binomial, so the
+    loop stops as soon as one passes the guard, however large g and d are.
+    """
+    m = min(d, g - 1)
+    n = g - 1 + d
+    count = 1
+    for k in range(1, m + 1):
+        count = count * (n - m + k) // k
+        if count > MAX_SLICE_MONOMIALS:
+            raise CommandError(
+                "g=%d, d=%d reaches a slice of more than %d monomials "
+                "(comb(g-1+d, d)); the cost guard allows at most %d"
+                % (g, d, MAX_SLICE_MONOMIALS, MAX_SLICE_MONOMIALS))
 
 
 # ---------------------------------------------------------------------------
@@ -821,6 +852,8 @@ def cmd_limit_quadric(args):
 
 
 def cmd_limit_relation(args):
+    if args.d is not None:
+        _check_slice_size(args.g, args.d)
     data = _load_json_arg(args.poly)
     if not isinstance(data, list):
         raise CommandError("--poly must be a list of term objects")
@@ -828,6 +861,7 @@ def cmd_limit_relation(args):
     if not x:
         raise CommandError("the zero polynomial is not a canonical relation")
     d = args.d if args.d is not None else x.degree("weighted")
+    _check_slice_size(args.g, d)
     if (not x.is_u_only() or not x.is_homogeneous("weighted")
             or x.degree("weighted") != d):
         raise CommandError("not a canonical relation")
@@ -848,6 +882,9 @@ def cmd_verify(args):
         raise CommandError("--gmax must be at least 3")
     if args.dmax < 2:
         raise CommandError("--dmax must be at least 2")
+    # an upper bound on every slice the items build: the rnc suite runs each
+    # g up to gmax, and the Hilbert function items reach degree max(dmax, 4)
+    _check_slice_size(args.gmax, max(args.dmax, 4))
     names = list(SUITES) if args.suite == "all" else [args.suite]
     suites = {}
     total = passed = 0

@@ -4,10 +4,13 @@ Every computation in this package is exact: scalars are `fractions.Fraction`
 (already kept in lowest terms with positive denominator) or truncated
 polynomials in pi over Q.  Every elimination (rank, rref, kernel) runs in
 one sparse engine, RowEliminator; only the determinant keeps its own
-fraction-free loop.  Binomial rows c*(e_a - e_b), which make up most of the
-generator-multiple matrices of the models in X_g, are taken by a union-find
-pre-pass in that engine rather than by elimination steps.  Floating point is
-never used.
+Bareiss loop.  Both are fraction-free: the engine scales each row to a
+primitive integer vector on entry, clears leads by integer row operations
+and stores integer pivots, and builds `Fraction`s only for its canonical
+output (the monic rref and the kernel).  Binomial rows c*(e_a - e_b), which
+make up most of the generator-multiple matrices of the models in X_g, are
+taken by a union-find pre-pass in that engine rather than by elimination
+steps.  Floating point is never used.
 
 Rationals serialize as "p/q" (or just "p" when the denominator is 1).
 """
@@ -15,7 +18,7 @@ Rationals serialize as "p/q" (or just "p" when the denominator is 1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def rat(value) -> Fraction:
@@ -181,7 +184,7 @@ class RatMatrix:
 
     Elimination (rref, rank, kernel) is delegated to the sparse RowEliminator,
     whose canonical forms make subspace bases reproducible byte for byte; the
-    determinant keeps its own fraction-free loop.
+    determinant keeps its own fraction-free (Bareiss) loop.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
@@ -199,10 +202,6 @@ class RatMatrix:
             if ncols is None:
                 raise ValueError("empty matrix needs an explicit ncols")
             self.ncols = ncols
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix([[self.rows[i][j] for i in range(self.nrows)]
@@ -284,7 +283,6 @@ class RatMatrix:
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 
 def _dense(row, ncols):
@@ -318,8 +316,9 @@ def left_kernel(rows, ncols):
     """
     transposed = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
-        for c, v in _sparse(row).items():
-            transposed[c][i] = v
+        for c, v in _entries(row):
+            if v:
+                transposed[c][i] = v
     return sparse_kernel_basis(transposed, len(rows))
 
 
@@ -327,16 +326,20 @@ class RowEliminator:
     """Sparse exact Gaussian elimination over Q; the package's one engine.
 
     Rows are dicts {column: value} or dense sequences; every entry goes
-    through `rat`.  Each independent row is stored as a monic pivot keyed by
-    its lead, its smallest column, so `pivots[lead]` holds the rest of the
-    row, all on columns above the lead.  The canonical forms below do not
-    depend on the order rows arrive in.
+    through `rat`, and each row is scaled once, on entry, to a primitive
+    integer vector.  Forward elimination is fraction-free: each independent
+    row is stored as the pair (a, tail) keyed by its lead, its smallest
+    column, where a is the integer lead coefficient and `tail` the integer
+    rest of the row, all on columns above the lead.  A stored pair is never
+    mutated, so a copy of `pivots` is a snapshot the eliminator can be
+    rewound to.  Fractions appear only in the canonical forms below, which
+    do not depend on the order rows arrive in.
 
     Rows given to the constructor go in two passes.  A binomial row
     c*(e_a - e_b) only says that columns a and b are equal, so these rows
     join their columns by union-find; each component is rooted at its
     largest column top, and every other column c of it becomes the pivot
-    {top: -1}, already a row of the rref.  The remaining rows are then
+    (1, {top: -1}), already a row of the rref.  The remaining rows are then
     absorbed shortest first, which keeps fill-in low; each of their entries
     on a joined column moves to its top in one step.
     """
@@ -358,9 +361,13 @@ class RowEliminator:
                     continue
             rest.append(row)
         for c in parent:
-            self.pivots[c] = {_find(parent, c): _MINUS_ONE}
-        for row in sorted(rest, key=len):
-            self._absorb(row)
+            self.pivots[c] = (1, {_find(parent, c): -1})
+        # shortest first, in arrival order among equal lengths; each row is
+        # popped so that it is freed once absorbed
+        rest.sort(key=len)
+        rest.reverse()
+        while rest:
+            self._absorb(rest.pop())
 
     @property
     def rank(self) -> int:
@@ -371,32 +378,41 @@ class RowEliminator:
         return self._absorb(_sparse(vec))
 
     def _absorb(self, row) -> bool:
+        """Reduce a primitive integer row, keeping it primitive after each step."""
         pivots = self.pivots
         while row:
             lead = min(row)
-            factor = row.pop(lead)
-            tail = pivots.get(lead)
-            if tail is None:
-                inv = 1 / factor
-                pivots[lead] = {c: v * inv for c, v in row.items()}
+            b = row.pop(lead)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                # a compact copy: row's table grew and shrank while it was reduced
+                pivots[lead] = (b, dict(row))
                 return True
-            _subtract(row, factor, tail)
+            row = _primitive(_clear(row, b, *pivot)[1])
         return False
 
     def _back_substituted(self):
-        """{lead: tail} of the rref; every tail lies on non-pivot columns.
+        """{lead: tail} of the monic rref; every tail lies on non-pivot columns.
 
         Pivots are finished in descending lead order, so each pivot column in
         a tail is cleared by one already reduced row, which cannot bring a
-        pivot column back.
+        pivot column back.  The clearing stays fraction-free; each finished
+        row becomes monic Fractions only once, at the end.
         """
         reduced = {}
         for lead in sorted(self.pivots, reverse=True):
-            row = dict(self.pivots[lead])
+            a, row = self.pivots[lead]
+            row = dict(row)
             for p in [c for c in row if c in reduced]:
-                _subtract(row, row.pop(p), reduced[p])
-            reduced[lead] = row
-        return reduced
+                scale, row = _clear(row, row.pop(p), *reduced[p])
+                a *= scale
+            content = gcd(a, *row.values())
+            if content != 1:
+                a //= content
+                row = {c: v // content for c, v in row.items()}
+            reduced[lead] = (a, row)
+        return {lead: {c: Fraction(v, a) for c, v in row.items()}
+                for lead, (a, row) in reduced.items()}
 
     def reduced_rows(self):
         """The canonical rref as dicts in ascending lead order, lead value 1 first."""
@@ -427,6 +443,20 @@ def _find(parent, c):
     return root
 
 
+def _clear(row, x, a, tail):
+    """Clear the entry x, already popped from row, against the pivot a*e + tail.
+
+    Returns (s, s*row - t*tail) for the coprime s, t with s*x = t*a; the
+    rest of the row is scaled by s whenever s != 1, including s = -1.
+    """
+    common = gcd(a, x)
+    scale = a // common
+    if scale != 1:
+        row = {c: v * scale for c, v in row.items()}
+    _subtract(row, x // common, tail)
+    return scale, row
+
+
 def _subtract(row, factor, other):
     """row -= factor * other, in place, dropping entries that cancel."""
     for c, v in other.items():
@@ -441,12 +471,39 @@ def _subtract(row, factor, other):
                 del row[c]
 
 
+def _entries(vec):
+    """(column, value) pairs of a dict {column: value} or a dense sequence."""
+    return vec.items() if isinstance(vec, dict) else enumerate(vec)
+
+
 def _sparse(vec):
-    """A fresh row {column: rational} without zero entries."""
+    """A fresh primitive integer row {column: int} proportional to vec.
+
+    The entries go through `rat` and zero entries are dropped; the row is
+    multiplied by the lcm of its denominators and divided by the gcd of the
+    resulting numerators.
+    """
     row = {}
-    for c, v in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+    denominator = 1
+    for c, v in _entries(vec):
         if v:
-            v = rat(v)
-            if v:
-                row[c] = v
+            if type(v) is not int:
+                v = rat(v)
+                if v.denominator == 1:
+                    v = v.numerator
+                    if not v:
+                        continue
+                else:
+                    denominator = lcm(denominator, v.denominator)
+            row[c] = v
+    if denominator != 1:
+        row = {c: v.numerator * (denominator // v.denominator) for c, v in row.items()}
+    return _primitive(row)
+
+
+def _primitive(row):
+    """The integer row divided by its content, the gcd of its entries."""
+    content = gcd(*row.values())
+    if content > 1:
+        return {c: v // content for c, v in row.items()}
     return row

@@ -360,12 +360,6 @@ class GroebnerResult:
                 count += 1
         return count
 
-    def normal_monomials(self, degree: int, grading: str = "weighted"):
-        leads = self.leading_exponents()
-        g = self.basis[0].g
-        return [e for e in monomials(g, degree, grading)
-                if not any(all(a >= b for a, b in zip(e, lead)) for lead in leads)]
-
 
 def _top_reduce(p: WPoly, basis, leads, key) -> WPoly:
     """Reduce the leading term of p against the basis until stuck or zero."""

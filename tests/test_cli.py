@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +178,53 @@ def test_verify_rerun_is_byte_identical(tmp_path, capsys):
 def test_verify_rejects_bad_ranges(capsys):
     code, doc = run_cli(capsys, "verify", "--suite", "rnc", "--gmax", "2")
     assert code == 1 and doc["status"] == "error"
+
+
+def test_cost_guard_refuses_large_slices_before_building(capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("work started before the cost guard")
+
+    monkeypatch.setattr(cli, "_run_items", built)
+    monkeypatch.setattr(cli, "_load_json_arg", built)
+    for argv in (["verify", "--gmax", "40"],
+                 ["verify", "--suite", "rnc", "--gmax", "5", "--dmax", "17"],
+                 ["limit-relation", "--g", "13", "--d", "5", "--poly", "[]"],
+                 ["limit-relation", "--g", "10000000000", "--d", "10000000000",
+                  "--poly", "[]"]):
+        code, doc = run_cli(capsys, *argv)
+        assert code == 1 and doc["status"] == "error"
+        assert "cost guard allows at most %d" % cli.MAX_SLICE_MONOMIALS in doc["payload"]["message"]
+    # without --d the degree is the polynomial's, checked once it is read
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_SLICE_MONOMIALS", 5)
+    poly = json.dumps([{"u": [1, 0, 1], "v": [0], "c": "1"},
+                       {"u": [0, 2, 0], "v": [0], "c": "-1"}])
+    code, doc = run_cli(capsys, "limit-relation", "--g", "3", "--poly", poly)
+    assert code == 1 and "g=3, d=2" in doc["payload"]["message"]
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cost_guard_admits_defaults_and_benchmark_sizes(capsys, tmp_path):
+    # the benchmark's verify job runs verify's defaults, gmax 5 and dmax 4,
+    # and its relations jobs every size in RELATION_SIZES
+    workloads = _bench_workloads()
+    rng = random.Random(1)
+    jobs = (workloads.verify_cycle(rng, str(tmp_path), 0, 1)
+            + workloads.relations_cycle(rng, str(tmp_path), 0, 1))
+    for job in jobs:
+        code, doc = run_cli(capsys, *job.args)
+        assert doc["status"] == "ok" and job.check(doc["payload"]) is None
+    poly = json.dumps([{"u": [1, 0, 1], "v": [0], "c": "1"},
+                       {"u": [0, 2, 0], "v": [0], "c": "-1"}])
+    code, doc = run_cli(capsys, "limit-relation", "--g", "3", "--poly", poly)
+    assert code == 0 and doc["payload"]["d"] == 2
 
 
 def test_family_pipeline_round_trip(tmp_path, capsys):

@@ -333,6 +333,129 @@ def test_binomial_pre_pass_matches_incremental_adds():
         assert fast.kernel() == slow.kernel()
 
 
+class MonicEliminator:
+    """Test-only oracle: the monic `Fraction` elimination loop.
+
+    Every pivot is divided by its lead on arrival and stored as the monic
+    tail {column: Fraction}; rows are absorbed in the order given, with no
+    binomial pre-pass.  The canonical forms are those of RowEliminator.
+    """
+
+    def __init__(self, ncols, rows=()):
+        self.ncols = ncols
+        self.pivots = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def add(self, vec):
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        row = {c: rat(v) for c, v in items if rat(v)}
+        while row:
+            lead = min(row)
+            factor = row.pop(lead)
+            tail = self.pivots.get(lead)
+            if tail is None:
+                self.pivots[lead] = {c: v / factor for c, v in row.items()}
+                return True
+            for c, v in tail.items():
+                row[c] = row.get(c, 0) - factor * v
+                if not row[c]:
+                    del row[c]
+        return False
+
+    def _back_substituted(self):
+        reduced = {}
+        for lead in sorted(self.pivots, reverse=True):
+            row = dict(self.pivots[lead])
+            for p in [c for c in row if c in reduced]:
+                factor = row.pop(p)
+                for c, v in reduced[p].items():
+                    row[c] = row.get(c, 0) - factor * v
+                    if not row[c]:
+                        del row[c]
+            reduced[lead] = row
+        return reduced
+
+    def reduced_rows(self):
+        reduced = self._back_substituted()
+        return [{lead: Fraction(1), **reduced[lead]} for lead in sorted(reduced)]
+
+    def kernel(self):
+        basis = {f: {f: Fraction(1)} for f in range(self.ncols) if f not in self.pivots}
+        reduced = self._back_substituted()
+        for lead in sorted(reduced):
+            for c, v in reduced[lead].items():
+                basis[c][lead] = -v
+        return list(basis.values())
+
+
+def rand_oracle_row(rng, ncols):
+    """A row for the oracle comparison, in a dict or dense spelling.
+
+    The kinds: rational entries; binomials c*(e_a - e_b); integer rows led
+    by -1 or by a non-unit; rational rows that scale to a lead of -1; zero
+    rows, empty or with explicit zeros.
+    """
+    cols = sorted(rng.sample(range(ncols), rng.randint(1, ncols)))
+    kind = rng.random()
+    if kind < 0.25:
+        row = {c: rand_fraction(rng, 5) for c in cols}
+    elif kind < 0.45 and ncols >= 2:
+        a, b = rng.sample(range(ncols), 2)
+        c = rng.choice([1, -1, 3, Fraction(-2, 5)])
+        row = {a: c, b: -c}
+    elif kind < 0.7:
+        lead = rng.choice([-1, -1, 2, -3, 6])
+        row = {c: rng.randint(-4, 4) for c in cols[1:]}
+        row[cols[0]] = lead
+    elif kind < 0.85:
+        den = rng.choice([2, 3, 6])
+        row = {c: Fraction(rng.randint(-5, 5), den) for c in cols[1:]}
+        row[cols[0]] = Fraction(-rng.choice([1, 2, 4]), den)
+    elif kind < 0.92:
+        row = {}
+    else:
+        row = {c: 0 for c in cols}
+    if rng.random() < 0.3:
+        return [row.get(c, 0) for c in range(ncols)]
+    return row
+
+
+def test_integer_engine_matches_monic_oracle():
+    # the fraction-free engine against the monic Fraction loop: canonical
+    # forms, add decisions, and a snapshot -> add -> restore -> add round
+    rng = random.Random(61)
+    for _ in range(300):
+        ncols = rng.randint(1, 8)
+        rows = [rand_oracle_row(rng, ncols) for _ in range(rng.randint(0, 9))]
+        fast = RowEliminator(ncols, rows)
+        slow = MonicEliminator(ncols, rows)
+        assert fast.rank == slow.rank
+        assert fast.reduced_rows() == slow.reduced_rows()
+        assert fast.kernel() == slow.kernel()
+        assert all(type(x) is Fraction for row in fast.reduced_rows() for x in row.values())
+        assert all(type(x) is Fraction for v in fast.kernel() for x in v.values())
+        for _ in range(rng.randint(0, 3)):
+            vec = rand_oracle_row(rng, ncols)
+            assert fast.add(vec) == slow.add(vec)
+        snapshots = dict(fast.pivots), dict(slow.pivots)
+        for _ in range(rng.randint(1, 4)):
+            vec = rand_oracle_row(rng, ncols)
+            assert fast.add(vec) == slow.add(vec)
+        assert fast.reduced_rows() == slow.reduced_rows()
+        fast.pivots, slow.pivots = snapshots
+        assert fast.rank == slow.rank
+        for _ in range(rng.randint(1, 4)):
+            vec = rand_oracle_row(rng, ncols)
+            assert fast.add(vec) == slow.add(vec)
+        assert fast.reduced_rows() == slow.reduced_rows()
+        assert fast.kernel() == slow.kernel()
+
+
 def test_row_space_matrix_is_canonical():
     a = row_space_matrix([(1, 2, 0), (0, 0, 1)], 3)
     b = row_space_matrix([(2, 4, 6), (1, 2, 5), (3, 6, 1)], 3)
