@@ -27,12 +27,15 @@ from .poly import BinaryForm, WPoly, resultant, veronese_pullback
 from .xg import (
     GROUPS,
     XgIdeal,
+    dump_groups,
     generator_multiples,
     hyperelliptic_model,
+    load_groups,
     uu_base_poly,
     uu_keys,
     uv_base_poly,
     uv_keys,
+    v_linear_forms,
     vv_base_poly,
     vv_keys,
 )
@@ -50,13 +53,6 @@ _KEYS = {"UU": uu_keys, "UV": uv_keys, "VV": vv_keys}
 def _lift_poly(p: WPoly, order: int, shift: int = 0) -> WPoly:
     """Lift a rational polynomial to truncated coefficients times pi^shift."""
     return p.map_coeffs(lambda c: TruncatedScalar.from_rational(c, order).shift(shift))
-
-
-def _check_v_linear(p: WPoly):
-    ok = p.is_homogeneous("weighted") and p.degree("weighted") == 2 \
-        and all(not any(e[:p.g]) and sum(e[p.g:]) == 1 for e in p.terms)
-    if not ok:
-        raise ValueError("odd direction entries must be linear in the v variables")
 
 
 class TruncatedFamily:
@@ -122,19 +118,12 @@ class TruncatedFamily:
         return "TruncatedFamily(g=%d, mod pi^%d)" % (self.g, self.order_bound)
 
     def to_json(self):
-        def dump(items):
-            return [{"key": list(k), "poly": p.to_json()} for k, p in items]
-        return {"g": self.g, "order_bound": self.order_bound,
-                "UU": dump(self.UU), "UV": dump(self.UV), "VV": dump(self.VV)}
+        return {"g": self.g, "order_bound": self.order_bound, **dump_groups(self)}
 
     @classmethod
     def from_json(cls, data) -> "TruncatedFamily":
         g = int(data["g"])
-
-        def load(items):
-            return [(tuple(e["key"]), WPoly.from_json(g, e["poly"])) for e in items]
-        return cls(g, int(data["order_bound"]),
-                   load(data["UU"]), load(data["UV"]), load(data["VV"]))
+        return cls(g, int(data["order_bound"]), *load_groups(g, data))
 
 
 def constant_family(ideal: XgIdeal, order_bound: int) -> TruncatedFamily:
@@ -156,18 +145,10 @@ def perturb_hyperelliptic(g: int, h: BinaryForm, d: int, order_bound: int,
         raise ValueError("perturbation order d must be at least 1")
     if order_bound <= 2 * d:
         raise ValueError("order bound %d must exceed 2d = %d" % (order_bound, 2 * d))
-    keys = uu_keys(g)
-    if len(odd_direction) != len(keys):
-        raise ValueError("expected %d odd direction entries" % len(keys))
+    ell = v_linear_forms(g, odd_direction)
     model = constant_family(hyperelliptic_model(g, h), order_bound)
-    uu = []
-    for (key, p), ell in zip(model.UU, odd_direction):
-        if ell is None:
-            ell = WPoly.zero(g)
-        if ell:
-            _check_v_linear(ell)
-            p = p + _lift_poly(ell, order_bound, shift=d)
-        uu.append((key, p))
+    uu = [(key, p + _lift_poly(e, order_bound, shift=d) if e else p)
+          for (key, p), e in zip(model.UU, ell)]
     return TruncatedFamily(g, order_bound, uu, model.UV, model.VV)
 
 

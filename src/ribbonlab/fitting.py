@@ -13,7 +13,7 @@ inclusion is automatic because all entries are linear.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 from math import comb
 
 
@@ -86,58 +86,36 @@ def phid_symbolic_blocks(m: int, r: int) -> LinFormMatrix:
 def symbolic_minor(matrix: LinFormMatrix, cols):
     """Exact determinant of the square submatrix on the given column indices.
 
-    Returns a polynomial as {exponent tuple: coefficient}.  Permutation
-    expansion; fine at the sizes used here (r <= 7).
+    Returns a polynomial as {exponent tuple: coefficient}.  Laplace
+    expansion along the rows, depth first: row k takes each column still
+    free, with sign (-1)^(its position among the free columns), and each
+    nonzero variable of that entry; zero entries cut their branch at once.
     """
     r = matrix.nrows
     if len(cols) != r:
         raise ValueError("need exactly %d columns" % r)
-    m = matrix.m
+    entries = matrix.entries
     total = {}
-    for perm in permutations(range(r)):
-        sign = _permutation_sign(perm)
-        term = {(0,) * m: Fraction(sign)}
-        for row, col_pos in enumerate(perm):
-            entry = matrix.entries[row][cols[col_pos]]
-            new = {}
-            for exps, c in term.items():
-                for var, coeff in enumerate(entry):
-                    if coeff:
-                        key = list(exps)
-                        key[var] += 1
-                        key = tuple(key)
-                        val = new.get(key, Fraction(0)) + c * coeff
-                        if val:
-                            new[key] = val
-                        else:
-                            new.pop(key, None)
-            term = new
-            if not term:
-                break
-        for exps, c in term.items():
-            val = total.get(exps, Fraction(0)) + c
+
+    def expand(row, free, exps, coeff):
+        if row == r:
+            val = total.get(exps, 0) + coeff
             if val:
                 total[exps] = val
             else:
-                total.pop(exps, None)
+                del total[exps]
+            return
+        for pos, col in enumerate(free):
+            rest = free[:pos] + free[pos + 1:]
+            signed = -coeff if pos % 2 else coeff
+            for var, c in enumerate(entries[row][col]):
+                if c:
+                    key = list(exps)
+                    key[var] += 1
+                    expand(row + 1, rest, tuple(key), signed * c)
+
+    expand(0, list(cols), (0,) * matrix.m, Fraction(1))
     return total
-
-
-def _permutation_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _canonical_partition(m, support, mults):

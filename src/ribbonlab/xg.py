@@ -107,18 +107,24 @@ class XgIdeal:
                 + ["VV"] * len(self.VV))
 
     def to_json(self):
-        def dump(items):
-            return [{"key": list(k), "poly": p.to_json()} for k, p in items]
-        return {"g": self.g, "UU": dump(self.UU), "UV": dump(self.UV),
-                "VV": dump(self.VV)}
+        return {"g": self.g, **dump_groups(self)}
 
     @classmethod
     def from_json(cls, data) -> "XgIdeal":
         g = int(data["g"])
+        return cls(g, *load_groups(g, data))
 
-        def load(items):
-            return [(tuple(e["key"]), WPoly.from_json(g, e["poly"])) for e in items]
-        return cls(g, load(data["UU"]), load(data["UV"]), load(data["VV"]))
+
+def dump_groups(ideal):
+    """JSON of the UU, UV, VV groups of an ideal or a family: {name: items}."""
+    return {name: [{"key": list(k), "poly": p.to_json()} for k, p in ideal.group_items(name)]
+            for name in GROUPS}
+
+
+def load_groups(g: int, data):
+    """The UU, UV, VV item lists of a dump_groups document, in that order."""
+    return [[(tuple(e["key"]), WPoly.from_json(g, e["poly"])) for e in data[name]]
+            for name in GROUPS]
 
 
 def split_ribbon_ideal(g: int) -> XgIdeal:
@@ -139,25 +145,28 @@ def canonical_ribbon_ideal(g: int, ell) -> XgIdeal:
     `ell` is a list of v-linear forms (or zero polynomials) aligned with
     uu_keys(g).
     """
-    keys = uu_keys(g)
-    if len(ell) != len(keys):
-        raise ValueError("expected %d linear forms" % len(keys))
-    uu = []
-    for key, ell_e in zip(keys, ell):
-        if ell_e is None:
-            ell_e = WPoly.zero(g)
-        if ell_e:
-            ok = ell_e.is_homogeneous("weighted") and ell_e.degree("weighted") == 2 \
-                and all(not any(e[:g]) and sum(e[g:]) == 1 for e in ell_e.terms)
-            if not ok:
-                raise ValueError("ell must be linear in the v variables")
-        uu.append((key, uu_base_poly(g, key) - ell_e))
+    uu = [(k, uu_base_poly(g, k) - e) for k, e in zip(uu_keys(g), v_linear_forms(g, ell))]
     return XgIdeal(
         g,
         uu,
         [(k, uv_base_poly(g, k)) for k in uv_keys(g)],
         [(k, vv_base_poly(g, k)) for k in vv_keys(g)],
     )
+
+
+def v_linear_forms(g: int, ell):
+    """ell as a list of WPoly aligned with uu_keys(g), None read as zero.
+
+    Raises ValueError on a wrong length or an entry that is not a linear
+    form in the v variables.
+    """
+    ell = [WPoly.zero(g) if e is None else e for e in ell]
+    if len(ell) != len(uu_keys(g)):
+        raise ValueError("expected %d linear forms" % len(uu_keys(g)))
+    for e in ell:
+        if not all(not any(exp[:g]) and sum(exp[g:]) == 1 for exp in e.terms):
+            raise ValueError("ell must be linear in the v variables")
+    return ell
 
 
 def ribbon_ell(g: int, lam):
@@ -200,8 +209,17 @@ def ribbon_ell_space(g: int):
 
 
 def random_ribbon_ell(g: int, rng, bound: int = 5):
-    """ribbon_ell of a random functional: g-2 draws rng.randint(-bound, bound)."""
-    return ribbon_ell(g, [rng.randint(-bound, bound) for _ in range(g - 2)])
+    """ribbon_ell of a random nonzero functional.
+
+    Each try draws g-2 integers rng.randint(-bound, bound); a try whose
+    corrections all vanish is drawn again, so the ribbon is never split.
+    """
+    if g < 3:
+        raise ValueError("g must be at least 3")
+    while True:
+        ell = ribbon_ell(g, [rng.randint(-bound, bound) for _ in range(g - 2)])
+        if any(ell):
+            return ell
 
 
 def hyperelliptic_model(g: int, h: BinaryForm) -> XgIdeal:

@@ -20,16 +20,11 @@ red on purpose rather than weakened:
 
 import json
 from fractions import Fraction
-from itertools import combinations
 from random import Random
 
 from ribbonlab import (
-    BinaryForm,
     IdealSlice,
-    LambdaFunctional,
-    QuadForm,
     WPoly,
-    binary_discriminant,
     canonical_ribbon_ideal,
     certify_groebner,
     eliminate_v_degree,
@@ -51,58 +46,12 @@ from ribbonlab import (
     verify_power_ideal,
 )
 from ribbonlab.cli import main
-
-
-def random_quad(g, rng, bound=4):
-    n = g - 2
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            entries[i][j] = entries[j][i] = Fraction(rng.randint(-bound, bound))
-    return QuadForm(g, entries)
-
-
-def random_degenerate_quad(g, rng, bound=4):
-    # sum of g-3 rank-one blocks, so rank < g-2
-    n = g - 2
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for _ in range(n - 1):
-        vec = [Fraction(rng.randint(-bound, bound)) for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                entries[i][j] += vec[i] * vec[j]
-    return QuadForm(g, entries)
-
-
-def random_squarefree_form(degree, rng, bound=6):
-    while True:
-        form = BinaryForm(degree, [Fraction(rng.randint(-bound, bound))
-                                   for _ in range(degree + 1)])
-        if not form.is_zero() and form.coeff(degree) \
-                and binary_discriminant(form) != 0:
-            return form
-
-
-def catalecticant_3x3_minors(g):
-    """All C(g-2, 3) 3x3 minors of the 3 x (g-2) catalecticant [u_{i+j}].
-
-    These secant cubics are singular along the rational normal curve.
-    """
-    u = [WPoly.u_var(g, i) for i in range(g)]
-    minors = []
-    for cols in combinations(range(g - 2), 3):
-        m = [[u[i + j] for j in cols] for i in range(3)]
-        minors.append(m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                      - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                      + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return minors
-
-
-def random_nonzero_direction(g, rng):
-    ell = random_ribbon_ell(g, rng)
-    while not any(ell):
-        ell = random_ribbon_ell(g, rng)
-    return ell
+from ribbonlab.suites import (
+    catalecticant_3x3_minors,
+    random_degenerate_quad,
+    random_quad,
+    random_squarefree_form,
+)
 
 
 def test_criterion_01_quadric_space_dimension():
@@ -185,7 +134,7 @@ def test_criterion_06_ribbon_hilbert_function():
             "hyperelliptic": hyperelliptic_model(
                 g, random_squarefree_form(2 * g + 2, rng)),
             "ribbon": canonical_ribbon_ideal(
-                g, random_nonzero_direction(g, rng)),
+                g, random_ribbon_ell(g, rng)),
         }
         for name, ideal in models.items():
             got = hilbert_function(ideal, "weighted", degrees)
@@ -257,7 +206,7 @@ def test_criterion_10_order_doubling():
     for g in (3, 4, 5):
         for d in (1, 2, 3):
             h = random_squarefree_form(2 * g + 2, rng)
-            ell = random_nonzero_direction(g, rng)
+            ell = random_ribbon_ell(g, rng)
             report = order_doubling_experiment(g, h, d, ell)
             assert report["hyperell_order"] == d
             assert report["ribbon_order"] == 2 * d

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import random
@@ -5,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from ribbonlab import cli
+from ribbonlab import cli, suites
 from ribbonlab.cli import main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def run_cli(capsys, *argv):
@@ -134,11 +137,11 @@ def test_json_floats_are_rejected_by_name(tmp_path, capsys):
 
 def test_discriminant_item_passes_at_former_failing_seeds():
     # at these seeds a random "generic" form used to have a repeated factor
-    items = [item for item in cli._families_items(5, 2)
-             if item[0] == "discriminant_zero_iff_square_factor"]
-    assert [params["g"] for _, params, _ in items] == [3, 4, 5]
+    items = [item for item in suites.families_items(5, 2)
+             if item[0] is suites.discriminant_zero_iff_square_factor]
+    assert [params["g"] for _, params in items] == [3, 4, 5]
     for seed in (10, 25, 44):
-        results = cli._run_items("families", items, seed)
+        results = suites.run_items("families", items, seed)
         assert all(r["pass"] for r in results), (seed, results)
 
 
@@ -184,7 +187,7 @@ def test_cost_guard_refuses_large_slices_before_building(capsys, monkeypatch):
     def built(*args):
         raise AssertionError("work started before the cost guard")
 
-    monkeypatch.setattr(cli, "_run_items", built)
+    monkeypatch.setattr(cli, "run_items", built)
     monkeypatch.setattr(cli, "_load_json_arg", built)
     for argv in (["verify", "--gmax", "40"],
                  ["verify", "--suite", "rnc", "--gmax", "5", "--dmax", "17"],
@@ -204,8 +207,7 @@ def test_cost_guard_refuses_large_slices_before_building(capsys, monkeypatch):
 
 
 def _bench_workloads():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -219,8 +221,14 @@ def test_cost_guard_admits_defaults_and_benchmark_sizes(capsys, tmp_path):
     jobs = (workloads.verify_cycle(rng, str(tmp_path), 0, 1)
             + workloads.relations_cycle(rng, str(tmp_path), 0, 1))
     for job in jobs:
-        code, doc = run_cli(capsys, *job.args)
+        main(list(job.args))
+        out = capsys.readouterr().out
+        doc = json.loads(out)
         assert doc["status"] == "ok" and job.check(doc["payload"]) is None
+        if job.args[0] == "verify":
+            # the verify bytes at seed 1 are the ones the benchmark pins
+            digests = json.loads((BENCH / "digests.json").read_text())
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests["verify"][0]
     poly = json.dumps([{"u": [1, 0, 1], "v": [0], "c": "1"},
                        {"u": [0, 2, 0], "v": [0], "c": "-1"}])
     code, doc = run_cli(capsys, "limit-relation", "--g", "3", "--poly", poly)
@@ -275,6 +283,17 @@ def test_family_rescale_reports_inexact_division(tmp_path, capsys):
                         "--k", "2")
     assert code == 1
     assert "does not admit the rescaling" in doc["payload"]["message"]
+
+
+def test_family_build_refuses_order_bound_zero_and_genus_two(capsys):
+    octic = json.dumps([1, 0, 0, 0, 0, 0, 0, 0, 1])
+    for model in ("split", "hyperelliptic", "perturbed"):
+        code, doc = run_cli(capsys, "family", "build", "--g", "3", "--model", model,
+                            "--h", octic, "--order-bound", "0")
+        assert code == 1 and doc["status"] == "error", model
+    # below g = 3 no nonzero ribbon direction exists to draw
+    code, doc = run_cli(capsys, "family", "build", "--g", "2", "--h", "[1,0,0,0,0,0,1]")
+    assert code == 1 and doc["payload"]["message"] == "g must be at least 3"
 
 
 def test_family_build_requires_h(capsys):

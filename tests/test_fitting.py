@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -91,6 +91,42 @@ def test_symbolic_minor_against_numeric_determinant():
             (c * _eval_monomial(z, exps) for exps, c in det.items()),
             Fraction(0))
         assert numeric == via_poly
+
+
+def permutation_minor(matrix, cols):
+    """Oracle: the determinant as a signed sum over all r! permutations."""
+    total = {}
+    for perm in permutations(range(matrix.nrows)):
+        inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
+        term = {(0,) * matrix.m: Fraction((-1) ** inversions)}
+        for row, pos in enumerate(perm):
+            new = {}
+            for exps, c in term.items():
+                for var, coeff in enumerate(matrix.entries[row][cols[pos]]):
+                    if coeff:
+                        key = exps[:var] + (exps[var] + 1,) + exps[var + 1:]
+                        new[key] = new.get(key, 0) + c * coeff
+            term = new
+        for exps, c in term.items():
+            total[exps] = total.get(exps, 0) + c
+    return {exps: c for exps, c in total.items() if c}
+
+
+def test_symbolic_minor_matches_permutation_expansion():
+    matrices = [phi2_symbolic(m) for m in range(1, 5)]
+    matrices += [phid_symbolic_blocks(m, r) for m in range(1, 4) for r in range(1, 5)]
+    rng = random.Random(31)
+    for r, m in ((2, 2), (3, 2), (3, 3), (4, 3), (5, 2)):
+        # dense random linear forms with zero and negative coefficients
+        entries = [[tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(m))
+                    for _ in range(r + 2)] for _ in range(r)]
+        matrices.append(LinFormMatrix(m, entries, "random", range(r + 2)))
+    checked = 0
+    for mat in matrices:
+        for cols in combinations(range(mat.ncols), mat.nrows):
+            assert symbolic_minor(mat, list(cols)) == permutation_minor(mat, cols), cols
+            checked += 1
+    assert checked == 995
 
 
 def _eval_monomial(z, exps):

@@ -297,6 +297,17 @@ def test_random_ribbon_ell_draws_one_integer_per_coordinate():
         assert ell == ribbon_ell(g, draws)
 
 
+def test_random_ribbon_ell_redraws_the_zero_direction():
+    # Random(7) draws 0 first, so at g = 3 the split ribbon comes up and is drawn again
+    rng, twin = random.Random(7), random.Random(7)
+    assert twin.randint(-5, 5) == 0
+    ell = random_ribbon_ell(3, rng)
+    assert any(ell) and ell == ribbon_ell(3, [twin.randint(-5, 5)])
+    assert rng.getstate() == twin.getstate()
+    with pytest.raises(ValueError):
+        random_ribbon_ell(2, rng)  # no nonzero direction exists below g = 3
+
+
 def test_arbitrary_correction_can_shrink_the_scheme():
     # with an inadmissible correction, extra degree-3 elements appear and
     # the quotient drops below the ribbon values
