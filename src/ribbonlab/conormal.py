@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import RatMatrix, left_kernel, rat, rat_from_str, rat_to_str
-from .poly import BinaryForm, WPoly, monomial_index, veronese_pullback
+from .poly import BinaryForm, WPoly, veronese_pullback
 from .rnc import IdealSlice, QuadForm, ideal_slice
 
 
@@ -98,7 +98,10 @@ class ConormalMatrix:
         return self.mat.rank()
 
     def left_kernel_basis(self):
-        return self.mat.transpose().kernel_basis()
+        """Canonical basis of the left kernel, as coordinates over the beta rows."""
+        n = self.mat.nrows
+        return [[v.get(i, 0) for i in range(n)]
+                for v in left_kernel(self.mat.rows, self.mat.ncols)]
 
     def __eq__(self, other):
         if not isinstance(other, ConormalMatrix):
@@ -219,13 +222,12 @@ def _kernel_in_slice(slice_: IdealSlice, images) -> IdealSlice:
     images[b] is the coefficient sequence of the image of basis element b;
     the result is in canonical form.
     """
-    idx = monomial_index(slice_.monomials)
     vectors = []
     for relation in left_kernel(images, len(images[0]) if images else 0):
         vec = {}
         for b, a in relation.items():
-            for e, c in slice_.basis[b].terms.items():
-                vec[idx[e]] = vec.get(idx[e], 0) + a * c
+            for c, v in slice_.rows[b].items():
+                vec[c] = vec.get(c, 0) + a * v
         vectors.append(vec)
     return IdealSlice(slice_.g, slice_.d, vectors)
 

@@ -203,10 +203,6 @@ class RatMatrix:
                 raise ValueError("empty matrix needs an explicit ncols")
             self.ncols = ncols
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                          for j in range(self.ncols)], ncols=self.nrows)
-
     def rref(self):
         """Reduced row echelon form, padded with zero rows to the row count.
 
@@ -290,13 +286,13 @@ def _dense(row, ncols):
     return [row.get(c, _ZERO) for c in range(ncols)]
 
 
-def row_space_matrix(vectors, ncols) -> RatMatrix:
-    """Canonical rref matrix of the span of the given vectors (zero rows dropped).
+def row_space_matrix(vectors, ncols):
+    """Canonical rref rows of the span of the given vectors (see reduced_rows).
 
-    Two collections span the same subspace iff these matrices are equal.
+    Dicts {column: Fraction} in ascending lead order, lead value 1 first;
+    two collections span the same subspace iff these lists are equal.
     """
-    reduced = RowEliminator(ncols, vectors).reduced_rows()
-    return RatMatrix([_dense(row, ncols) for row in reduced], ncols=ncols)
+    return RowEliminator(ncols, vectors).reduced_rows()
 
 
 def sparse_rank(rows, ncols) -> int:

@@ -122,28 +122,28 @@ def hankel_generators(g: int):
 
 
 class IdealSlice:
-    """A subspace of degree-d u-polynomials, held in rref-canonical form.
+    """A subspace of degree-d u-polynomials, held in canonical rref form.
 
-    `basis` lists WPoly rows of the canonical rref matrix over the fixed
-    monomial order, so two slices are equal iff their matrices are equal.
+    `rows` are the canonical rref rows of the subspace over the fixed
+    monomial order, as dicts {column: Fraction} in ascending lead order,
+    each with lead value 1 first (see `row_space_matrix`); two slices are
+    equal iff their rows are.  `basis` holds the same rows as WPolys.
     """
 
-    __slots__ = ("g", "d", "monomials", "matrix", "basis")
+    __slots__ = ("g", "d", "monomials", "index", "rows", "basis")
 
     def __init__(self, g: int, d: int, vectors):
         self.g = g
         self.d = d
         self.monomials = monomials(g, d, u_only=True)
-        self.matrix = row_space_matrix(list(vectors), len(self.monomials))
-        self.basis = [self._to_poly(row) for row in self.matrix.rows]
-
-    def _to_poly(self, row) -> WPoly:
-        return WPoly(self.g, {e: c for e, c in zip(self.monomials, row) if c})
+        self.index = monomial_index(self.monomials)
+        self.rows = row_space_matrix(vectors, len(self.monomials))
+        self.basis = [WPoly(g, {self.monomials[c]: row[c] for c in sorted(row)})
+                      for row in self.rows]
 
     @classmethod
     def from_polys(cls, g: int, d: int, polys) -> "IdealSlice":
-        idx_basis = monomials(g, d, u_only=True)
-        idx = monomial_index(idx_basis)
+        idx = monomial_index(monomials(g, d, u_only=True))
         vectors = []
         for p in polys:
             if not p:
@@ -152,24 +152,19 @@ class IdealSlice:
                 raise ValueError("slice elements must be u-polynomials")
             if p.degree("weighted") != d:
                 raise ValueError("expected degree %d" % d)
-            vec = [Fraction(0)] * len(idx_basis)
-            for e, c in p.terms.items():
-                vec[idx[e]] = c
-            vectors.append(vec)
+            vectors.append({idx[e]: c for e, c in p.terms.items()})
         return cls(g, d, vectors)
 
     @property
     def dim(self) -> int:
-        return self.matrix.nrows
+        return len(self.rows)
 
     def vector_of(self, p: WPoly):
-        idx = monomial_index(self.monomials)
-        vec = [Fraction(0)] * len(self.monomials)
-        for e, c in p.terms.items():
-            if e not in idx:
-                raise ValueError("polynomial does not live in this slice's degree")
-            vec[idx[e]] = c
-        return vec
+        """The coefficients of p as a sparse vector {column: value}."""
+        try:
+            return {self.index[e]: c for e, c in p.terms.items()}
+        except KeyError:
+            raise ValueError("polynomial does not live in this slice's degree") from None
 
     def contains(self, p: WPoly) -> bool:
         """Membership by one pass of p's vector over the stored canonical rows.
@@ -178,19 +173,18 @@ class IdealSlice:
         lead without touching another one; p lies in the slice iff nothing is
         left.
         """
-        if not p:
-            return True
         vec = self.vector_of(p)
-        for row in self.matrix.rows:
-            factor = vec[next(c for c, x in enumerate(row) if x)]
+        for row in self.rows:
+            factor = vec.get(next(iter(row)))
             if factor:
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        return not any(vec)
+                for c, v in row.items():
+                    vec[c] = vec.get(c, 0) - factor * v
+        return not any(vec.values())
 
     def __eq__(self, other):
         if not isinstance(other, IdealSlice):
             return NotImplemented
-        return (self.g, self.d, self.matrix) == (other.g, other.d, other.matrix)
+        return (self.g, self.d, self.rows) == (other.g, other.d, other.rows)
 
     def __repr__(self):
         return "IdealSlice(g=%d, d=%d, dim=%d)" % (self.g, self.d, self.dim)

@@ -29,7 +29,7 @@ from .conormal import (
     psi_d,
     ribbon_slice,
 )
-from .exact import RatMatrix, rat
+from .exact import RatMatrix, rat, sparse_rank
 from .families import (
     TruncatedFamily,
     base_change_pi_squared,
@@ -54,7 +54,6 @@ from .xg import (
     eliminate_v_degree,
     hilbert_function,
     hyperelliptic_model,
-    ideal_slice_dimension,
     random_ribbon_ell,
     split_ribbon_contains,
     split_ribbon_evaluation,
@@ -176,7 +175,7 @@ def q_to_quadric_injective(rng, g):
     n = g - 2
     rows = [slice2.vector_of(q_to_quadric(QuadForm.basis_element(g, i, j)))
             for i in range(n) for j in range(i, n)]
-    rank = RatMatrix(rows, ncols=len(slice2.monomials)).rank()
+    rank = sparse_rank(rows, len(slice2.monomials))
     want = n * (n + 1) // 2
     ok = rank == want == slice2.dim
     return ok, None if ok else {"rank": rank, "want": want}, None
@@ -351,7 +350,7 @@ def split_membership_evaluation_oracle(rng, g, degree):
         first, second = split_ribbon_evaluation(WPoly(g, {e: Fraction(1)}))
         rows.append(list(first.coeffs) + list(second.coeffs))
     rank = RatMatrix(rows, ncols=len(rows[0])).rank()
-    want = ideal_slice_dimension(ideal, degree)
+    want = len(basis) - hilbert_function(ideal, "weighted", [degree])[0]
     ok = len(basis) - rank == want
     return ok, None if ok else {"evaluation_kernel": len(basis) - rank,
                                 "slice_dim": want}, None

@@ -327,11 +327,6 @@ def hilbert_function(ideal: XgIdeal, grading, degrees):
     return out
 
 
-def ideal_slice_dimension(ideal: XgIdeal, degree: int, grading: str = "weighted") -> int:
-    _, rows, columns = generator_multiples(ideal.generators(), degree, grading)
-    return sparse_rank(rows, len(columns))
-
-
 def eliminate_v_degree(ideal: XgIdeal, degree: int) -> IdealSlice:
     """u-polynomials of the given weighted degree lying in the ideal's slice.
 

@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import importlib.util
 import json
 import random
+import types
 from pathlib import Path
 
 import pytest
@@ -206,17 +208,32 @@ def test_cost_guard_refuses_large_slices_before_building(capsys, monkeypatch):
     assert code == 1 and "g=3, d=2" in doc["payload"]["message"]
 
 
-def _bench_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location("bench_" + name, BENCH / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_traced_names_resolve():
+    # the traced benchmark patches these by name; a renamed or deleted one
+    # would only show up there
+    tracer = _bench_module("tracer")
+    for module_name, attr in tracer.FUNCTIONS.values():
+        module = importlib.import_module("ribbonlab." + module_name)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            assert callable(vars(getattr(module, cls_name)).get(method)), attr
+        else:
+            assert isinstance(getattr(module, attr, None), types.FunctionType), attr
+    for name in tracer.CLI_COMMANDS:
+        assert isinstance(getattr(cli, name, None), types.FunctionType), name
+
+
 def test_cost_guard_admits_defaults_and_benchmark_sizes(capsys, tmp_path):
     # the benchmark's verify job runs verify's defaults, gmax 5 and dmax 4,
     # and its relations jobs every size in RELATION_SIZES
-    workloads = _bench_workloads()
+    workloads = _bench_module("workloads")
     rng = random.Random(1)
     jobs = (workloads.verify_cycle(rng, str(tmp_path), 0, 1)
             + workloads.relations_cycle(rng, str(tmp_path), 0, 1))

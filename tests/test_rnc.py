@@ -17,7 +17,7 @@ from ribbonlab.rnc import (
     q_to_quadric,
 )
 
-from test_exact import dense_kernel, dense_rref
+from test_exact import dense_kernel, dense_rref, to_dense
 
 
 def rand_quadform(rng, g, span=5):
@@ -91,11 +91,15 @@ def test_ideal_slice_matches_dense_evaluation_kernel():
                 evaluation[sum(i * k for i, k in enumerate(e[:g]))][col] = Fraction(1)
             kernel = dense_kernel(evaluation, len(basis))
             want = dense_rref(kernel, len(basis))[0]
-            assert list(ideal_slice(g, d).matrix.rows) == want, (g, d)
+            assert _dense_rows(ideal_slice(g, d)) == want, (g, d)
+
+
+def _dense_rows(slice_):
+    return [to_dense(row, len(slice_.monomials)) for row in slice_.rows]
 
 
 def _stacked_rank_contains(slice_, p):
-    rows = list(slice_.matrix.rows) + [slice_.vector_of(p)]
+    rows = _dense_rows(slice_) + [to_dense(slice_.vector_of(p), len(slice_.monomials))]
     return len(dense_rref(rows, len(slice_.monomials))[1]) == slice_.dim
 
 
@@ -114,6 +118,26 @@ def test_contains_matches_rank_oracle():
             other = member + WPoly(s.g, {m: Fraction(rng.choice([-2, -1, 1, 3]))})
             assert s.contains(other) == _stacked_rank_contains(s, other)
             assert not s.contains(other)
+
+
+@pytest.mark.parametrize("g, d", [(16, 4), (12, 5)])
+def test_largest_guarded_slices(g, d):
+    # the largest slices the CLI cost guard admits in degrees 4 and 5
+    s = ideal_slice(g, d)
+    assert s.dim == math.comb(g - 1 + d, d) - (d * (g - 1) + 1)
+    rng = random.Random(g * 10 + d)
+    terms = {}
+    for b in s.basis:
+        c = rng.randint(-3, 3)
+        for e, v in b.terms.items():
+            terms[e] = terms.get(e, 0) + c * v
+    member = WPoly(g, terms)
+    assert member and s.contains(member)
+    m = rng.choice(s.monomials)
+    assert not s.contains(member + WPoly(g, {m: Fraction(rng.choice([-2, 1, 3]))}))
+    polys = [rng.choice([-3, -1, 2, Fraction(5, 7)]) * b for b in s.basis]
+    rng.shuffle(polys)
+    assert IdealSlice.from_polys(g, d, polys) == s
 
 
 def test_ideal_slice_elements_vanish_on_curve():

@@ -26,7 +26,7 @@ from ribbonlab.xg import (
     uu_keys,
 )
 
-from test_exact import dense_kernel, dense_rref
+from test_exact import dense_kernel, dense_rref, to_dense
 
 
 def u(g, i):
@@ -106,7 +106,8 @@ def syzygy_ell_space(g):
     zvecs = [{c: v for c, v in vec.items() if c < nz}
              for vec in sparse_kernel_basis(eqs, total)]
     out = []
-    for row in row_space_matrix(zvecs, nz).rows:
+    for row in row_space_matrix(zvecs, nz):
+        row = to_dense(row, nz)
         ell = []
         for e in range(nuu):
             terms = {}
