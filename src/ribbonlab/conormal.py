@@ -2,21 +2,27 @@
 
 A degree-d relation x through the rational normal curve restricts, on the
 first infinitesimal neighborhood, to a section of the twisted conormal
-bundle.  Concretely: the differential sum_j (dx/du_j) du_j pulled back to
-the curve is a unique combination sum_i c_i * beta_i of the generators
+bundle.  Concretely: the differential sum_i (dx/du_i) du_i pulled back to
+the curve is a unique combination sum_j c_j * beta_j of the generators
 
-    beta_i = du_i (x) x0^2 - 2 du_{i+1} (x) x0 x1 + du_{i+2} (x) x1^2,
+    beta_j = du_j (x) x0^2 - 2 du_{j+1} (x) x0 x1 + du_{j+2} (x) x1^2,
 
-with c_i binary forms of degree (d-1)(g-1)-2.  Row i of phi_d(x) is the
-coefficient vector of c_i, so the matrix is (g-2) x ((d-1)(g-1)-1).
+with c_j binary forms of degree (d-1)(g-1)-2.  Row j of phi_d(x) is the
+coefficient vector of c_j, so the matrix is (g-2) x ((d-1)(g-1)-1).
 
-Matching du_j coefficients gives the triangular system
+The matrix has a closed form.  Write x = sum_e c_e u^e and a(e) = sum_i i*e_i,
+the x0-exponent of the pullback of u^e.  Then
 
-    iota*(dx/du_j) = x0^2 c_j - 2 x0 x1 c_{j-1} + x1^2 c_{j-2}
+    phi_d(x)[j][b] = sum over e with a(e) = b + j + 2 of
+                     c_e * sum_{i <= j} (j + 1 - i) * e_i.
 
-(c's outside 0..g-3 are zero).  It is solved by forward substitution with
-exact divisibility checks; the two leftover equations are verified, which
-is the consistency/uniqueness assertion.
+Why: with w_i the pullback of dx/du_i and T the shift j -> j+1 of the row
+index, matching du_i coefficients reads w = (x0^2 - 2 x0 x1 T + x1^2 T^2) c
+= (x0 - x1 T)^2 c, so c = sum_k (k+1) x1^k x0^(-k-2) T^k w.  Substituting
+w_i[a] = sum over e with a(e) - i = a of e_i * c_e, every i lands on the
+same condition a(e) = b + j + 2.  Terms that would land at b < 0 cancel
+because x pulls back to zero, and a term with a(e) above the top index has
+e_i = 0 for every i <= j, so its weight is zero.
 """
 
 from __future__ import annotations
@@ -116,11 +122,13 @@ class ConormalMatrix:
 
 
 def phi_d(x: WPoly, d: int | None = None) -> ConormalMatrix:
-    """Conormal matrix of a degree-d relation x through the curve.
+    """Conormal matrix of a degree-d relation x through the curve, by the closed form.
 
     x must be a u-polynomial with vanishing pullback ("x not in the ideal"
     otherwise).  For nonzero x the degree is inferred; pass d explicitly to
-    evaluate the zero relation.
+    evaluate the zero relation.  One pass over the terms: for u^e the running
+    sums s_j = sum_{i<=j} e_i and W_j = sum_{i<=j} s_i give the weight
+    W_j = sum_{i<=j} (j+1-i) e_i, added at column a(e) - j - 2 of row j.
     """
     g = x.g
     if not x.is_u_only():
@@ -133,35 +141,19 @@ def phi_d(x: WPoly, d: int | None = None) -> ConormalMatrix:
         raise ValueError("degree needed for the zero relation")
     if d < 2:
         raise ValueError("relations live in degree >= 2")
-    n = g - 1
     if x.terms and not veronese_pullback(x).is_zero():
         raise ValueError("x not in the ideal of the curve")
-    w_degree = (d - 1) * n
-    ws = []
-    for j in range(g):
-        dj = x.partial(j)
-        ws.append(veronese_pullback(dj) if dj else BinaryForm(w_degree))
-    c_degree = w_degree - 2
-    x0x1 = BinaryForm.monomial(2, 1)
-    x1sq = BinaryForm.monomial(2, 0)
-    cs: list[BinaryForm] = []
-    for j in range(g - 2):
-        rhs = ws[j]
-        if j >= 1:
-            rhs = rhs + 2 * (x0x1 * cs[j - 1])
-        if j >= 2:
-            rhs = rhs - x1sq * cs[j - 2]
-        try:
-            cs.append(rhs.divide_exact(2, 0))
-        except ValueError:
-            raise ArithmeticError("conormal system inconsistent at row %d" % j)
-    check_tail = -2 * (x0x1 * cs[g - 3]) + (x1sq * cs[g - 4] if g >= 4 else BinaryForm(w_degree))
-    if ws[g - 2] != check_tail:
-        raise ArithmeticError("conormal system inconsistent at row %d" % (g - 2))
-    if ws[g - 1] != x1sq * cs[g - 3]:
-        raise ArithmeticError("conormal system inconsistent at row %d" % (g - 1))
-    rows = [c.coeffs for c in cs]
-    return ConormalMatrix(g, d, RatMatrix(rows, ncols=c_degree + 1))
+    ncols = (d - 1) * (g - 1) - 1
+    rows = [[Fraction(0)] * ncols for _ in range(g - 2)]
+    for e, c in x.terms.items():
+        a = sum(i * k for i, k in enumerate(e[:g]))
+        s = w = 0
+        for j, row in enumerate(rows):
+            s += e[j]
+            w += s
+            if w and a >= j + 2:
+                row[a - j - 2] += w * c
+    return ConormalMatrix(g, d, RatMatrix(rows, ncols=ncols))
 
 
 def psi_d(lam: LambdaFunctional, x: WPoly, d: int | None = None) -> BinaryForm:
@@ -169,11 +161,8 @@ def psi_d(lam: LambdaFunctional, x: WPoly, d: int | None = None) -> BinaryForm:
     m = phi_d(x, d)
     if lam.g != m.g:
         raise ValueError("genus mismatch")
-    out = BinaryForm(m.form_degree)
-    for i, c in enumerate(lam.coords):
-        if c:
-            out = out + c * m.row_form(i)
-    return out
+    return BinaryForm(m.form_degree, [sum(c * v for c, v in zip(lam.coords, col))
+                                      for col in zip(*m.mat.rows)])
 
 
 def is_limit_quadric(q: QuadForm):

@@ -68,6 +68,12 @@ class TruncatedFamily:
     def __init__(self, g: int, order_bound: int, UU, UV, VV):
         if order_bound < 1:
             raise ValueError("order bound must be at least 1")
+        if g < 3:
+            raise ValueError("genus must be at least 3")
+        # there are (g-1)(g-2)/2 UU keys: counting first keeps a genus far
+        # beyond the given items from enumerating its key lists
+        if len(UU) != (g - 1) * (g - 2) // 2:
+            raise ValueError("UU keys must be the standard list for g=%d" % g)
         self.g = g
         self.order_bound = order_bound
         for name, items in (("UU", UU), ("UV", UV), ("VV", VV)):

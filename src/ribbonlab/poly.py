@@ -344,20 +344,6 @@ class WPoly:
     def is_u_only(self) -> bool:
         return all(not any(self.v_exps(e)) for e in self.terms)
 
-    def partial(self, var: int) -> "WPoly":
-        """Formal partial derivative with respect to variable index var."""
-        if not 0 <= var < 2 * self.g - 2:
-            raise ValueError("variable index out of range")
-        out = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            if not k:
-                continue
-            new = list(e)
-            new[var] = k - 1
-            out[tuple(new)] = k * c
-        return WPoly(self.g, out)
-
     def var_name(self, index: int) -> str:
         if index < self.g:
             return "u%d" % index

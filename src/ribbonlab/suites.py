@@ -52,10 +52,10 @@ from .xg import (
     canonical_ribbon_ideal,
     certify_groebner,
     eliminate_v_degree,
+    generator_multiples,
     hilbert_function,
     hyperelliptic_model,
     random_ribbon_ell,
-    split_ribbon_contains,
     split_ribbon_evaluation,
     split_ribbon_ideal,
     syzygies_by_degree,
@@ -336,19 +336,25 @@ def conormal_items(gmax, dmax):
 
 def split_membership_evaluation_oracle(rng, g, degree):
     ideal = split_ribbon_ideal(g)
-    for gen in ideal.generators():
-        w = gen.degree("weighted")
-        if w > degree:
-            continue
-        for m in monomials(g, degree - w, "weighted"):
-            if not split_ribbon_contains(WPoly(g, {m: Fraction(1)}) * gen):
-                return False, {"generator": gen.to_json()}, None
-    # the two kernels coincide iff the evaluation rank matches the slice rank
     basis = monomials(g, degree, "weighted")
     rows = []
     for e in basis:
         first, second = split_ribbon_evaluation(WPoly(g, {e: Fraction(1)}))
         rows.append(list(first.coeffs) + list(second.coeffs))
+    # the evaluation is linear and sends each monomial to at most one
+    # coordinate, so a generator multiple's image is read off these rows
+    spots = [next(((i, c) for i, c in enumerate(row) if c), None) for row in rows]
+    gens = ideal.generators()
+    layout, multiples, _ = generator_multiples(gens, degree, "weighted", basis)
+    for (k, _), multiple in zip(layout, multiples):
+        image = {}
+        for col, c in multiple.items():
+            if spots[col]:
+                i, value = spots[col]
+                image[i] = image.get(i, 0) + value * c
+        if any(image.values()):
+            return False, {"generator": gens[k].to_json()}, None
+    # the two kernels coincide iff the evaluation rank matches the slice rank
     rank = RatMatrix(rows, ncols=len(rows[0])).rank()
     want = len(basis) - hilbert_function(ideal, "weighted", [degree])[0]
     ok = len(basis) - rank == want
@@ -450,7 +456,7 @@ def lambda_matches_eliminated_quadrics(rng, g):
     for p in eliminated.basis:
         m = phi_d(p, 2)
         for a in range(m.form_degree + 1):
-            rows.append([m.row_form(i).coeff(a) for i in range(g - 2)])
+            rows.append([m.mat.rows[i][a] for i in range(g - 2)])
     kernel = RatMatrix(rows, ncols=g - 2).kernel_basis()
     if len(kernel) != 1:
         return False, {"lambda_space_dim": len(kernel)}, None

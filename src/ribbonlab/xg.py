@@ -273,13 +273,6 @@ def split_ribbon_evaluation(p: WPoly):
             BinaryForm(deg2, second) if second is not None else BinaryForm(0))
 
 
-def split_ribbon_contains(p: WPoly) -> bool:
-    if not p.terms:
-        return True
-    first, second = split_ribbon_evaluation(p)
-    return first.is_zero() and second.is_zero()
-
-
 def generator_multiples(gens, degree: int, grading: str, columns=None):
     """Rows of every multiple m * gen of the given degree: the one matrix builder.
 

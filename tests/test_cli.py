@@ -313,6 +313,15 @@ def test_family_build_refuses_order_bound_zero_and_genus_two(capsys):
     assert code == 1 and doc["payload"]["message"] == "g must be at least 3"
 
 
+def test_family_document_with_a_huge_or_small_genus_is_refused(capsys):
+    # the UU count is checked before the key lists of the claimed genus are built
+    for g, message in ((10 ** 9, "UU keys must be the standard list for g=%d" % 10 ** 9),
+                       (2, "genus must be at least 3")):
+        family = json.dumps({"g": g, "order_bound": 1, "UU": [], "UV": [], "VV": []})
+        code, doc = run_cli(capsys, "family", "order", "--family", family)
+        assert code == 1 and doc["payload"]["message"] == message
+
+
 def test_family_build_requires_h(capsys):
     code, doc = run_cli(capsys, "family", "build", "--g", "3")
     assert code == 1
@@ -329,3 +338,80 @@ def test_build_is_deterministic_per_seed(capsys):
     _, doc3 = run_cli(capsys, "family", "build", "--g", "4", "--d", "1",
                       "--h", decic, "--seed", "10")
     assert doc1["payload"]["family"] != doc3["payload"]["family"]
+
+
+def _mutated(doc, steps, value):
+    """A copy of doc with the node that steps lead to replaced by value."""
+    if not steps or not isinstance(doc, (list, dict)) or not doc:
+        return value
+    keys = list(doc) if isinstance(doc, dict) else list(range(len(doc)))
+    key = keys[steps[0] % len(keys)]
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[key] = _mutated(doc[key], steps[1:], value)
+    return out
+
+
+def test_fuzzed_json_arguments_end_in_one_document(tmp_path, monkeypatch, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.chdir(tmp_path)  # a malformed argument read as a path finds nothing
+    octic = json.dumps([1, 0, 0, 0, 0, 0, 0, 0, 1])
+    _, doc = run_cli(capsys, "family", "build", "--g", "3", "--h", octic, "--seed", "3")
+    family = doc["payload"]["family"]
+    (tmp_path / "fam.json").write_text(json.dumps(family))
+    _, doc = run_cli(capsys, "family", "rescale", "--family", "fam.json", "--k", "1")
+    seeds = {
+        "limit-quadric": [[[1, 0], [0, 0]], {"g": 4, "matrix": [["1", "1/2"], ["1/2", "1"]]}],
+        "limit-relation": [[{"u": [1, 0, 1, 0], "v": [0, 0], "c": "1"},
+                            {"u": [0, 2, 0, 0], "v": [0, 0], "c": "-1"}]],
+        "family": [family, doc["payload"]["family"]],
+    }
+    names = ["g", "matrix", "u", "v", "c", "order_bound", "UU", "UV", "VV",
+             "key", "poly", "degree", "coeffs", "s"]
+    scalars = st.one_of(
+        st.integers(),
+        st.builds("{}/{}".format, st.integers(-50, 50), st.integers(-5, 5)),
+        st.floats(),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=4))
+    values = st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(st.one_of(st.sampled_from(names), st.text(max_size=3)),
+                        inner, max_size=5)), max_leaves=16)
+
+    def argument(command):
+        mutated = st.builds(_mutated, st.sampled_from(seeds[command]),
+                            st.lists(st.integers(0, 40), max_size=6),
+                            st.one_of(scalars, values))
+        return st.one_of(
+            st.sampled_from(seeds[command]).map(json.dumps),
+            values.map(json.dumps),
+            mutated.map(json.dumps),
+            st.tuples(mutated.map(json.dumps), st.integers(0, 200)).map(
+                lambda pair: pair[0][:pair[1]]),
+            st.text(max_size=12))
+
+    g = st.integers(3, 8).map(str)
+    argvs = st.one_of(
+        st.tuples(st.just("limit-quadric"), st.just("--g"), g,
+                  argument("limit-quadric").map("--q={}".format)),
+        st.tuples(st.just("limit-relation"), st.just("--g"), g,
+                  argument("limit-relation").map("--poly={}".format)),
+        st.tuples(st.just("family"), st.sampled_from(["order", "discriminant"]),
+                  argument("family").map("--family={}".format)),
+        st.tuples(st.just("family"), st.just("rescale"), st.just("--k"), st.just("1"),
+                  argument("family").map("--family={}".format)))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=150)
+    @hypothesis.given(argvs)
+    def check(argv):
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert code in (0, 1), argv
+        assert doc["status"] in ("ok", "error"), argv
+        assert (code == 0) == (doc["status"] == "ok"), argv
+
+    check()

@@ -18,6 +18,7 @@ from ribbonlab.conormal import (
 )
 from ribbonlab.poly import BinaryForm, WPoly, veronese_pullback
 from ribbonlab.rnc import QuadForm, ideal_slice, ideal_square_slice, q_to_quadric
+from ribbonlab.suites import catalecticant_3x3_minors
 
 
 def rand_quadform(rng, g, span=5):
@@ -41,6 +42,64 @@ def rank_deficient_quadform(rng, g):
             for j in range(n):
                 entries[i][j] += Fraction(v[i] * v[j])
     return QuadForm(g, entries)
+
+
+def forward_substitution_phi(x, d):
+    """phi_d(x) the long way: solve the conormal system by forward substitution.
+
+    Matching du_j coefficients gives iota*(dx/du_j) = x0^2 c_j - 2 x0 x1 c_{j-1}
+    + x1^2 c_{j-2} (c's outside 0..g-3 are zero).  Each c_j comes out of an
+    exact division by x0^2, and the two leftover equations are checked.
+    Returns the rows of the (g-2) x ((d-1)(g-1)-1) matrix.
+    """
+    g = x.g
+    w_degree = (d - 1) * (g - 1)
+    ws = []
+    for j in range(g):
+        dj = WPoly(g, {e[:j] + (e[j] - 1,) + e[j + 1:]: e[j] * c
+                       for e, c in x.terms.items() if e[j]})
+        ws.append(veronese_pullback(dj) if dj else BinaryForm(w_degree))
+    x0x1 = BinaryForm.monomial(2, 1)
+    x1sq = BinaryForm.monomial(2, 0)
+    cs = []
+    for j in range(g - 2):
+        rhs = ws[j]
+        if j >= 1:
+            rhs = rhs + 2 * (x0x1 * cs[j - 1])
+        if j >= 2:
+            rhs = rhs - x1sq * cs[j - 2]
+        cs.append(rhs.divide_exact(2, 0))
+    tail = -2 * (x0x1 * cs[g - 3]) + (x1sq * cs[g - 4] if g >= 4 else BinaryForm(w_degree))
+    assert ws[g - 2] == tail, "conormal system inconsistent at row %d" % (g - 2)
+    assert ws[g - 1] == x1sq * cs[g - 3], "conormal system inconsistent at row %d" % (g - 1)
+    return tuple(c.coeffs for c in cs)
+
+
+# (g, d) pairs whose every basis row goes through the oracle; the largest
+# slices are left out to keep the test near one second.
+ORACLE_SIZES = [(g, d) for g in range(3, 9) for d in range(2, 6)
+                if (g, d) not in {(7, 4), (7, 5), (8, 4), (8, 5)}]
+
+
+def test_closed_form_phi_matches_forward_substitution_oracle():
+    rng = random.Random(11)
+    relations = []
+    for g, d in ORACLE_SIZES:
+        basis = ideal_slice(g, d).basis
+        relations += [(p, d) for p in basis]
+        for _ in range(3):
+            combo = WPoly.zero(g)
+            for p in rng.sample(basis, min(len(basis), 6)):
+                combo = combo + Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * p
+            relations.append((combo, d))
+    for g in range(3, 9):
+        for _ in range(4):
+            relations.append((q_to_quadric(rand_quadform(rng, g)), 2))
+        relations += [(x, 3) for x in catalecticant_3x3_minors(g)]
+        for d in (2, 3, 4):
+            relations.append((WPoly.zero(g), d))
+    for x, d in relations:
+        assert phi_d(x, d).mat.rows == forward_substitution_phi(x, d)
 
 
 def test_phi_d_shape_and_membership_check():

@@ -142,14 +142,6 @@ def test_wpoly_ring_axioms():
         assert a - a == WPoly.zero(g)
 
 
-def test_wpoly_partial_product_rule():
-    rng = random.Random(10)
-    g = 4
-    p, q = rand_wpoly(rng, g, 3), rand_wpoly(rng, g, 3)
-    for var in range(2 * g - 2):
-        assert (p * q).partial(var) == p.partial(var) * q + p * q.partial(var)
-
-
 def test_wpoly_degrees_and_splits():
     g = 4
     p = WPoly.u_var(g, 0) * WPoly.u_var(g, 3) + WPoly.v_var(g, 1)

@@ -19,7 +19,6 @@ from ribbonlab.xg import (
     random_ribbon_ell,
     ribbon_ell,
     ribbon_ell_space,
-    split_ribbon_contains,
     split_ribbon_evaluation,
     split_ribbon_ideal,
     syzygies_by_degree,
@@ -35,6 +34,13 @@ def u(g, i):
 
 def v(g, j):
     return WPoly.v_var(g, j)
+
+
+def split_ribbon_contains(p):
+    if not p.terms:
+        return True
+    first, second = split_ribbon_evaluation(p)
+    return first.is_zero() and second.is_zero()
 
 
 def random_ell(g, rng, bound=3):
