@@ -28,7 +28,7 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        return rat_from_str(value)
     raise TypeError("cannot coerce %r to a rational" % (value,))
 
 
@@ -40,7 +40,15 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """Parse an integer, "p/q" or decimal string; exponent notation is refused.
+
+    Fraction would build 10**exponent in full, so a short literal such as
+    "1e10000000" could cost unbounded time and memory.
+    """
+    text = s.strip()
+    if "e" in text or "E" in text:
+        raise ValueError("exponent notation is not accepted: %r" % s)
+    return Fraction(text)
 
 
 class TruncatedScalar:

@@ -9,6 +9,9 @@ degree 2g+2 (the branch data).  This module implements the truncated
 families, the rescaling, order detection, the even/odd splitting under
 the involution v -> -v, and extraction of that degree 2g+2 section
 together with a discriminant that vanishes exactly on non-simple zeros.
+A TruncatedFamily is an xg.XgIdeal whose coefficients are TruncatedScalar
+values; every operation that changes coefficients rebuilds the three
+groups through XgIdeal.mapped.
 
 Order detection is literal shape detection: a family counts as
 hyperelliptic (or a ribbon) to order m when its reduction mod pi^m
@@ -25,29 +28,26 @@ from fractions import Fraction
 from .exact import RowEliminator, TruncatedScalar, rat_to_str
 from .poly import BinaryForm, WPoly, resultant, veronese_pullback
 from .xg import (
+    BASE_POLYS,
+    GROUP_DEGREES,
+    GROUP_KEYS,
     GROUPS,
     XgIdeal,
-    dump_groups,
     generator_multiples,
     hyperelliptic_model,
     load_groups,
-    uu_base_poly,
-    uu_keys,
-    uv_base_poly,
-    uv_keys,
     v_linear_forms,
     vv_base_poly,
-    vv_keys,
 )
-
-GROUP_DEGREES = {"UU": 2, "UV": 3, "VV": 4}
 
 # Involution signs: v -> -v composed with these per-group signs fixes
 # every split-ribbon and hyperelliptic generator.
 GROUP_SIGNS = {"UU": 1, "UV": -1, "VV": 1}
 
-_BASE_POLY = {"UU": uu_base_poly, "UV": uv_base_poly, "VV": vv_base_poly}
-_KEYS = {"UU": uu_keys, "UV": uv_keys, "VV": vv_keys}
+
+def _is_even(name: str, e, g: int) -> bool:
+    """Whether negate_v fixes a term with exponent e of a `name` generator."""
+    return (-1) ** sum(e[g:]) == GROUP_SIGNS[name]
 
 
 def _lift_poly(p: WPoly, order: int, shift: int = 0) -> WPoly:
@@ -55,15 +55,15 @@ def _lift_poly(p: WPoly, order: int, shift: int = 0) -> WPoly:
     return p.map_coeffs(lambda c: TruncatedScalar.from_rational(c, order).shift(shift))
 
 
-class TruncatedFamily:
-    """Generators in the three-group shape with coefficients in Q[pi]/(pi^N).
+class TruncatedFamily(XgIdeal):
+    """An XgIdeal over Q[pi]/(pi^order_bound).
 
-    Keys follow the standard lists of the fiber module, every coefficient
-    is truncated at the same order, and each generator is weighted
-    homogeneous of its group degree (2, 3, 4).
+    Keys are the standard lists of the fiber module, every coefficient is
+    a TruncatedScalar of order `order_bound`, and each generator is
+    weighted homogeneous of its group degree (2, 3, 4).
     """
 
-    __slots__ = ("g", "order_bound", "UU", "UV", "VV")
+    __slots__ = ("order_bound",)
 
     def __init__(self, g: int, order_bound: int, UU, UV, VV):
         if order_bound < 1:
@@ -74,16 +74,13 @@ class TruncatedFamily:
         # beyond the given items from enumerating its key lists
         if len(UU) != (g - 1) * (g - 2) // 2:
             raise ValueError("UU keys must be the standard list for g=%d" % g)
-        self.g = g
+        super().__init__(g, UU, UV, VV)
         self.order_bound = order_bound
-        for name, items in (("UU", UU), ("UV", UV), ("VV", VV)):
-            items = [(tuple(key), p) for key, p in items]
-            setattr(self, name, items)
-            if [key for key, _ in items] != _KEYS[name](g):
+        for name in GROUPS:
+            items = self.group_items(name)
+            if [key for key, _ in items] != GROUP_KEYS[name](g):
                 raise ValueError("%s keys must be the standard list for g=%d" % (name, g))
             for key, p in items:
-                if p.g != g:
-                    raise ValueError("generator genus mismatch")
                 for c in p.terms.values():
                     if not isinstance(c, TruncatedScalar) or c.order != order_bound:
                         raise ValueError("coefficients must live in Q[pi]/(pi^%d)"
@@ -92,39 +89,26 @@ class TruncatedFamily:
                     raise ValueError("%s generator %s must be weighted-homogeneous "
                                      "of degree %d" % (name, key, GROUP_DEGREES[name]))
 
-    def group_items(self, name: str):
-        return getattr(self, name)
-
-    def _map_polys(self, order_bound, fn) -> "TruncatedFamily":
-        groups = {name: [(key, fn(p)) for key, p in self.group_items(name)]
-                  for name in GROUPS}
-        return TruncatedFamily(self.g, order_bound,
-                               groups["UU"], groups["UV"], groups["VV"])
-
     def truncate(self, order: int) -> "TruncatedFamily":
         """Reduce every coefficient mod pi^order."""
-        return self._map_polys(order, lambda p: p.map_coeffs(lambda c: c.truncate(order)))
+        return TruncatedFamily(self.g, order, *self.mapped(
+            lambda name, key, p: p.map_coeffs(lambda c: c.truncate(order))))
 
     def special_fiber(self) -> XgIdeal:
         """The reduction mod pi, over Q."""
-        fn = lambda p: p.map_coeffs(lambda c: c.constant_term())
-        return XgIdeal(self.g,
-                       [(k, fn(p)) for k, p in self.UU],
-                       [(k, fn(p)) for k, p in self.UV],
-                       [(k, fn(p)) for k, p in self.VV])
+        return XgIdeal(self.g, *self.mapped(
+            lambda name, key, p: p.map_coeffs(TruncatedScalar.constant_term)))
 
     def __eq__(self, other):
-        if not isinstance(other, TruncatedFamily):
+        if type(other) is not TruncatedFamily:
             return NotImplemented
-        return (self.g == other.g and self.order_bound == other.order_bound
-                and self.UU == other.UU and self.UV == other.UV
-                and self.VV == other.VV)
+        return self.order_bound == other.order_bound and XgIdeal.__eq__(self, other)
 
     def __repr__(self):
         return "TruncatedFamily(g=%d, mod pi^%d)" % (self.g, self.order_bound)
 
     def to_json(self):
-        return {"g": self.g, "order_bound": self.order_bound, **dump_groups(self)}
+        return {**super().to_json(), "order_bound": self.order_bound}
 
     @classmethod
     def from_json(cls, data) -> "TruncatedFamily":
@@ -134,9 +118,8 @@ class TruncatedFamily:
 
 def constant_family(ideal: XgIdeal, order_bound: int) -> TruncatedFamily:
     """The ideal viewed as a family that does not move with pi."""
-    lift = lambda items: [(k, _lift_poly(p, order_bound)) for k, p in items]
-    return TruncatedFamily(ideal.g, order_bound,
-                           lift(ideal.UU), lift(ideal.UV), lift(ideal.VV))
+    return TruncatedFamily(ideal.g, order_bound, *ideal.mapped(
+        lambda name, key, p: _lift_poly(p, order_bound)))
 
 
 def perturb_hyperelliptic(g: int, h: BinaryForm, d: int, order_bound: int,
@@ -170,30 +153,29 @@ def rescale_v(family: TruncatedFamily, k: int) -> TruncatedFamily:
     """
     if k == 0:
         return family
+    g = family.g
     drop = k if k > 0 else -2 * k
     n = family.order_bound - drop
     if n < 1:
         raise ValueError("rescaling by k=%d needs order bound above %d" % (k, drop))
-    mult = {"UU": 0, "UV": k, "VV": 2 * k}
-    groups = {}
-    for name in GROUPS:
-        items = []
-        for key, p in family.group_items(name):
-            terms = {}
-            for e, c in p.terms.items():
-                s = mult[name] - k * sum(e[family.g:])
-                try:
-                    shifted = c.shift(s)
-                except ValueError:
-                    raise ValueError("%s generator %s does not admit the rescaling:"
-                                     " a coefficient is not divisible by pi^%d"
-                                     % (name, key, -s))
-                shifted = shifted.truncate(n)
-                if shifted:
-                    terms[e] = shifted
-            items.append((key, WPoly(family.g, terms)))
-        groups[name] = items
-    return TruncatedFamily(family.g, n, groups["UU"], groups["UV"], groups["VV"])
+
+    def rescaled(name, key, p):
+        terms = {}
+        for e, c in p.terms.items():
+            # the group's base term has GROUP_DEGREES[name] - 2 v-factors
+            s = k * (GROUP_DEGREES[name] - 2 - sum(e[g:]))
+            try:
+                shifted = c.shift(s)
+            except ValueError:
+                raise ValueError("%s generator %s does not admit the rescaling:"
+                                 " a coefficient is not divisible by pi^%d"
+                                 % (name, key, -s))
+            shifted = shifted.truncate(n)
+            if shifted:
+                terms[e] = shifted
+        return WPoly(g, terms)
+
+    return TruncatedFamily(g, n, *family.mapped(rescaled))
 
 
 def negate_v(family: TruncatedFamily) -> TruncatedFamily:
@@ -203,15 +185,10 @@ def negate_v(family: TruncatedFamily) -> TruncatedFamily:
     and hyperelliptic generator is fixed; only genuinely odd perturbation
     terms change sign.
     """
-    def flip(name, p):
-        sign = GROUP_SIGNS[name]
-        return WPoly(family.g, {
-            e: (c if sign * (-1 if sum(e[family.g:]) % 2 else 1) == 1 else -c)
-            for e, c in p.terms.items()})
-    groups = {name: [(key, flip(name, p)) for key, p in family.group_items(name)]
-              for name in GROUPS}
-    return TruncatedFamily(family.g, family.order_bound,
-                           groups["UU"], groups["UV"], groups["VV"])
+    g = family.g
+    return TruncatedFamily(g, family.order_bound, *family.mapped(
+        lambda name, key, p: WPoly(g, {e: c if _is_even(name, e, g) else -c
+                                       for e, c in p.terms.items()})))
 
 
 def even_odd_split(family: TruncatedFamily, base: XgIdeal):
@@ -221,30 +198,17 @@ def even_odd_split(family: TruncatedFamily, base: XgIdeal):
     dicts {group name: [(key, poly), ...]} with family = base + even + odd;
     the parts are deviations, not families, since they vanish mod pi.
     """
-    fiber = family.special_fiber()
-    if not (fiber.g == base.g and fiber.UU == base.UU
-            and fiber.UV == base.UV and fiber.VV == base.VV):
+    if family.special_fiber() != base:
         raise ValueError("family does not reduce to the given ideal mod pi")
-    n = family.order_bound
+    g, n = family.g, family.order_bound
     even, odd = {}, {}
     for name in GROUPS:
-        sign = GROUP_SIGNS[name]
-        epart, opart = [], []
-        for (key, p), (bkey, bp) in zip(family.group_items(name), base.group_items(name)):
-            if key != bkey:
-                raise ValueError("%s keys of the family and the base differ: %s vs %s"
-                                 % (name, key, bkey))
+        even[name], odd[name] = [], []
+        for (key, p), (_, bp) in zip(family.group_items(name), base.group_items(name)):
             dev = p - _lift_poly(bp, n)
-            et, ot = {}, {}
-            for e, c in dev.terms.items():
-                if sign * (-1 if sum(e[family.g:]) % 2 else 1) == 1:
-                    et[e] = c
-                else:
-                    ot[e] = c
-            epart.append((key, WPoly(family.g, et)))
-            opart.append((key, WPoly(family.g, ot)))
-        even[name] = epart
-        odd[name] = opart
+            for part, keep in ((even, True), (odd, False)):
+                part[name].append((key, WPoly(g, {e: c for e, c in dev.terms.items()
+                                                  if _is_even(name, e, g) == keep})))
     return even, odd
 
 
@@ -257,7 +221,7 @@ def _shape_order(family: TruncatedFamily, allowed_v_degrees) -> int:
     m = family.order_bound
     for name in GROUPS:
         for key, p in family.group_items(name):
-            dev = p - _lift_poly(_BASE_POLY[name](family.g, key), family.order_bound)
+            dev = p - _lift_poly(BASE_POLYS[name](family.g, key), family.order_bound)
             for e, c in dev.terms.items():
                 if sum(e[family.g:]) in allowed_v_degrees[name]:
                     continue
@@ -387,7 +351,8 @@ def base_change_pi_squared(family: TruncatedFamily) -> TruncatedFamily:
             out[2 * i] = a
         return TruncatedScalar(out)
 
-    return family._map_polys(n, lambda p: p.map_coeffs(stretch))
+    return TruncatedFamily(family.g, n, *family.mapped(
+        lambda name, key, p: p.map_coeffs(stretch)))
 
 
 def order_doubling_experiment(g: int, h: BinaryForm, d: int, odd_direction) -> dict:
@@ -439,10 +404,9 @@ def reduction_hilbert_function(family: TruncatedFamily, modulus: int, degrees):
     """
     if not 1 <= modulus <= family.order_bound:
         raise ValueError("modulus must lie between 1 and the order bound")
-    gens = [p for name in GROUPS for _, p in family.group_items(name)]
     out = []
     for degree in degrees:
-        _, rows, columns = generator_multiples(gens, degree, "weighted")
+        _, rows, columns = generator_multiples(family.generators(), degree, "weighted")
         # pi^layer * row, one column per (monomial, pi digit)
         layered = [{col * modulus + t: c.coeffs[t - layer]
                     for col, c in row.items()

@@ -246,13 +246,6 @@ class WPoly:
             e[i] += 1
         return cls(g, {tuple(e): rat(coeff)})
 
-    @classmethod
-    def constant(cls, g: int, coeff) -> "WPoly":
-        return cls(g, {(0,) * (2 * g - 2): coeff})
-
-    def u_exps(self, exps):
-        return exps[:self.g]
-
     def v_exps(self, exps):
         return exps[self.g:]
 

@@ -403,13 +403,9 @@ def hilbert_series_closed_forms(rng, g):
 
 
 def _scale_v(ideal: XgIdeal, t: Fraction) -> XgIdeal:
-    def scale(p):
-        return WPoly(p.g, {e: c * t ** sum(e[p.g:]) for e, c in p.terms.items()})
-
-    return XgIdeal(ideal.g,
-                   [(k, scale(p)) for k, p in ideal.UU],
-                   [(k, scale(p)) for k, p in ideal.UV],
-                   [(k, scale(p)) for k, p in ideal.VV])
+    g = ideal.g
+    return XgIdeal(g, *ideal.mapped(
+        lambda name, key, p: WPoly(g, {e: c * t ** sum(e[g:]) for e, c in p.terms.items()})))
 
 
 def v_rescaling_invariance(rng, g, t):

@@ -11,8 +11,12 @@ these canonical spanning sets:
 * VV (weighted degree 4): the products v_i v_j (i <= j), possibly corrected
   by a u-quartic.
 
-The split ribbon takes the groups as-is; a ribbon in canonical form bends
-UU by v-linear terms; a hyperelliptic curve bends VV by lifted quartics.
+GROUP_KEYS, BASE_POLYS and GROUP_DEGREES hold this shape.  XgIdeal is the
+one container for it, generic in its coefficients: a fibre over Q here, a
+family over Q[pi]/(pi^N) in the families module.  The split ribbon takes
+the groups as-is; a ribbon in canonical form replaces UU by UU minus
+v-linear terms; a hyperelliptic curve replaces VV by VV minus lifted
+quartics.
 """
 
 from __future__ import annotations
@@ -81,22 +85,35 @@ def vv_base_poly(g: int, key) -> WPoly:
     return WPoly.v_var(g, i) * WPoly.v_var(g, j)
 
 
+GROUP_KEYS = {"UU": uu_keys, "UV": uv_keys, "VV": vv_keys}
+BASE_POLYS = {"UU": uu_base_poly, "UV": uv_base_poly, "VV": vv_base_poly}
+GROUP_DEGREES = {"UU": 2, "UV": 3, "VV": 4}
+
+
 class XgIdeal:
-    """A generator set in the three-group shape, over Q."""
+    """A generator set in the three-group shape: (key, WPoly) items per group.
+
+    Generic in its coefficients, like WPoly: Fraction for a fibre over Q,
+    TruncatedScalar for a family over Q[pi]/(pi^N) (families.TruncatedFamily).
+    """
 
     __slots__ = ("g", "UU", "UV", "VV")
 
     def __init__(self, g: int, UU, UV, VV):
         self.g = g
-        self.UU = list(UU)
-        self.UV = list(UV)
-        self.VV = list(VV)
-        for key, p in self.UU + self.UV + self.VV:
-            if p.g != g:
+        for name, items in zip(GROUPS, (UU, UV, VV)):
+            items = [(tuple(key), p) for key, p in items]
+            if any(p.g != g for _, p in items):
                 raise ValueError("generator genus mismatch")
+            setattr(self, name, items)
 
     def group_items(self, name: str):
         return getattr(self, name)
+
+    def mapped(self, fn):
+        """The UU, UV, VV item lists with each poly p replaced by fn(name, key, p)."""
+        return [[(key, fn(name, key, p)) for key, p in self.group_items(name)]
+                for name in GROUPS]
 
     def generators(self):
         return [p for _, p in self.UU + self.UV + self.VV]
@@ -106,8 +123,17 @@ class XgIdeal:
         return (["UU"] * len(self.UU) + ["UV"] * len(self.UV)
                 + ["VV"] * len(self.VV))
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.g == other.g and self.UU == other.UU
+                and self.UV == other.UV and self.VV == other.VV)
+
     def to_json(self):
-        return {"g": self.g, **dump_groups(self)}
+        doc = {"g": self.g}
+        for name in GROUPS:
+            doc[name] = [{"key": list(k), "poly": p.to_json()} for k, p in self.group_items(name)]
+        return doc
 
     @classmethod
     def from_json(cls, data) -> "XgIdeal":
@@ -115,14 +141,8 @@ class XgIdeal:
         return cls(g, *load_groups(g, data))
 
 
-def dump_groups(ideal):
-    """JSON of the UU, UV, VV groups of an ideal or a family: {name: items}."""
-    return {name: [{"key": list(k), "poly": p.to_json()} for k, p in ideal.group_items(name)]
-            for name in GROUPS}
-
-
 def load_groups(g: int, data):
-    """The UU, UV, VV item lists of a dump_groups document, in that order."""
+    """The UU, UV, VV item lists of a to_json document, in that order."""
     return [[(tuple(e["key"]), WPoly.from_json(g, e["poly"])) for e in data[name]]
             for name in GROUPS]
 
@@ -131,12 +151,8 @@ def split_ribbon_ideal(g: int) -> XgIdeal:
     """The two-step structure with trivial gluing: v-products vanish."""
     if g < 3:
         raise ValueError("g must be at least 3")
-    return XgIdeal(
-        g,
-        [(k, uu_base_poly(g, k)) for k in uu_keys(g)],
-        [(k, uv_base_poly(g, k)) for k in uv_keys(g)],
-        [(k, vv_base_poly(g, k)) for k in vv_keys(g)],
-    )
+    return XgIdeal(g, *[[(k, BASE_POLYS[name](g, k)) for k in GROUP_KEYS[name](g)]
+                        for name in GROUPS])
 
 
 def canonical_ribbon_ideal(g: int, ell) -> XgIdeal:
@@ -145,13 +161,9 @@ def canonical_ribbon_ideal(g: int, ell) -> XgIdeal:
     `ell` is a list of v-linear forms (or zero polynomials) aligned with
     uu_keys(g).
     """
-    uu = [(k, uu_base_poly(g, k) - e) for k, e in zip(uu_keys(g), v_linear_forms(g, ell))]
-    return XgIdeal(
-        g,
-        uu,
-        [(k, uv_base_poly(g, k)) for k in uv_keys(g)],
-        [(k, vv_base_poly(g, k)) for k in vv_keys(g)],
-    )
+    split = split_ribbon_ideal(g)
+    uu = [(k, p - e) for (k, p), e in zip(split.UU, v_linear_forms(g, ell))]
+    return XgIdeal(g, uu, split.UV, split.VV)
 
 
 def v_linear_forms(g: int, ell):
@@ -229,18 +241,10 @@ def hyperelliptic_model(g: int, h: BinaryForm) -> XgIdeal:
     """
     if h.degree != 2 * g + 2:
         raise ValueError("expected a form of degree %d" % (2 * g + 2))
-    vv = []
-    for key in vv_keys(g):
-        i, j = key
-        shifted = BinaryForm.monomial(2 * g - 6, i + j) * h
-        p_ij = quartic_lift(shifted, g)
-        vv.append((key, vv_base_poly(g, key) - p_ij))
-    return XgIdeal(
-        g,
-        [(k, uu_base_poly(g, k)) for k in uu_keys(g)],
-        [(k, uv_base_poly(g, k)) for k in uv_keys(g)],
-        vv,
-    )
+    split = split_ribbon_ideal(g)
+    vv = [((i, j), p - quartic_lift(BinaryForm.monomial(2 * g - 6, i + j) * h, g))
+          for (i, j), p in split.VV]
+    return XgIdeal(g, split.UU, split.UV, vv)
 
 
 def split_ribbon_evaluation(p: WPoly):
@@ -542,7 +546,6 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
                     lifted_rows.append(lifted)
         elim = RowEliminator(len(layout), lifted_rows)
         low_dim = elim.rank
-        lifted_pivots = dict(elim.pivots)
         new_reps = [v for v in kernel if elim.add(v)]
         minimal_count = len(new_reps)
         shape_entry = shapes.get(degree)
@@ -561,10 +564,10 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
                 pure = [{pure_cols[local]: c for local, c in v.items()}
                         for v in left_kernel([rows[col] for col in pure_cols],
                                              len(columns))]
-                # back to the lifted rows alone: adding never mutates a stored pivot
-                elim.pivots = lifted_pivots
-                covered = sum(1 for v in pure if elim.add(v))
-                shape_matched = covered == minimal_count
+                # the pure syzygies cover the minimal ones exactly when the
+                # lifted and pure rows together span the whole kernel
+                shape_matched = (RowEliminator(len(layout), lifted_rows + pure).rank
+                                 == elim.rank)
         records[degree] = SyzygyRecord(
             degree, len(kernel), low_dim, minimal_count, shape_name,
             shape_matched, [_vectors_to_polys(ideal, layout, v) for v in new_reps])

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import random
+import time
 import types
 from pathlib import Path
 
@@ -56,6 +57,15 @@ def test_limit_quadric_malformed_matrix(capsys):
     assert code == 1
     assert doc["status"] == "error"
     assert "symmetric" in doc["payload"]["message"]
+
+
+def test_exponent_notation_is_refused_at_once(capsys):
+    # Fraction would build 10**10000000 in full before any check (~12 s)
+    started = time.perf_counter()
+    code, doc = run_cli(capsys, "limit-quadric", "--g", "3", "--q", '[["1e10000000"]]')
+    assert time.perf_counter() - started < 1.0
+    assert code == 1 and doc["status"] == "error"
+    assert "1e10000000" in doc["payload"]["message"]
 
 
 def test_limit_quadric_from_file(tmp_path, capsys):

@@ -119,6 +119,15 @@ def test_rat_string_round_trip():
     assert rat(4) == Fraction(4)
 
 
+def test_exponent_notation_is_refused():
+    for text in ("1e5", " 2E-3", "1.5e1", "3/1e2"):
+        with pytest.raises(ValueError, match="exponent"):
+            rat_from_str(text)
+        with pytest.raises(ValueError, match="exponent"):
+            rat(text)
+    assert rat_from_str(" 1.25 ") == rat("5/4") == Fraction(5, 4)
+
+
 def test_rref_drops_dependent_row():
     R, pivots = RatMatrix([[2, 4], [1, 2]]).rref()
     assert R.rows == ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(0)))

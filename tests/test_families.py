@@ -24,6 +24,8 @@ from ribbonlab.families import (
 )
 from ribbonlab.poly import BinaryForm, WPoly
 from ribbonlab.xg import (
+    XgIdeal,
+    canonical_ribbon_ideal,
     hilbert_function,
     hyperelliptic_model,
     random_ribbon_ell,
@@ -310,3 +312,28 @@ def test_family_validation():
         lambda c: TruncatedScalar.from_rational(c, 3))) for k, p in split.UU]
     with pytest.raises(ValueError):
         TruncatedFamily(3, 3, bad, split.UV, split.VV)
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_constant_family_reduces_to_its_ideal(g):
+    rng = random.Random(31 + g)
+    for ideal in (split_ribbon_ideal(g),
+                  hyperelliptic_model(g, random_squarefree(rng, 2 * g + 2)),
+                  canonical_ribbon_ideal(g, random_ribbon_ell(g, rng))):
+        assert constant_family(ideal, 3).special_fiber() == ideal
+
+
+def test_a_fibre_never_equals_a_family():
+    # mod pi^1 every coefficient compares equal to its rational value, so
+    # only the type tells the fibre from the family
+    fam = constant_family(split_ribbon_ideal(3), 1)
+    same_groups = XgIdeal(3, fam.UU, fam.UV, fam.VV)
+    for fibre in (same_groups, fam.special_fiber(), split_ribbon_ideal(3)):
+        assert fibre != fam and fam != fibre
+        assert not (fibre == fam or fam == fibre)
+
+
+def test_families_differing_only_in_order_bound_are_unequal():
+    ideal = hyperelliptic_model(3, octic())
+    assert constant_family(ideal, 3) != constant_family(ideal, 4)
+    assert constant_family(ideal, 4) == constant_family(ideal, 4)

@@ -5,7 +5,7 @@ import pytest
 
 from ribbonlab.conormal import LambdaFunctional, phi_d, ribbon_slice
 from ribbonlab.exact import left_kernel, row_space_matrix, sparse_kernel_basis
-from ribbonlab.poly import BinaryForm, WPoly, monomials, veronese_pullback
+from ribbonlab.poly import BinaryForm, WPoly, monomials, quartic_lift, veronese_pullback
 from ribbonlab.rnc import IdealSlice, ideal_slice
 from ribbonlab.xg import (
     XgIdeal,
@@ -22,7 +22,12 @@ from ribbonlab.xg import (
     split_ribbon_evaluation,
     split_ribbon_ideal,
     syzygies_by_degree,
+    uu_base_poly,
     uu_keys,
+    uv_base_poly,
+    uv_keys,
+    vv_base_poly,
+    vv_keys,
 )
 
 from test_exact import dense_kernel, dense_rref, to_dense
@@ -490,6 +495,32 @@ def test_hyperelliptic_zero_h_is_split():
         split_ribbon_ideal(g).generators()
     with pytest.raises(ValueError):
         hyperelliptic_model(g, BinaryForm.monomial(4, 0))
+
+
+def per_key_model(g, ell=None, h=None):
+    """The canonical ribbon (ell) or hyperelliptic model (h), built key by key.
+
+    UU_k = uu_base_poly(g, k) - ell_k and VV_ij = vv_base_poly(g, (i, j)) -
+    quartic_lift(x0^(i+j) x1^(2g-6-i-j) h); every other generator is its base
+    polynomial.
+    """
+    uu = [(k, uu_base_poly(g, k) - (WPoly.zero(g) if ell is None else ell[t]))
+          for t, k in enumerate(uu_keys(g))]
+    vv = [((i, j), vv_base_poly(g, (i, j))) for i, j in vv_keys(g)]
+    if h is not None:
+        vv = [((i, j), p - quartic_lift(BinaryForm.monomial(2 * g - 6, i + j) * h, g))
+              for (i, j), p in vv]
+    return XgIdeal(g, uu, [(k, uv_base_poly(g, k)) for k in uv_keys(g)], vv)
+
+
+def test_models_match_the_per_key_oracle():
+    rng = random.Random(29)
+    for g in range(3, 7):
+        assert split_ribbon_ideal(g) == per_key_model(g)
+        for ell in (random_ribbon_ell(g, rng), random_ell(g, rng)):
+            assert canonical_ribbon_ideal(g, ell) == per_key_model(g, ell=ell)
+        h = BinaryForm(2 * g + 2, [rng.randint(-5, 5) for _ in range(2 * g + 3)])
+        assert hyperelliptic_model(g, h) == per_key_model(g, h=h)
 
 
 def test_xg_ideal_json_round_trip():
