@@ -15,7 +15,6 @@ from .conormal import (
     is_limit_relation,
     phi_d,
     phi_kernel_slice,
-    phi_map_matrix,
     psi_d,
     ribbon_slice,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "phi2_symbolic",
     "phi_d",
     "phi_kernel_slice",
-    "phi_map_matrix",
     "phid_symbolic_blocks",
     "psi_d",
     "q_to_quadric",

@@ -30,7 +30,7 @@ import json
 import sys
 import time
 
-from .conormal import is_limit_quadric, is_limit_relation, phi_d
+from .conormal import LambdaFunctional, is_limit_quadric, phi_d
 from .exact import rat, rat_to_str
 from .families import (
     TruncatedFamily,
@@ -163,18 +163,17 @@ def cmd_limit_relation(args):
     d = args.d if args.d is not None else x.degree("weighted")
     _check_slice_size(args.g, d)
     if (not x.is_u_only() or not x.is_homogeneous("weighted")
-            or x.degree("weighted") != d):
+            or x.degree("weighted") != d or not veronese_pullback(x).is_zero()):
         raise CommandError("not a canonical relation")
-    if not veronese_pullback(x).is_zero():
-        raise CommandError("not a canonical relation")
-    limit, witness = is_limit_relation(x, d)
     matrix = phi_d(x, d)
+    kernel = matrix.left_kernel_basis()
     return {"g": args.g,
             "d": d,
-            "limit": limit,
-            "rank": matrix.rank(),
+            "limit": bool(kernel),
+            "rank": args.g - 2 - len(kernel),
             "matrix": matrix.to_json()["matrix"],
-            "witness_lambda": witness.to_json() if witness is not None else None}
+            "witness_lambda": (LambdaFunctional(args.g, kernel[0]).normalized().to_json()
+                               if kernel else None)}
 
 
 def cmd_verify(args):

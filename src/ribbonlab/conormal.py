@@ -23,15 +23,20 @@ w_i[a] = sum over e with a(e) - i = a of e_i * c_e, every i lands on the
 same condition a(e) = b + j + 2.  Terms that would land at b < 0 cancel
 because x pulls back to zero, and a term with a(e) above the top index has
 e_i = 0 for every i <= j, so its weight is zero.
+
+So each slice is one kernel over S_d, the degree-d u-monomials: the closed
+form is linear in the terms, so it is defined on all of S_d, and on the
+relations through the curve (each fibre of a sums to zero) the dropped
+b < 0 terms cancel, so there it is phi_d.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import RatMatrix, left_kernel, rat, rat_from_str, rat_to_str
-from .poly import BinaryForm, WPoly, veronese_pullback
-from .rnc import IdealSlice, QuadForm, ideal_slice
+from .exact import RatMatrix, left_kernel, rat, rat_from_str, rat_to_str, sparse_kernel_basis
+from .poly import BinaryForm, WPoly, monomials, veronese_pullback
+from .rnc import IdealSlice, QuadForm
 
 
 class LambdaFunctional:
@@ -126,9 +131,7 @@ def phi_d(x: WPoly, d: int | None = None) -> ConormalMatrix:
 
     x must be a u-polynomial with vanishing pullback ("x not in the ideal"
     otherwise).  For nonzero x the degree is inferred; pass d explicitly to
-    evaluate the zero relation.  One pass over the terms: for u^e the running
-    sums s_j = sum_{i<=j} e_i and W_j = sum_{i<=j} s_i give the weight
-    W_j = sum_{i<=j} (j+1-i) e_i, added at column a(e) - j - 2 of row j.
+    evaluate the zero relation.  One pass over the terms (see `_entries`).
     """
     g = x.g
     if not x.is_u_only():
@@ -146,14 +149,24 @@ def phi_d(x: WPoly, d: int | None = None) -> ConormalMatrix:
     ncols = (d - 1) * (g - 1) - 1
     rows = [[Fraction(0)] * ncols for _ in range(g - 2)]
     for e, c in x.terms.items():
-        a = sum(i * k for i, k in enumerate(e[:g]))
-        s = w = 0
-        for j, row in enumerate(rows):
-            s += e[j]
-            w += s
-            if w and a >= j + 2:
-                row[a - j - 2] += w * c
+        for j, b, w in _entries(e, g):
+            rows[j][b] += w * c
     return ConormalMatrix(g, d, RatMatrix(rows, ncols=ncols))
+
+
+def _entries(e, g):
+    """(j, b, W_j) for the nonzero entries of the closed form at u^e, b >= 0.
+
+    W_j = sum_{i<=j} (j+1-i) e_i at column b = a(e) - j - 2 of row j, by the
+    running sums s_j = sum_{i<=j} e_i and W_j = sum_{i<=j} s_i.
+    """
+    a = sum(i * k for i, k in enumerate(e[:g]))
+    s = w = 0
+    for j in range(g - 2):
+        s += e[j]
+        w += s
+        if w and a >= j + 2:
+            yield j, a - j - 2, w
 
 
 def psi_d(lam: LambdaFunctional, x: WPoly, d: int | None = None) -> BinaryForm:
@@ -184,46 +197,40 @@ def is_limit_quadric(q: QuadForm):
 def is_limit_relation(x: WPoly, d: int | None = None):
     """Degeneracy test for a relation: rank(phi_d(x)) < g - 2.
 
-    Returns (flag, witness); the witness spans (a line of) the left kernel,
-    normalized with first nonzero coordinate 1.
+    Returns (flag, witness); the witness is the first vector of the left
+    kernel, normalized with first nonzero coordinate 1.
     """
-    m = phi_d(x, d)
-    if m.rank() < m.g - 2:
-        lam = LambdaFunctional(m.g, m.left_kernel_basis()[0]).normalized()
-        return True, lam
+    kernel = phi_d(x, d).left_kernel_basis()
+    if kernel:
+        return True, LambdaFunctional(x.g, kernel[0]).normalized()
     return False, None
 
 
-def phi_map_matrix(slice_: IdealSlice) -> RatMatrix:
-    """Matrix of phi_d on a slice: row b = flattened phi_d(basis_b)."""
-    g, d = slice_.g, slice_.d
-    width = (g - 2) * ((d - 1) * (g - 1) - 1)
-    rows = []
-    for p in slice_.basis:
-        m = phi_d(p, d)
-        rows.append([x for row in m.mat.rows for x in row])
-    return RatMatrix(rows, ncols=width)
+def _conormal_kernel(g: int, d: int, functionals) -> IdealSlice:
+    """The x in S_d with zero pullback and lam . phi_d(x) = 0 for each lam.
 
-
-def _kernel_in_slice(slice_: IdealSlice, images) -> IdealSlice:
-    """The combinations sum_b a_b basis_b of the slice with sum_b a_b images[b] = 0.
-
-    images[b] is the coefficient sequence of the image of basis element b;
-    the result is in canonical form.
+    One row of ones per fibre of a, one row per (lam, b) of the contracted
+    closed form.  The columns run in reverse monomial order: the engine's
+    kernel vector for a free column is 1 there and 0 on later columns and on
+    the other free ones, so read forwards it is already the canonical rref.
     """
-    vectors = []
-    for relation in left_kernel(images, len(images[0]) if images else 0):
-        vec = {}
-        for b, a in relation.items():
-            for c, v in slice_.rows[b].items():
-                vec[c] = vec.get(c, 0) + a * v
-        vectors.append(vec)
-    return IdealSlice(slice_.g, slice_.d, vectors)
+    mons = monomials(g, d, u_only=True)
+    width = (d - 1) * (g - 1) - 1
+    fibres = {}
+    rows = [{} for _ in range(len(functionals) * width)]
+    for col, e in enumerate(reversed(mons)):
+        fibres.setdefault(sum(i * k for i, k in enumerate(e[:g])), {})[col] = 1
+        for j, b, w in _entries(e, g):
+            for t, lam in enumerate(functionals):
+                if lam[j]:
+                    rows[t * width + b][col] = lam[j] * w
+    kernel = sparse_kernel_basis(list(fibres.values()) + rows, len(mons))
+    return IdealSlice(g, d, [{len(mons) - 1 - c: v for c, v in vec.items()} for vec in kernel])
 
 
-def phi_kernel_slice(slice_: IdealSlice) -> IdealSlice:
-    """ker(phi_d) intersected with the given slice, in canonical form."""
-    return _kernel_in_slice(slice_, phi_map_matrix(slice_).rows)
+def phi_kernel_slice(g: int, d: int) -> IdealSlice:
+    """ker(phi_d) on the degree-d ideal slice, in canonical form."""
+    return _conormal_kernel(g, d, [[int(i == t) for i in range(g - 2)] for t in range(g - 2)])
 
 
 def ribbon_slice(lam: LambdaFunctional, g: int, d: int) -> IdealSlice:
@@ -236,5 +243,4 @@ def ribbon_slice(lam: LambdaFunctional, g: int, d: int) -> IdealSlice:
         raise ValueError("genus mismatch")
     if lam.is_zero():
         raise ValueError("lambda must be nonzero")
-    full = ideal_slice(g, d)
-    return _kernel_in_slice(full, [psi_d(lam, p, d).coeffs for p in full.basis])
+    return _conormal_kernel(g, d, [lam.coords])

@@ -132,10 +132,10 @@ class TruncatedScalar:
         return NotImplemented
 
     def __eq__(self, other):
-        lifted = self._lift(other) if isinstance(other, (TruncatedScalar, int, Fraction)) else None
-        if lifted is None:
-            return NotImplemented
-        return self.coeffs == lifted.coeffs
+        if isinstance(other, TruncatedScalar):  # of another order: unequal, not refused
+            return self.coeffs == other.coeffs
+        lifted = self._lift(other)
+        return NotImplemented if lifted is None else self.coeffs == lifted.coeffs
 
     def __bool__(self):
         return any(self.coeffs)

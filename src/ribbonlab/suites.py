@@ -25,7 +25,6 @@ from .conormal import (
     is_limit_relation,
     phi_d,
     phi_kernel_slice,
-    phi_map_matrix,
     psi_d,
     ribbon_slice,
 )
@@ -239,7 +238,7 @@ def row_product_rule(rng, g, d, samples):
 
 
 def phi_kernel_is_ideal_square(rng, g, d):
-    kernel = phi_kernel_slice(ideal_slice(g, d))
+    kernel = phi_kernel_slice(g, d)
     square = ideal_square_slice(g, d)
     ok = kernel == square
     return ok, None if ok else {"kernel_dim": kernel.dim, "square_dim": square.dim}, None
@@ -253,7 +252,7 @@ def phi_3_kernel_is_secant_cubic_span(rng, g):
     conormal map, so the degree-3 kernel is their span rather than the
     (empty) square slice.
     """
-    kernel = phi_kernel_slice(ideal_slice(g, 3))
+    kernel = phi_kernel_slice(g, 3)
     want = comb(g - 2, 3)  # one 3x3 minor per column triple of the Hankel matrix
     if kernel.dim != want:
         return False, {"kernel_dim": kernel.dim, "want": want}, None
@@ -264,7 +263,7 @@ def phi_3_kernel_is_secant_cubic_span(rng, g):
 
 def phi_d_full_rank(rng, g, d):
     want = (g - 2) * ((d - 1) * (g - 1) - 1)
-    got = phi_map_matrix(ideal_slice(g, d)).rank()
+    got = ideal_slice(g, d).dim - phi_kernel_slice(g, d).dim
     return got == want, None if got == want else {"rank": got, "want": want}, None
 
 
@@ -448,11 +447,7 @@ def lambda_matches_eliminated_quadrics(rng, g):
     want_dim = ideal_slice(g, 2).dim - (g - 2)
     if eliminated.dim != want_dim:
         return False, {"dim": eliminated.dim, "want": want_dim}, None
-    rows = []
-    for p in eliminated.basis:
-        m = phi_d(p, 2)
-        for a in range(m.form_degree + 1):
-            rows.append([m.mat.rows[i][a] for i in range(g - 2)])
+    rows = [col for p in eliminated.basis for col in zip(*phi_d(p, 2).mat.rows)]
     kernel = RatMatrix(rows, ncols=g - 2).kernel_basis()
     if len(kernel) != 1:
         return False, {"lambda_space_dim": len(kernel)}, None

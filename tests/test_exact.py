@@ -521,9 +521,44 @@ def test_truncation_is_a_ring_map():
 def test_truncated_order_mismatch_rejected():
     with pytest.raises(ValueError):
         TruncatedScalar([1, 2]) + TruncatedScalar([1, 2, 3])
+    # comparison is not arithmetic: different orders are simply unequal
+    assert not TruncatedScalar([1, 0]) == TruncatedScalar([1, 0, 0])
+    assert TruncatedScalar([1, 0]) != TruncatedScalar([1, 0, 0])
+    assert TruncatedScalar([1, 0]) == 1
 
 
 def test_truncated_json_round_trip():
     x = TruncatedScalar([Fraction(1, 2), 0, -3])
     assert TruncatedScalar.from_json(x.to_json()) == x
     assert x.to_json() == ["1/2", "0", "-3"]
+
+
+def test_engine_agrees_with_sympy():
+    # an independent exact oracle: rank, kernel span and det of small random
+    # matrices of every rank, square ones for det
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(rows):
+        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in rows])
+
+    rng = random.Random(59)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            ncols = nrows
+        basis = [[rand_fraction(rng, 4) for _ in range(ncols)]
+                 for _ in range(rng.randint(0, min(nrows, ncols)))]
+        rows = [[sum((rng.randint(-2, 2) * v[c] for v in basis), Fraction(0))
+                 for c in range(ncols)] for _ in range(nrows)]
+        m, s = RatMatrix(rows), to_sympy(rows)
+        assert m.rank() == s.rank()
+        assert sparse_rank([{c: x for c, x in enumerate(row) if x} for row in rows],
+                           ncols) == s.rank()
+        ours, theirs = m.kernel_basis(), s.nullspace()
+        assert len(ours) == len(theirs)
+        if ours:
+            stacked = to_sympy(ours).col_join(sympy.Matrix.hstack(*theirs).T)
+            assert stacked.rank() == len(ours)
+        if nrows == ncols:
+            assert m.det() == Fraction(str(s.det()))

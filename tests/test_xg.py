@@ -281,15 +281,15 @@ def test_lambda_dictionary_recovers_lambda():
     # the u-only quadrics of the ribbon with functional lam are killed by
     # psi_2(lam, -) and by no other direction: solving psi_2(mu, x) = 0 for mu
     # over them gives back the line of lam, and its ribbon slice is exactly
-    # the eliminated slice
+    # the eliminated slice, in every degree up to 4
     rng = random.Random(29)
     for g in range(4, 8):
         lam = [Fraction(rng.randint(-4, 4)) for _ in range(g - 2)]
         while not any(lam):
             lam = [Fraction(rng.randint(-4, 4)) for _ in range(g - 2)]
-        eliminated = eliminate_v_degree(canonical_ribbon_ideal(g, ribbon_ell(g, lam)), 2)
+        ideal = canonical_ribbon_ideal(g, ribbon_ell(g, lam))
         rows = []
-        for p in eliminated.basis:
+        for p in eliminate_v_degree(ideal, 2).basis:
             m = phi_d(p, 2)
             for a in range(m.form_degree + 1):
                 rows.append([m.row_form(i).coeff(a) for i in range(g - 2)])
@@ -297,7 +297,9 @@ def test_lambda_dictionary_recovers_lambda():
         assert len(kernel) == 1, g
         assert (LambdaFunctional(g, kernel[0]).normalized()
                 == LambdaFunctional(g, lam).normalized()), g
-        assert ribbon_slice(LambdaFunctional(g, lam), g, 2) == eliminated, g
+        for d in (2, 3, 4):
+            assert (ribbon_slice(LambdaFunctional(g, lam), g, d)
+                    == eliminate_v_degree(ideal, d)), (g, d)
 
 
 def test_random_ribbon_ell_draws_one_integer_per_coordinate():
