@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import RatMatrix, left_kernel, rat, rat_from_str, rat_to_str, sparse_kernel_basis
+from .exact import RatMatrix, left_kernel, rat, rat_to_str, sparse_kernel_basis
 from .poly import BinaryForm, WPoly, monomials, veronese_pullback
 from .rnc import IdealSlice, QuadForm
 
@@ -79,10 +79,6 @@ class LambdaFunctional:
 
     def to_json(self):
         return [rat_to_str(c) for c in self.coords]
-
-    @classmethod
-    def from_json(cls, g: int, data) -> "LambdaFunctional":
-        return cls(g, [rat_from_str(c) for c in data])
 
 
 class ConormalMatrix:

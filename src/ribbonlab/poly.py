@@ -395,50 +395,34 @@ def grevlex_key(exps):
 MONOMIAL_ORDERS = {"grlex": grlex_key, "grevlex": grevlex_key}
 
 
+def _compositions(n: int, k: int):
+    """k-tuples summing to n, last entry largest first: descending grlex."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    for last in range(n, -1, -1):
+        for head in _compositions(n - last, k - 1):
+            yield head + (last,)
+
+
 def monomials(g: int, degree: int, grading: str = "weighted", u_only: bool = False):
     """All exponent tuples of the given degree, in descending grlex order.
 
     The order is a fixed convention so that coefficient vectors, rref forms
-    and JSON output are reproducible.
+    and JSON output are reproducible.  It is built, not sorted: fewer v
+    factors means a larger total degree, and v exponents outrank u ones.
     """
     if grading not in GRADINGS:
         raise ValueError("unknown grading %r" % grading)
-    nu = g
-    nv = 0 if u_only else g - 2
-    v_weight = 2 if grading == "weighted" else 1
-    # enumerate u exponents first, then v exponents for the leftover degree
-    results = []
-    u_parts = []
-
-    def u_rec(prefix, remaining, slots):
-        if slots == 0:
-            u_parts.append((prefix, remaining))
-            return
-        for k in range(remaining, -1, -1):
-            u_rec(prefix + (k,), remaining - k, slots - 1)
-
-    u_rec((), degree, nu)
-    pad = (0,) * (g - 2)
-    for up, rest in u_parts:
-        if nv == 0:
-            if rest == 0:
-                results.append(up + pad)
-            continue
-        v_parts = []
-
-        def v_rec(prefix, remaining, slots):
-            if slots == 0:
-                if remaining == 0:
-                    v_parts.append(prefix)
-                return
-            for k in range(remaining // v_weight, -1, -1):
-                v_rec(prefix + (k,), remaining - k * v_weight, slots - 1)
-
-        v_rec((), rest, nv)
-        for vp in v_parts:
-            results.append(up + vp)
-    results.sort(key=grlex_key, reverse=True)
-    return results
+    if u_only:
+        pad = (0,) * (g - 2)
+        return [u + pad for u in _compositions(degree, g)]
+    if grading == "koszul":
+        return list(_compositions(degree, 2 * g - 2))
+    return [u + v for s in range(degree // 2 + 1)
+            for v in _compositions(s, g - 2)
+            for u in _compositions(degree - 2 * s, g)]
 
 
 def monomial_index(basis):

@@ -345,16 +345,14 @@ def eliminate_v_degree(ideal: XgIdeal, degree: int) -> IdealSlice:
 
 
 class GroebnerResult:
-    """Outcome of a truncated Buchberger run."""
+    """Buchberger's criterion in `order` on `basis`, the input less its zeros."""
 
-    __slots__ = ("order", "basis", "input_is_groebner", "complete", "cap")
+    __slots__ = ("order", "basis", "input_is_groebner")
 
-    def __init__(self, order, basis, input_is_groebner, complete, cap):
+    def __init__(self, order, basis, input_is_groebner):
         self.order = order
         self.basis = basis
         self.input_is_groebner = input_is_groebner
-        self.complete = complete
-        self.cap = cap
 
     def leading_exponents(self):
         key = MONOMIAL_ORDERS[self.order]
@@ -398,14 +396,13 @@ def _s_poly(f: WPoly, h: WPoly, lead_f, lead_h, key) -> WPoly:
             - WPoly(g, {mh: 1 / h.terms[lead_h]}) * h)
 
 
-def buchberger(gens, order: str = "grlex", cap: int = 12) -> GroebnerResult:
-    """S-polynomial completion truncated at weighted degree `cap`.
+def buchberger(gens, order: str = "grlex") -> GroebnerResult:
+    """Buchberger's criterion: is the input a Groebner basis in `order`?
 
     `gens` is an XgIdeal or a plain list of WPoly.  Every S-pair of the
-    *input* is reduced regardless of the cap (their degrees are bounded),
-    so `input_is_groebner` is a genuine certificate.  The completion loop
-    only processes pairs whose lcm stays within the cap; `complete`
-    records whether anything was skipped.
+    input is top-reduced against the input, in pair order, and the check
+    stops at the first nonzero remainder (Cox-Little-O'Shea, Ideals,
+    Varieties, and Algorithms, section 2.6).  Nothing is added to the basis.
     """
     if order not in MONOMIAL_ORDERS:
         raise ValueError("unknown order %r" % order)
@@ -415,48 +412,22 @@ def buchberger(gens, order: str = "grlex", cap: int = 12) -> GroebnerResult:
     basis = [p for p in gens if p]
     if not basis:
         raise ValueError("empty generating set")
-    g = basis[0].g
     leads = [max(p.terms, key=key) for p in basis]
-    n_input = len(basis)
-
-    def wdeg(e):
-        return sum(e[:g]) + 2 * sum(e[g:])
-
-    input_is_groebner = True
-    pairs = [(i, j) for i in range(n_input) for j in range(i + 1, n_input)]
-    skipped = False
-    pos = 0
-    while pos < len(pairs):
-        i, j = pairs[pos]
-        pos += 1
-        lcm = tuple(max(a, b) for a, b in zip(leads[i], leads[j]))
-        from_completion = i >= n_input or j >= n_input
-        if from_completion and wdeg(lcm) > cap:
-            skipped = True
-            continue
-        s = _s_poly(basis[i], basis[j], leads[i], leads[j], key)
-        r = _top_reduce(s, basis, leads, key)
-        if r.terms:
-            if not from_completion:
-                input_is_groebner = False
-            if wdeg(max(r.terms, key=key)) > cap:
-                skipped = True
-                continue
-            basis.append(r)
-            leads.append(max(r.terms, key=key))
-            new = len(basis) - 1
-            pairs.extend((t, new) for t in range(new))
-    return GroebnerResult(order, basis, input_is_groebner, not skipped, cap)
+    input_is_groebner = not any(
+        _top_reduce(_s_poly(basis[i], basis[j], leads[i], leads[j], key),
+                    basis, leads, key)
+        for i in range(len(basis)) for j in range(i + 1, len(basis)))
+    return GroebnerResult(order, basis, input_is_groebner)
 
 
-def certify_groebner(ideal: XgIdeal, cap: int = 12):
+def certify_groebner(ideal: XgIdeal):
     """Try grlex then grevlex; return the first certifying GroebnerResult.
 
-    Returns None when neither order certifies the input as a Groebner basis.
+    Each try is Buchberger's criterion; None when neither order certifies.
     """
     gens = ideal.generators()
     for order in ("grlex", "grevlex"):
-        res = buchberger(gens, order, cap)
+        res = buchberger(gens, order)
         if res.input_is_groebner:
             return res
     return None

@@ -124,6 +124,55 @@ def test_monomials_counts_and_order():
             assert all(not any(e[g:]) for e in mu)
 
 
+def sorted_monomials(g, degree, grading="weighted", u_only=False):
+    """The old enumeration, kept as the oracle: recurse over u then v, then sort."""
+    nv = 0 if u_only else g - 2
+    v_weight = 2 if grading == "weighted" else 1
+    results = []
+    u_parts = []
+
+    def u_rec(prefix, remaining, slots):
+        if slots == 0:
+            u_parts.append((prefix, remaining))
+            return
+        for k in range(remaining, -1, -1):
+            u_rec(prefix + (k,), remaining - k, slots - 1)
+
+    u_rec((), degree, g)
+    pad = (0,) * (g - 2)
+    for up, rest in u_parts:
+        if nv == 0:
+            if rest == 0:
+                results.append(up + pad)
+            continue
+        v_parts = []
+
+        def v_rec(prefix, remaining, slots):
+            if slots == 0:
+                if remaining == 0:
+                    v_parts.append(prefix)
+                return
+            for k in range(remaining // v_weight, -1, -1):
+                v_rec(prefix + (k,), remaining - k * v_weight, slots - 1)
+
+        v_rec((), rest, nv)
+        for vp in v_parts:
+            results.append(up + vp)
+    results.sort(key=grlex_key, reverse=True)
+    return results
+
+
+def test_monomials_match_sorted_oracle():
+    for g in range(3, 9):
+        for d in range(-2, 8):
+            for grading in ("weighted", "koszul"):
+                for u_only in (False, True):
+                    assert (monomials(g, d, grading, u_only)
+                            == sorted_monomials(g, d, grading, u_only)), (g, d, grading, u_only)
+    with pytest.raises(ValueError):
+        monomials(4, 2, "bigraded")
+
+
 def test_monomial_index_round_trip():
     ms = monomials(4, 3, "weighted")
     idx = monomial_index(ms)

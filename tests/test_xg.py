@@ -6,7 +6,7 @@ import pytest
 from ribbonlab.conormal import LambdaFunctional, phi_d, ribbon_slice
 from ribbonlab.exact import left_kernel, row_space_matrix, sparse_kernel_basis
 from ribbonlab.poly import BinaryForm, WPoly, monomials, quartic_lift, veronese_pullback
-from ribbonlab.rnc import IdealSlice, ideal_slice
+from ribbonlab.rnc import IdealSlice, hankel_generators, ideal_slice
 from ribbonlab.xg import (
     XgIdeal,
     buchberger,
@@ -30,6 +30,7 @@ from ribbonlab.xg import (
     vv_keys,
 )
 
+from groebner_oracle import completed_buchberger
 from test_exact import dense_kernel, dense_rref, to_dense
 
 
@@ -370,19 +371,42 @@ def test_groebner_principal_ideal():
     assert res.input_is_groebner
 
 
-def test_buchberger_completion_closes():
+def squarefree_h(g):
+    """x0^(2g+2) - x1^(2g+2): its roots are distinct roots of unity."""
+    return BinaryForm.monomial(2 * g + 2, 2 * g + 2) - BinaryForm.monomial(2 * g + 2, 0)
+
+
+def test_buchberger_criterion_on_quadrics():
     # two of the three quadrics at g=4 are not a Groebner basis by themselves
     g = 4
-    gens = [u(g, 0) * u(g, 2) - u(g, 1) * u(g, 1),
-            u(g, 0) * u(g, 3) - u(g, 1) * u(g, 2)]
-    res = buchberger(gens, "grlex", cap=12)
-    assert not res.input_is_groebner
-    assert res.complete
-    assert len(res.basis) > 2
-    again = buchberger(res.basis, "grlex", cap=12)
-    assert again.input_is_groebner
-    capped = buchberger(gens, "grlex", cap=2)
-    assert not capped.complete
+    two = [u(g, 0) * u(g, 2) - u(g, 1) * u(g, 1),
+           u(g, 0) * u(g, 3) - u(g, 1) * u(g, 2)]
+    three = two + [u(g, 1) * u(g, 3) - u(g, 2) * u(g, 2)]
+    for order in ("grlex", "grevlex"):
+        res = buchberger(two, order)
+        assert not res.input_is_groebner
+        assert res.basis == two  # the criterion never completes the basis
+        assert buchberger(three, order).input_is_groebner
+    assert buchberger(hankel_generators(5), "grlex").input_is_groebner
+    assert not buchberger(hankel_generators(5), "grevlex").input_is_groebner
+
+
+def test_buchberger_criterion_matches_completion_oracle():
+    inputs = [hankel_generators(4)[:2]] + [hankel_generators(g) for g in (4, 5, 6)]
+    for g in (3, 4):
+        inputs += [split_ribbon_ideal(g).generators(),
+                   hyperelliptic_model(g, squarefree_h(g)).generators(),
+                   canonical_ribbon_ideal(g, ribbon_ell(g, range(1, g - 1))).generators()]
+    for gens in inputs:
+        for order in ("grlex", "grevlex"):
+            _, oracle, _ = completed_buchberger(gens, order)
+            assert buchberger(gens, order).input_is_groebner == oracle
+
+
+def test_hyperelliptic_certificates():
+    # at g=3 only grevlex certifies; at g=5 neither order does
+    assert certify_groebner(hyperelliptic_model(3, squarefree_h(3))).order == "grevlex"
+    assert certify_groebner(hyperelliptic_model(5, squarefree_h(5))) is None
 
 
 def test_normal_monomial_counts_match_hilbert():
