@@ -360,23 +360,27 @@ class GroebnerResult:
 
     def normal_monomial_count(self, degree: int, grading: str = "weighted") -> int:
         """Monomials of the degree not divisible by any leading monomial."""
-        leads = self.leading_exponents()
-        g = self.basis[0].g
-        count = 0
-        for e in monomials(g, degree, grading):
-            if not any(all(a >= b for a, b in zip(e, lead)) for lead in leads):
-                count += 1
-        return count
+        supports = [_support(lead) for lead in self.leading_exponents()]
+        return sum(1 for e in monomials(self.basis[0].g, degree, grading)
+                   if not any(all(e[i] >= b for i, b in s) for s in supports))
 
 
-def _top_reduce(p: WPoly, basis, leads, key) -> WPoly:
-    """Reduce the leading term of p against the basis until stuck or zero."""
+def _support(lead):
+    """The nonzero (index, exponent) pairs of a leading exponent."""
+    return tuple((i, b) for i, b in enumerate(lead) if b)
+
+
+def _top_reduce(p: WPoly, basis, leads, supports, key) -> WPoly:
+    """Reduce the leading term of p against the basis until stuck or zero.
+
+    `supports[t]` is `_support(leads[t])`, on which divisibility is tested.
+    """
     g = p.g
     while p.terms:
         lt = max(p.terms, key=key)
         hit = None
-        for t, lead in enumerate(leads):
-            if all(a >= b for a, b in zip(lt, lead)):
+        for t, s in enumerate(supports):
+            if all(lt[i] >= b for i, b in s):
                 hit = t
                 break
         if hit is None:
@@ -402,7 +406,10 @@ def buchberger(gens, order: str = "grlex") -> GroebnerResult:
     `gens` is an XgIdeal or a plain list of WPoly.  Every S-pair of the
     input is top-reduced against the input, in pair order, and the check
     stops at the first nonzero remainder (Cox-Little-O'Shea, Ideals,
-    Varieties, and Algorithms, section 2.6).  Nothing is added to the basis.
+    Varieties, and Algorithms, section 2.6).  By the product criterion a
+    pair whose leading monomials are coprime reduces to zero, so it is
+    skipped (ibid., section 2.9, Proposition 4).  Nothing is added to the
+    basis.
     """
     if order not in MONOMIAL_ORDERS:
         raise ValueError("unknown order %r" % order)
@@ -413,10 +420,12 @@ def buchberger(gens, order: str = "grlex") -> GroebnerResult:
     if not basis:
         raise ValueError("empty generating set")
     leads = [max(p.terms, key=key) for p in basis]
+    supports = [_support(lead) for lead in leads]
     input_is_groebner = not any(
         _top_reduce(_s_poly(basis[i], basis[j], leads[i], leads[j], key),
-                    basis, leads, key)
-        for i in range(len(basis)) for j in range(i + 1, len(basis)))
+                    basis, leads, supports, key)
+        for i in range(len(basis)) for j in range(i + 1, len(basis))
+        if any(a and b for a, b in zip(leads[i], leads[j])))
     return GroebnerResult(order, basis, input_is_groebner)
 
 

@@ -7,6 +7,7 @@ from ribbonlab.conormal import LambdaFunctional, phi_d, ribbon_slice
 from ribbonlab.exact import left_kernel, row_space_matrix, sparse_kernel_basis
 from ribbonlab.poly import BinaryForm, WPoly, monomials, quartic_lift, veronese_pullback
 from ribbonlab.rnc import IdealSlice, hankel_generators, ideal_slice
+from ribbonlab import xg
 from ribbonlab.xg import (
     XgIdeal,
     buchberger,
@@ -30,7 +31,7 @@ from ribbonlab.xg import (
     vv_keys,
 )
 
-from groebner_oracle import completed_buchberger
+from groebner_oracle import all_pairs_criterion, completed_buchberger, full_scan_normal_count
 from test_exact import dense_kernel, dense_rref, to_dense
 
 
@@ -393,14 +394,30 @@ def test_buchberger_criterion_on_quadrics():
 
 def test_buchberger_criterion_matches_completion_oracle():
     inputs = [hankel_generators(4)[:2]] + [hankel_generators(g) for g in (4, 5, 6)]
-    for g in (3, 4):
+    for g in (3, 4, 5):
         inputs += [split_ribbon_ideal(g).generators(),
                    hyperelliptic_model(g, squarefree_h(g)).generators(),
                    canonical_ribbon_ideal(g, ribbon_ell(g, range(1, g - 1))).generators()]
     for gens in inputs:
         for order in ("grlex", "grevlex"):
             _, oracle, _ = completed_buchberger(gens, order)
+            assert all_pairs_criterion(gens, order) == oracle
             assert buchberger(gens, order).input_is_groebner == oracle
+
+
+def test_buchberger_skips_coprime_pairs(monkeypatch):
+    built = []
+    s_poly = xg._s_poly
+
+    def counting(*args):
+        built.append(args[:2])
+        return s_poly(*args)
+
+    monkeypatch.setattr(xg, "_s_poly", counting)
+    gens = split_ribbon_ideal(7).generators()
+    assert len(gens) == 54  # 1431 pairs, 1015 of them with coprime leads
+    assert buchberger(gens, "grlex").input_is_groebner
+    assert len(built) == 416
 
 
 def test_hyperelliptic_certificates():
@@ -417,6 +434,16 @@ def test_normal_monomial_counts_match_hilbert():
             hf = hilbert_function(ideal, grading, range(top + 1))
             counts = [res.normal_monomial_count(d, grading) for d in range(top + 1)]
             assert counts == hf
+
+
+def test_normal_monomial_count_matches_full_scan():
+    for g in range(3, 9):
+        res = certify_groebner(split_ribbon_ideal(g))
+        leads = res.leading_exponents()
+        for grading in ("koszul", "weighted"):
+            for d in range(8):
+                assert (res.normal_monomial_count(d, grading)
+                        == full_scan_normal_count(leads, g, d, grading))
 
 
 def test_normal_quadratic_monomial_patterns():
