@@ -23,6 +23,7 @@ status is "ok" and, for verify, every property passed.
 limit-relation and verify refuse, before building anything, arguments that
 reach a degree-d slice in g coordinates with more than MAX_SLICE_MONOMIALS
 monomials: (g, d) for limit-relation, (gmax, max(dmax, 4)) for verify.
+family build refuses a family of more than MAX_FAMILY_SLOTS coefficient slots.
 """
 
 import argparse
@@ -56,7 +57,7 @@ class CommandError(ValueError):
 # command may reach, counted by its comb(g - 1 + d, d) monomials.  5000
 # admits the degree-4 slices up to g = 17, the degree-5 ones up to g = 12,
 # the defaults of every command and every benchmark size; ideal_slice at
-# (g, d) = (12, 5), 4368 monomials, takes about 0.1 s (2-core Xeon VM,
+# (g, d) = (12, 5), 4368 monomials, takes about 0.04 s (2-core Xeon VM,
 # Python 3.11), so the limit could be raised.
 MAX_SLICE_MONOMIALS = 5000
 
@@ -78,6 +79,26 @@ def _check_slice_size(g, d):
                 "g=%d, d=%d reaches a slice of more than %d monomials "
                 "(comb(g-1+d, d)); the cost guard allows at most %d"
                 % (g, d, MAX_SLICE_MONOMIALS, MAX_SLICE_MONOMIALS))
+
+
+# Cost guard for family build: a genus-g family has (g-1)(2g-5) generators,
+# of at most two terms in the split model and at most 4g-2 in the others (the
+# lift of h in a VV generator); each term holds 2g-2 exponents and order_bound
+# rationals.  400000 such slots admit the split model up to g = 37, g = 5 up
+# to order bound 9992 (split) or 1103 (with h), and every size of tests/ and
+# bench/workloads.py (g <= 5, order bound <= 11); the largest of these take
+# about 1 s (2-core Xeon VM, Python 3.11).
+MAX_FAMILY_SLOTS = 400000
+
+
+def _check_family_size(g, model, bound):
+    """Refuse a family build before anything is built if it is over the guard."""
+    terms = 2 if model == "split" else 4 * g - 2
+    if (g - 1) * (2 * g - 5) * terms * (2 * g - 2 + bound) > MAX_FAMILY_SLOTS:
+        raise CommandError(
+            "g=%d, order bound %d reaches more than %d coefficient slots; "
+            "the cost guard allows at most %d"
+            % (g, bound, MAX_FAMILY_SLOTS, MAX_FAMILY_SLOTS))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +226,7 @@ def cmd_family_build(args):
     g, d, bound = args.g, args.d, args.order_bound
     if bound is None:
         bound = 3 * d + 2 if args.model == "perturbed" else 4
+    _check_family_size(g, args.model, bound)
     if args.model == "split":
         family = constant_family(split_ribbon_ideal(g), bound)
         return {"g": g, "model": "split", "order_bound": bound,

@@ -175,19 +175,16 @@ def psi_d(lam: LambdaFunctional, x: WPoly, d: int | None = None) -> BinaryForm:
 
 
 def is_limit_quadric(q: QuadForm):
-    """Degeneracy test for a quadric direction: det(q) = 0.
+    """Degeneracy test for a quadric direction: q has a nonzero kernel.
 
-    Returns (flag, witness): the witness is a kernel vector of q with first
-    nonzero coordinate 1.  The zero form is degenerate by convention, with
-    e_0 as its (arbitrary) witness.
+    Returns (flag, witness): the witness is the first vector of the canonical
+    kernel of q, normalized with first nonzero coordinate 1.  The kernel of
+    the zero form is the whole space, led by e_0, so e_0 is its witness.
     """
-    if q.is_zero():
-        return True, LambdaFunctional.basis_vector(q.g, 0)
-    if q.det() != 0:
-        return False, None
     kernel = q.kernel_basis()
-    lam = LambdaFunctional(q.g, kernel[0]).normalized()
-    return True, lam
+    if not kernel:
+        return False, None
+    return True, LambdaFunctional(q.g, kernel[0]).normalized()
 
 
 def is_limit_relation(x: WPoly, d: int | None = None):
@@ -208,7 +205,8 @@ def _conormal_kernel(g: int, d: int, functionals) -> IdealSlice:
     One row of ones per fibre of a, one row per (lam, b) of the contracted
     closed form.  The columns run in reverse monomial order: the engine's
     kernel vector for a free column is 1 there and 0 on later columns and on
-    the other free ones, so read forwards it is already the canonical rref.
+    the other free ones, so read forwards it is already a canonical rref row;
+    the engine lists them with descending leads, so reversed they are the rref.
     """
     mons = monomials(g, d, u_only=True)
     width = (d - 1) * (g - 1) - 1
@@ -221,7 +219,8 @@ def _conormal_kernel(g: int, d: int, functionals) -> IdealSlice:
                 if lam[j]:
                     rows[t * width + b][col] = lam[j] * w
     kernel = sparse_kernel_basis(list(fibres.values()) + rows, len(mons))
-    return IdealSlice(g, d, [{len(mons) - 1 - c: v for c, v in vec.items()} for vec in kernel])
+    return IdealSlice(g, d, mons, [{len(mons) - 1 - c: v for c, v in vec.items()}
+                                   for vec in reversed(kernel)])
 
 
 def phi_kernel_slice(g: int, d: int) -> IdealSlice:

@@ -124,13 +124,6 @@ class TruncatedScalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        # Division by an exact rational only; pi powers are handled by shift().
-        if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            return TruncatedScalar(a / q for a in self.coeffs)
-        return NotImplemented
-
     def __eq__(self, other):
         if isinstance(other, TruncatedScalar):  # of another order: unequal, not refused
             return self.coeffs == other.coeffs

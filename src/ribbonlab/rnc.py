@@ -124,26 +124,25 @@ def hankel_generators(g: int):
 class IdealSlice:
     """A subspace of degree-d u-polynomials, held in canonical rref form.
 
-    `rows` are the canonical rref rows of the subspace over the fixed
-    monomial order, as dicts {column: Fraction} in ascending lead order,
-    each with lead value 1 first (see `row_space_matrix`); two slices are
-    equal iff their rows are.  `basis` holds the same rows as WPolys.
+    `rows` are the canonical rref rows of the subspace over `monomials`, as
+    dicts {column: Fraction} in ascending lead order, each with lead value 1
+    first (see `row_space_matrix`); two slices are equal iff their rows are.
+    Producers hand over rows in this form; `from_polys` reduces a spanning set.
     """
 
-    __slots__ = ("g", "d", "monomials", "index", "rows", "basis")
+    __slots__ = ("g", "d", "monomials", "index", "rows")
 
-    def __init__(self, g: int, d: int, vectors):
+    def __init__(self, g: int, d: int, monomials, rows):
         self.g = g
         self.d = d
-        self.monomials = monomials(g, d, u_only=True)
-        self.index = monomial_index(self.monomials)
-        self.rows = row_space_matrix(vectors, len(self.monomials))
-        self.basis = [WPoly(g, {self.monomials[c]: row[c] for c in sorted(row)})
-                      for row in self.rows]
+        self.monomials = monomials
+        self.index = monomial_index(monomials)
+        self.rows = rows
 
     @classmethod
     def from_polys(cls, g: int, d: int, polys) -> "IdealSlice":
-        idx = monomial_index(monomials(g, d, u_only=True))
+        mons = monomials(g, d, u_only=True)
+        idx = monomial_index(mons)
         vectors = []
         for p in polys:
             if not p:
@@ -153,7 +152,13 @@ class IdealSlice:
             if p.degree("weighted") != d:
                 raise ValueError("expected degree %d" % d)
             vectors.append({idx[e]: c for e, c in p.terms.items()})
-        return cls(g, d, vectors)
+        return cls(g, d, mons, row_space_matrix(vectors, len(mons)))
+
+    @property
+    def basis(self):
+        """The rows as WPolys, terms in column order."""
+        return [WPoly(self.g, {self.monomials[c]: row[c] for c in sorted(row)})
+                for row in self.rows]
 
     @property
     def dim(self) -> int:
@@ -201,10 +206,11 @@ def ideal_slice(g: int, d: int) -> IdealSlice:
     """
     if g < 3 or d < 1:
         raise ValueError("need g >= 3 and d >= 1")
-    fibres = [sum(i * k for i, k in enumerate(e[:g])) for e in monomials(g, d, u_only=True)]
+    mons = monomials(g, d, u_only=True)
+    fibres = [sum(i * k for i, k in enumerate(e[:g])) for e in mons]
     last = {a: col for col, a in enumerate(fibres)}
-    rows = [{col: 1, last[a]: -1} for col, a in enumerate(fibres) if col != last[a]]
-    return IdealSlice(g, d, rows)
+    return IdealSlice(g, d, mons, [{col: Fraction(1), last[a]: Fraction(-1)}
+                                   for col, a in enumerate(fibres) if col != last[a]])
 
 
 def ideal_square_slice(g: int, d: int) -> IdealSlice:

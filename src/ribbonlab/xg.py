@@ -329,8 +329,8 @@ def eliminate_v_degree(ideal: XgIdeal, degree: int) -> IdealSlice:
 
     Degreewise linear algebra: put the v-involving monomials first, reduce
     the generator multiples, and keep the rref rows whose lead is a u-only
-    monomial; they span the u-only part of the slice.  No elimination order
-    or Groebner step is involved.
+    monomial: they are already the canonical rows of the slice's u-only
+    part.  No elimination order or Groebner step is involved.
     """
     g = ideal.g
     v_cols = [e for e in monomials(g, degree, "weighted") if any(e[g:])]
@@ -341,7 +341,7 @@ def eliminate_v_degree(ideal: XgIdeal, degree: int) -> IdealSlice:
     vectors = [{c - nv: v for c, v in row.items()}
                for row in RowEliminator(len(columns), rows).reduced_rows()
                if min(row) >= nv]
-    return IdealSlice(g, degree, vectors)
+    return IdealSlice(g, degree, u_cols, vectors)
 
 
 class GroebnerResult:

@@ -8,7 +8,7 @@ slice.
 """
 
 from ribbonlab.conormal import phi_d, psi_d
-from ribbonlab.exact import RatMatrix, left_kernel
+from ribbonlab.exact import RatMatrix, left_kernel, row_space_matrix
 from ribbonlab.rnc import IdealSlice, ideal_slice
 
 
@@ -32,7 +32,8 @@ def kernel_in_slice(slice_, images):
             for c, v in slice_.rows[b].items():
                 vec[c] = vec.get(c, 0) + a * v
         vectors.append(vec)
-    return IdealSlice(slice_.g, slice_.d, vectors)
+    return IdealSlice(slice_.g, slice_.d, slice_.monomials,
+                      row_space_matrix(vectors, len(slice_.monomials)))
 
 
 def oracle_phi_kernel_slice(g, d):

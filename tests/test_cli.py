@@ -1,10 +1,8 @@
 import hashlib
-import importlib
 import importlib.util
 import json
 import random
 import time
-import types
 from pathlib import Path
 
 import pytest
@@ -218,26 +216,29 @@ def test_cost_guard_refuses_large_slices_before_building(capsys, monkeypatch):
     assert code == 1 and "g=3, d=2" in doc["payload"]["message"]
 
 
+def test_family_cost_guard_refuses_before_building(capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("work started before the cost guard")
+
+    for name in ("constant_family", "perturb_hyperelliptic", "split_ribbon_ideal",
+                 "hyperelliptic_model", "_load_json_arg"):
+        monkeypatch.setattr(cli, name, built)
+    degree_12 = json.dumps([1] * 13)
+    for argv in (["--g", "5", "--d", "1000000", "--h", degree_12],
+                 ["--g", "5", "--model", "split", "--order-bound", "100000000"],
+                 ["--g", "3000", "--model", "split"]):
+        started = time.perf_counter()
+        code, doc = run_cli(capsys, "family", "build", *argv)
+        assert time.perf_counter() - started < 1.0, argv
+        assert code == 1 and doc["status"] == "error"
+        assert "cost guard allows at most %d" % cli.MAX_FAMILY_SLOTS in doc["payload"]["message"]
+
+
 def _bench_module(name):
     spec = importlib.util.spec_from_file_location("bench_" + name, BENCH / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_traced_names_resolve():
-    # the traced benchmark patches these by name; a renamed or deleted one
-    # would only show up there
-    tracer = _bench_module("tracer")
-    for module_name, attr in tracer.FUNCTIONS.values():
-        module = importlib.import_module("ribbonlab." + module_name)
-        if "." in attr:
-            cls_name, method = attr.split(".")
-            assert callable(vars(getattr(module, cls_name)).get(method)), attr
-        else:
-            assert isinstance(getattr(module, attr, None), types.FunctionType), attr
-    for name in tracer.CLI_COMMANDS:
-        assert isinstance(getattr(cli, name, None), types.FunctionType), name
 
 
 def test_cost_guard_admits_defaults_and_benchmark_sizes(capsys, tmp_path):

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonlab.conormal import LambdaFunctional, ribbon_slice
-from ribbonlab.poly import WPoly, monomials, quartic_lift, veronese_pullback
+from ribbonlab.conormal import LambdaFunctional, phi_kernel_slice, ribbon_slice
+from ribbonlab.exact import row_space_matrix
+from ribbonlab.poly import BinaryForm, WPoly, monomials, quartic_lift, veronese_pullback
 from ribbonlab.rnc import (
     IdealSlice,
     QuadForm,
@@ -15,6 +16,13 @@ from ribbonlab.rnc import (
     ideal_slice,
     ideal_square_slice,
     q_to_quadric,
+)
+from ribbonlab.xg import (
+    canonical_ribbon_ideal,
+    eliminate_v_degree,
+    hyperelliptic_model,
+    random_ribbon_ell,
+    split_ribbon_ideal,
 )
 
 from test_exact import dense_kernel, dense_rref, to_dense
@@ -138,6 +146,37 @@ def test_largest_guarded_slices(g, d):
     polys = [rng.choice([-3, -1, 2, Fraction(5, 7)]) * b for b in s.basis]
     rng.shuffle(polys)
     assert IdealSlice.from_polys(g, d, polys) == s
+
+
+def _nonzero_lambda(rng, g):
+    while True:
+        coords = [rng.randint(-3, 3) for _ in range(g - 2)]
+        if any(coords):
+            return LambdaFunctional(g, coords)
+
+
+def test_producers_hand_over_canonical_rows():
+    # IdealSlice keeps its producer's rows as given, so each producer must
+    # already build the canonical rref that row_space_matrix would return
+    rng = random.Random(14)
+    slices = [ideal_slice(g, d) for g in range(3, 9) for d in range(1, 5)]
+    for g in range(3, 8):
+        lams = [_nonzero_lambda(rng, g) for _ in range(2)]
+        for d in range(2, 5):
+            slices += [phi_kernel_slice(g, d)] + [ribbon_slice(lam, g, d) for lam in lams]
+    for g in range(3, 7):
+        h = BinaryForm(2 * g + 2, [rng.randint(-3, 3) for _ in range(2 * g + 3)])
+        for ideal in (split_ribbon_ideal(g), hyperelliptic_model(g, h),
+                      canonical_ribbon_ideal(g, random_ribbon_ell(g, rng))):
+            slices += [eliminate_v_degree(ideal, d) for d in range(2, 6)]
+    assert len(slices) == 117
+    for s in slices:
+        assert s.rows == row_space_matrix(s.rows, len(s.monomials)), s
+        leads = [next(iter(row)) for row in s.rows]
+        assert all(a < b for a, b in zip(leads, leads[1:])), s
+        assert all(min(row) == lead and row[lead] == 1 for row, lead in zip(s.rows, leads)), s
+        assert s.basis == [WPoly(s.g, {s.monomials[c]: v for c, v in row.items()})
+                           for row in s.rows], s
 
 
 def test_ideal_slice_elements_vanish_on_curve():
