@@ -22,6 +22,7 @@ quartics.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from operator import add
 
 from .exact import RowEliminator, left_kernel, rat, sparse_rank
@@ -29,6 +30,7 @@ from .poly import (
     MONOMIAL_ORDERS,
     BinaryForm,
     WPoly,
+    _compositions,
     monomial_index,
     monomials,
     quartic_lift,
@@ -311,17 +313,117 @@ def generator_multiples(gens, degree: int, grading: str, columns=None):
 
 
 def hilbert_function(ideal: XgIdeal, grading, degrees):
-    """Dimension of (ring / ideal) in each requested degree, by sparse rref.
+    """Dimension of (ring / ideal) in each requested degree, by sparse rank.
 
-    No Groebner machinery: the slice of the ideal is spanned by generator
-    multiples and its rank is computed directly.  Returns the list of
-    dimensions aligned with `degrees`.
+    No Groebner machinery.  Returns the list of dimensions aligned with
+    `degrees`.  When UU and UV are exactly split_ribbon_ideal's groups over
+    Q, as in the split and hyperelliptic models, the quotient by the ideal B
+    they generate is known in closed form.  B is spanned by the binomials
+    m - m' of monomials with the same key
+
+        e -> (c, b, a) = (# u factors, # v factors, sum i e_(u_i) + sum j e_(v_j)),
+
+    and they join every fibre of the key with c >= 1 into one class, while
+    a pure-v monomial (c = 0) is a class on its own: the binomials are a
+    Markov basis of the key (Diaconis-Sturmfels, Ann. Statist. 1998).
+    Every a in [0, c(g-1) + b(g-3)] occurs, so (S/B)_d has
+
+        #classes(d) = sum_(c >= 1) (c(g-1) + b(g-3) + 1) + sum_(c = 0) C(g-3+b, b)
+
+    over the (c, b) of degree d, and dim (S/I)_d is #classes(d) minus the
+    rank of the VV multiples projected onto the classes.  Every other ideal
+    (canonical ribbons, v-rescaled models, families over Q[pi]/(pi^N))
+    takes the generic branch: the rank of all generator multiples over the
+    monomials.
     """
+    if _has_split_binomials(ideal):
+        return _split_quotient_dimensions(ideal, grading, degrees)
     out = []
     for degree in degrees:
         _, rows, columns = generator_multiples(ideal.generators(), degree, grading)
         out.append(len(columns) - sparse_rank(rows, len(columns)))
     return out
+
+
+def _split_quotient_dimensions(ideal: XgIdeal, grading, degrees):
+    """hilbert_function as #classes minus the rank of the projected VV multiples.
+
+    The key is additive, so a multiple m * p is p's projection shifted by
+    key(m), and the multipliers with c >= 1 in one class give one row.
+    """
+    g = ideal.g
+    v_weight = WPoly.v_var(g, 0).degree(grading)  # refuses an unknown grading
+    projected = []
+    for _, p in ideal.VV:
+        if not p.is_homogeneous(grading):
+            raise ValueError("generator is inhomogeneous in the %s grading" % grading)
+        if p.terms:
+            projected.append((p.degree(grading),
+                              [(_key(e, g), x) for e, x in p.terms.items()]))
+    out = []
+    for degree in degrees:
+        rows = []
+        for w, terms in projected:
+            for cm, bm, am, vm in _classes(g, degree - w, v_weight):
+                # a product with no u factor is a class of its own
+                rows.append(_summed(((cm + c, bm + b, am + a) if cm or c
+                                     else (0, bm + b, tuple(map(add, vm, v))), x)
+                                    for (c, b, a, v), x in terms))
+        # fibres first, by descending (c, b, a), then pure-v exponents descending
+        index = {cls: i for i, cls in
+                 enumerate(sorted({cls for row in rows for cls in row}, reverse=True))}
+        rank = sparse_rank([{index[cls]: x for cls, x in row.items()} for row in rows],
+                           len(index))
+        out.append(_class_count(g, degree, v_weight) - rank)
+    return out
+
+
+def _has_split_binomials(ideal: XgIdeal) -> bool:
+    """Are UU and UV exactly split_ribbon_ideal's groups, with rational coefficients?"""
+    if ideal.g < 3:  # then it has no generators, and split_ribbon_ideal refuses g
+        return False
+    split = split_ribbon_ideal(ideal.g)
+    ours = ideal.UU + ideal.UV
+    return (ours == split.UU + split.UV
+            and all(type(x) is Fraction for _, p in ours for x in p.terms.values()))
+
+
+def _summed(pairs):
+    """{key: sum of its values} of (key, value) pairs."""
+    out = {}
+    for key, x in pairs:
+        out[key] = out[key] + x if key in out else x
+    return out
+
+
+def _key(e, g: int):
+    """(c, b, a, v): u count, v count, index sum, v exponents if c = 0 else None."""
+    u, v = e[:g], e[g:]
+    c = sum(u)
+    a = sum(i * k for i, k in enumerate(u)) + sum(j * k for j, k in enumerate(v))
+    return c, sum(v), a, None if c else v
+
+
+def _classes(g: int, degree: int, v_weight: int):
+    """The classes of the degree's monomials modulo B, as _key tuples.
+
+    First each fibre (c, b, a) with c >= 1, then each pure-v monomial.
+    """
+    for b in range(degree // v_weight + 1):
+        c = degree - v_weight * b
+        if c:
+            for a in range(c * (g - 1) + b * (g - 3) + 1):
+                yield c, b, a, None
+        else:
+            for v in _compositions(b, g - 2):
+                yield 0, b, sum(j * k for j, k in enumerate(v)), v
+
+
+def _class_count(g: int, degree: int, v_weight: int) -> int:
+    """dim (S/B)_degree in closed form: the number of classes (see hilbert_function)."""
+    return sum(c * (g - 1) + b * (g - 3) + 1 if c else comb(g - 3 + b, b)
+               for b in range(degree // v_weight + 1)
+               for c in (degree - v_weight * b,))
 
 
 def eliminate_v_degree(ideal: XgIdeal, degree: int) -> IdealSlice:
@@ -359,10 +461,22 @@ class GroebnerResult:
         return [max(p.terms, key=key) for p in self.basis]
 
     def normal_monomial_count(self, degree: int, grading: str = "weighted") -> int:
-        """Monomials of the degree not divisible by any leading monomial."""
-        supports = [_support(lead) for lead in self.leading_exponents()]
-        return sum(1 for e in monomials(self.basis[0].g, degree, grading)
-                   if not any(all(e[i] >= b for i, b in s) for s in supports))
+        """Monomials of the degree not divisible by any leading monomial.
+
+        Each lead's support is filed under its first variable, and a monomial
+        is tested only against the supports filed under its own variables:
+        a lead that divides it has its first variable among them.
+        """
+        candidates = monomials(self.basis[0].g, degree, grading)
+        filed = {}
+        for lead in self.leading_exponents():
+            s = _support(lead)
+            if not s:  # a constant lead: the unit ideal
+                return 0
+            filed.setdefault(s[0][0], []).append(s)
+        return sum(1 for e in candidates
+                   if not any(all(e[i] >= b for i, b in s)
+                              for x, k in enumerate(e) if k for s in filed.get(x, ())))
 
 
 def _support(lead):

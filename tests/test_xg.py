@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ribbonlab.conormal import LambdaFunctional, phi_d, ribbon_slice
-from ribbonlab.exact import left_kernel, row_space_matrix, sparse_kernel_basis
+from ribbonlab.exact import _find, left_kernel, row_space_matrix, sparse_kernel_basis, sparse_rank
+from ribbonlab.families import constant_family
 from ribbonlab.poly import BinaryForm, WPoly, monomials, quartic_lift, veronese_pullback
 from ribbonlab.rnc import IdealSlice, hankel_generators, ideal_slice
 from ribbonlab import xg
@@ -212,6 +213,110 @@ def test_hilbert_function_hyperelliptic_g7():
     h = BinaryForm(2 * g + 2, [rng.randint(-5, 5) for _ in range(2 * g + 3)])
     values = hilbert_function(hyperelliptic_model(g, h), "weighted", range(2, 7))
     assert values == [(2 * d - 1) * (g - 1) for d in range(2, 7)]
+
+
+def all_multiples_hilbert(ideal, grading, degrees):
+    """Test-only oracle: the rank of every generator multiple over the monomials."""
+    out = []
+    for degree in degrees:
+        _, rows, columns = generator_multiples(ideal.generators(), degree, grading)
+        out.append(len(columns) - sparse_rank(rows, len(columns)))
+    return out
+
+
+def split_key(e, g):
+    """(u count, v count, index sum) of a monomial with a u factor; else e itself."""
+    u_part, v_part = e[:g], e[g:]
+    if not any(u_part):
+        return e
+    return (sum(u_part), sum(v_part),
+            sum(i * k for i, k in enumerate(u_part)) + sum(j * k for j, k in enumerate(v_part)))
+
+
+def scaled_v(ideal, t):
+    """The model with v_j replaced by t * v_j."""
+    g = ideal.g
+    return XgIdeal(g, *ideal.mapped(
+        lambda name, key, p: WPoly(g, {e: c * t ** sum(e[g:]) for e, c in p.terms.items()})))
+
+
+def degenerate_forms(g, rng):
+    n = 2 * g + 2
+    return [BinaryForm(n, [rng.randint(-5, 5) for _ in range(n + 1)]),
+            squarefree_h(g),
+            BinaryForm.monomial(n, n),
+            BinaryForm.monomial(n, n) + BinaryForm.monomial(n, 0),
+            BinaryForm(n)]
+
+
+def test_split_binomials_join_exactly_the_key_classes():
+    # the components of the UU and UV multiples are the fibres of the key,
+    # and the closed-form count is their number
+    for g in range(3, 9):
+        split = split_ribbon_ideal(g)
+        for grading in ("weighted", "koszul"):
+            for degree in range(-2, 7 if g == 8 else 8):
+                _, rows, columns = generator_multiples(
+                    [p for _, p in split.UU + split.UV], degree, grading)
+                parent = {}
+                for row in rows:
+                    a, b = (_find(parent, c) for c in row)
+                    if a != b:
+                        parent[a] = b
+                pairs = {(_find(parent, c), split_key(e, g)) for c, e in enumerate(columns)}
+                roots = {root for root, _ in pairs}
+                keys = {key for _, key in pairs}
+                assert len(pairs) == len(roots) == len(keys), (g, grading, degree)
+                v_weight = 2 if grading == "weighted" else 1
+                assert xg._class_count(g, degree, v_weight) == len(keys), (g, grading, degree)
+
+
+def test_split_quotient_matches_all_multiples():
+    rng = random.Random(36)
+    for g in range(3, 9):
+        degrees = range(-1, 8 if g <= 6 else 7)
+        models = [split_ribbon_ideal(g)] + [hyperelliptic_model(g, h)
+                                            for h in degenerate_forms(g, rng)]
+        for ideal in models:
+            assert hilbert_function(ideal, "weighted", degrees) == \
+                all_multiples_hilbert(ideal, "weighted", degrees)
+        koszul = range(-1, 7 if g <= 5 else 5)
+        assert hilbert_function(models[0], "koszul", koszul) == \
+            all_multiples_hilbert(models[0], "koszul", koszul)
+
+
+def test_generic_branch_matches_all_multiples():
+    rng = random.Random(37)
+    for g in (3, 4, 5):
+        ribbon = canonical_ribbon_ideal(g, random_ribbon_ell(g, rng))
+        scaled = scaled_v(hyperelliptic_model(g, squarefree_h(g)), Fraction(2, 3))
+        for ideal in (ribbon, scaled):
+            assert hilbert_function(ideal, "weighted", range(7)) == \
+                all_multiples_hilbert(ideal, "weighted", range(7))
+        scaled_split = scaled_v(split_ribbon_ideal(g), Fraction(-3))
+        assert hilbert_function(scaled_split, "koszul", range(6)) == \
+            all_multiples_hilbert(scaled_split, "koszul", range(6))
+
+
+def test_split_quotient_builds_no_monomial_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator_multiples called")
+
+    monkeypatch.setattr(xg, "generator_multiples", refuse)
+    assert hilbert_function(hyperelliptic_model(8, squarefree_h(8)), "weighted", [6]) == [77]
+    assert hilbert_function(split_ribbon_ideal(5), "koszul", [3]) == [24]
+
+
+def test_split_quotient_keeps_the_generic_refusals():
+    ideal = hyperelliptic_model(4, squarefree_h(4))
+    assert hilbert_function(ideal, "weighted", [-3, -1]) == [0, 0]
+    with pytest.raises(ValueError, match="unknown grading"):
+        hilbert_function(ideal, "lex", [2])
+    with pytest.raises(ValueError, match="inhomogeneous in the koszul grading"):
+        hilbert_function(ideal, "koszul", [2])
+    # a family's coefficients live in Q[pi]/(pi^N), which the rank refuses
+    with pytest.raises(TypeError):
+        hilbert_function(constant_family(ideal, 3), "weighted", [2])
 
 
 def per_generator_multiples(gens, degree, grading, columns=None):
