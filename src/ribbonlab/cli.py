@@ -11,14 +11,15 @@ Subcommands:
 This module holds only the argument parsing, the commands, the cost guard
 and the error contract; the verify checks are (check, params) data in
 ribbonlab.suites.  Every command prints one JSON document {"status": ...,
-"payload": ...}, whatever its input: a failure is a status "error" document
-whose payload carries the message (an exception of an unexpected type is
-named in it, and its traceback goes to stderr).  The bytes depend only on
-the inputs and --seed: verify and family build seed each random draw from a
-stable checksum of (seed, suite, property, params) (suites.rng_for), verify
-runs its items one after another in a fixed order, and wall-clock timing
-goes to stderr, never into the document.  Exit status is 0 only when the
-status is "ok" and, for verify, every property passed.
+"payload": ...}, whatever its input: a failure, a bad argument or an
+unwritable --json-out included, is a status "error" document whose payload
+carries the message (an exception of an unexpected type is named in it, and
+its traceback goes to stderr); only --help prints usage instead.  The bytes
+depend only on the inputs and --seed: verify and family build seed each
+random draw from a stable checksum of (seed, suite, property, params)
+(suites.rng_for), verify runs its items one after another in a fixed order,
+and wall-clock timing goes to stderr, never into the document.  Exit status
+is 0 only when the status is "ok" and, for verify, every property passed.
 
 limit-relation and verify refuse, before building anything, arguments that
 reach a degree-d slice in g coordinates with more than MAX_SLICE_MONOMIALS
@@ -51,6 +52,13 @@ from .xg import hyperelliptic_model, random_ribbon_ell, split_ribbon_ideal
 
 class CommandError(ValueError):
     """Bad input or unusable arguments; reported as status error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument error raises CommandError instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise CommandError("%s: %s" % (self.prog, message))
 
 
 # Cost guard: the largest slice of degree-d forms in u_0..u_{g-1} that a
@@ -286,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true",
                         help="suppress stdout and the stderr timing note")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ribbonlab",
         description="exact decision procedures and check suites, JSON in and out")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -348,9 +356,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
+    json_out, quiet = None, False
     try:
+        args = _build_parser().parse_args(argv)
+        json_out, quiet = args.json_out, args.quiet
         payload = args.handler(args)
         status = "ok"
     except (CommandError, ValueError, ArithmeticError, KeyError) as exc:
@@ -358,17 +368,22 @@ def main(argv=None) -> int:
         status = "error"
     except Exception as exc:
         # input that slipped past validation: still one document, exit 1
-        if not args.quiet:
+        if not quiet:
             import traceback
             traceback.print_exc()
         payload = {"message": "%s: %s" % (type(exc).__name__, exc)}
         status = "error"
     document = json.dumps({"status": status, "payload": payload},
                           indent=2, sort_keys=True)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(document + "\n")
-    if not args.quiet:
+    try:
+        if json_out:
+            with open(json_out, "w", encoding="utf-8") as fh:
+                fh.write(document + "\n")
+    except OSError as exc:
+        status = "error"
+        document = json.dumps({"status": status, "payload": {
+            "message": "cannot write --json-out: %s" % exc}}, indent=2, sort_keys=True)
+    if not quiet:
         sys.stdout.write(document + "\n")
         sys.stderr.write("elapsed %.1f ms\n"
                          % ((time.perf_counter() - started) * 1000.0))

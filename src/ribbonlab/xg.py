@@ -579,10 +579,12 @@ SYZYGY_SHAPE_TABLES = {"ribbon": RIBBON_SYZYGY_SHAPES,
 class SyzygyRecord:
     """Syzygies of one weighted degree.
 
-    `minimal_count` is dim(kernel) - dim(multiples of lower-degree
-    syzygies).  `shape_matched` reports whether syzygies supported on the
-    schematic coefficient pattern for this degree account for all minimal
-    generators; it is None when there are no minimal syzygies to classify.
+    `kernel_dim` (all syzygies) and `from_lower_dim` (monomial multiples of
+    lower-degree minimal syzygies) are ranks, and `minimal_count` is their
+    difference.  `representatives` are the minimal syzygies found here, each
+    one coefficient WPoly per generator.  `shape_matched` reports whether
+    syzygies supported on the schematic coefficient pattern for this degree
+    account for all minimal generators; it is None when there are none.
     """
 
     __slots__ = ("degree", "kernel_dim", "from_lower_dim", "minimal_count",
@@ -607,74 +609,55 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
                        shape_table: str = "ribbon"):
     """First syzygies of the generator set, degree by weighted degree.
 
-    For each degree up to max_degree: compute the kernel of the evaluation
-    map, quotient out monomial multiples of lower-degree syzygies to count
-    minimal generators, and check the schematic shape for that degree by
-    restricting supports to the allowed (group, coefficient-bidegree)
-    pattern.  Multiples of the minimal representatives from lower degrees
-    span the same submodule as multiples of the full lower kernels.
+    For each degree up to max_degree, both counts are ranks: the rows of the
+    generator multiples minus their rank, and the rank of the lower minimal
+    representatives shifted by every monomial of the degree difference
+    (these span the same submodule as multiples of the full lower kernels).
+    Only where they differ is the left kernel built; its vectors outside the
+    lifted span, taken greedily, are the new minimal representatives, and
+    their schematic shape is checked by restricting supports to the allowed
+    (group, coefficient-bidegree) pattern.
     """
     g = ideal.g
     shapes = SYZYGY_SHAPE_TABLES[shape_table]
     groups = ideal.generator_groups()
+    gens = ideal.generators()
     records = {}
-    minimal_reps = {}
-    layouts = {}
-    min_gen_degree = min(p.degree("weighted") for p in ideal.generators())
+    min_gen_degree = min(p.degree("weighted") for p in gens)
     for degree in range(min_gen_degree + 1, max_degree + 1):
-        layout, rows, columns = generator_multiples(ideal.generators(), degree,
-                                                    "weighted")
-        kernel = left_kernel(rows, len(columns))
-        layouts[degree] = layout
-        index_to = {col_key: i for i, col_key in enumerate(layout)}
-        lifted_rows = []
-        for lower_degree, reps in minimal_reps.items():
-            shift = degree - lower_degree
-            lower_layout = layouts[lower_degree]
-            for m_extra in monomials(g, shift, "weighted"):
-                for vec in reps:
-                    lifted = {}
-                    for col, c in vec.items():
-                        e, m = lower_layout[col]
-                        lifted[index_to[(e, tuple(a + b for a, b in zip(m, m_extra)))]] = c
-                    lifted_rows.append(lifted)
+        layout, rows, columns = generator_multiples(gens, degree, "weighted")
+        kernel_dim = len(rows) - sparse_rank(rows, len(columns))
+        row_of = {key: i for i, key in enumerate(layout)}
+        lifted_rows = [{row_of[e, tuple(map(add, m, shift))]: c
+                        for e, coeff in enumerate(rep) for m, c in coeff.terms.items()}
+                       for lower in records.values()
+                       for shift in monomials(g, degree - lower.degree, "weighted")
+                       for rep in lower.representatives]
         elim = RowEliminator(len(layout), lifted_rows)
-        low_dim = elim.rank
-        new_reps = [v for v in kernel if elim.add(v)]
-        minimal_count = len(new_reps)
-        shape_entry = shapes.get(degree)
-        shape_name = shape_entry[0] if shape_entry else None
-        shape_matched = None
-        if minimal_count:
-            if shape_entry is None:
-                shape_matched = False
-            else:
-                allowed = dict(shape_entry[1])
-                pure_cols = []
-                for col, (e, m) in enumerate(layout):
-                    want = allowed.get(groups[e])
-                    if want is not None and (sum(m[:g]), sum(m[g:])) == want:
-                        pure_cols.append(col)
-                pure = [{pure_cols[local]: c for local, c in v.items()}
-                        for v in left_kernel([rows[col] for col in pure_cols],
-                                             len(columns))]
-                # the pure syzygies cover the minimal ones exactly when the
-                # lifted and pure rows together span the whole kernel
-                shape_matched = (RowEliminator(len(layout), lifted_rows + pure).rank
-                                 == elim.rank)
+        from_lower_dim = elim.rank
+        new_reps = ([v for v in left_kernel(rows, len(columns)) if elim.add(v)]
+                    if kernel_dim > from_lower_dim else [])
+        shape_name, pattern = shapes.get(degree, (None, None))
+        shape_matched = False if new_reps else None
+        if new_reps and pattern is not None:
+            allowed = dict(pattern)
+            pure_cols = [col for col, (e, m) in enumerate(layout)
+                         if allowed.get(groups[e]) == (sum(m[:g]), sum(m[g:]))]
+            pure = [{pure_cols[local]: c for local, c in v.items()}
+                    for v in left_kernel([rows[col] for col in pure_cols], len(columns))]
+            # the pure syzygies cover the minimal ones exactly when the
+            # lifted and pure rows together span the whole kernel
+            shape_matched = RowEliminator(len(layout), lifted_rows + pure).rank == kernel_dim
         records[degree] = SyzygyRecord(
-            degree, len(kernel), low_dim, minimal_count, shape_name,
+            degree, kernel_dim, from_lower_dim, len(new_reps), shape_name,
             shape_matched, [_vectors_to_polys(ideal, layout, v) for v in new_reps])
-        minimal_reps[degree] = new_reps
     return records
 
 
 def _vectors_to_polys(ideal: XgIdeal, layout, vec):
     """Repackage a kernel vector as one coefficient WPoly per generator."""
-    g = ideal.g
-    per_gen = {}
+    per_gen = [{} for _ in ideal.generators()]
     for col, c in vec.items():
         e, m = layout[col]
-        per_gen.setdefault(e, {})[m] = c
-    n_gens = len(ideal.generators())
-    return [WPoly(g, per_gen.get(e, {})) for e in range(n_gens)]
+        per_gen[e][m] = c
+    return [WPoly(ideal.g, terms) for terms in per_gen]

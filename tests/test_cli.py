@@ -125,6 +125,35 @@ def test_unhandled_input_errors_end_in_one_error_document(capsys):
     assert doc["payload"]["message"].startswith("JSON number 1e400 is not exact")
 
 
+def test_argument_errors_end_in_one_error_document(capsys):
+    for argv, words in (((), "required"),
+                        (("verify", "--suite", "nope"), "invalid choice"),
+                        (("limit-quadric", "--g", "x", "--q", "[[1]]"), "invalid int value")):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert code == 1, argv
+        assert doc["status"] == "error" and words in doc["payload"]["message"], argv
+        assert "usage:" not in captured.err
+
+
+def test_help_still_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ribbonlab verify")
+
+
+def test_unwritable_json_out_ends_in_an_error_document(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, doc = run_cli(capsys, "limit-quadric", "--g", "3", "--q", "[[1]]",
+                        "--json-out", str(path))
+    assert code == 1
+    assert doc["status"] == "error"
+    assert doc["payload"]["message"].startswith("cannot write --json-out")
+    assert not path.exists()
+
+
 def test_json_floats_are_rejected_by_name(tmp_path, capsys):
     poly = '[{"u":[1,1,0,0],"v":[0,0],"c":0.5}]'
     path = tmp_path / "q.json"

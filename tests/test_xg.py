@@ -33,6 +33,7 @@ from ribbonlab.xg import (
 )
 
 from groebner_oracle import all_pairs_criterion, completed_buchberger, full_scan_normal_count
+from syzygy_oracle import all_kernels_syzygies, record_fields
 from test_exact import dense_kernel, dense_rref, to_dense
 
 
@@ -607,6 +608,70 @@ def test_syzygies_hyperelliptic_g3():
     assert records[5].kernel_dim == 0
     assert records[6].shape_matched is False
     _check_records_are_syzygies(ideal, records)
+
+
+def syzygy_models():
+    """(name, ideal, max_degree, shape table) of the split, hyperelliptic and
+    canonical-ribbon models at g=3, 4 (degree <= 7) and g=5 (degree <= 6)."""
+    for g, max_degree in ((3, 7), (4, 7), (5, 6)):
+        rng = random.Random(g)
+        h = BinaryForm(2 * g + 2, [rng.randint(-5, 5) for _ in range(2 * g + 3)])
+        yield "split", split_ribbon_ideal(g), max_degree, "ribbon"
+        yield "hyperelliptic", hyperelliptic_model(g, h), max_degree, "hyperelliptic"
+        if g < 5:
+            ribbon = canonical_ribbon_ideal(g, random_ribbon_ell(g, rng))
+            yield "ribbon", ribbon, max_degree, "ribbon"
+    # a random functional at g=5 costs the oracle about 10 s; the unit
+    # functionals cover both catalecticant ranks
+    for k, ell in enumerate(ribbon_ell_space(5)):
+        yield "ribbon e_%d" % k, canonical_ribbon_ideal(5, ell), 6, "ribbon"
+
+
+def test_syzygy_records_match_the_all_kernels_oracle():
+    for name, ideal, max_degree, table in syzygy_models():
+        records = syzygies_by_degree(ideal, max_degree, table)
+        got = {d: record_fields(rec) for d, rec in records.items()}
+        assert got == all_kernels_syzygies(ideal, max_degree, table), (name, ideal.g)
+
+
+def _kernel_table(records):
+    return {d: (rec.kernel_dim, rec.minimal_count) for d, rec in records.items()}
+
+
+def test_canonical_ribbon_syzygy_tables():
+    for seed in range(3):
+        ell = random_ribbon_ell(4, random.Random(seed))
+        records = syzygies_by_degree(canonical_ribbon_ideal(4, ell), 7)
+        assert _kernel_table(records) == {3: (2, 2), 4: (14, 6), 5: (51, 3),
+                                          6: (139, 0), 7: (313, 0)}
+        _check_records_are_syzygies(canonical_ribbon_ideal(4, ell), records)
+    space = ribbon_ell_space(5)
+    records = syzygies_by_degree(canonical_ribbon_ideal(5, space[1]), 6)
+    assert _kernel_table(records) == {3: (8, 8), 4: (61, 21), 5: (249, 0), 6: (758, 0)}
+    # e_0 and e_2 have catalecticant rank 1: six more minimal syzygies in degree 5
+    for k in (0, 2):
+        records = syzygies_by_degree(canonical_ribbon_ideal(5, space[k]), 6)
+        assert _kernel_table(records) == {3: (8, 8), 4: (61, 21), 5: (249, 6),
+                                          6: (758, 0)}
+
+
+def test_syzygies_build_no_kernel_without_a_minimal_syzygy(monkeypatch):
+    ideal = canonical_ribbon_ideal(4, random_ribbon_ell(4, random.Random(1)))
+    calls = []
+
+    def counting_left_kernel(rows, ncols):
+        calls.append(len(rows))
+        return left_kernel(rows, ncols)
+
+    monkeypatch.setattr(xg, "left_kernel", counting_left_kernel)
+    counts = {}
+    for max_degree in (5, 7):
+        calls.clear()
+        records = syzygies_by_degree(ideal, max_degree)
+        counts[max_degree] = len(calls)
+    # degrees 6 and 7 have no minimal syzygy, so they build no kernel
+    assert [records[d].minimal_count for d in (6, 7)] == [0, 0]
+    assert counts[7] == counts[5]
 
 
 def test_eliminate_v_canonical_g3():
