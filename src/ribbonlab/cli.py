@@ -170,7 +170,10 @@ def cmd_limit_quadric(args):
     elif isinstance(data, list):
         if args.g is None:
             raise CommandError("--g is required when --q is a bare matrix")
-        q = QuadForm(args.g, data)
+        try:
+            q = QuadForm(args.g, data)
+        except TypeError as exc:
+            raise CommandError("malformed matrix: %s" % exc)
     else:
         raise CommandError("--q must be a matrix or a {g, matrix} object")
     degenerate, witness = is_limit_quadric(q)

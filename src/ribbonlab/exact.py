@@ -12,6 +12,11 @@ make up most of the generator-multiple matrices of the models in X_g, are
 taken by a union-find pre-pass in that engine rather than by elimination
 steps.  Floating point is never used.
 
+Values are coerced once, at the boundary: the public constructors, the
+`from_json` readers, `rat_from_str` and the CLI parsers check their input and
+send it through `rat`.  Arithmetic on the package's own values builds its
+results with each class's private `_raw`, which stores them unchecked.
+
 Rationals serialize as "p/q" (or just "p" when the denominator is 1).
 """
 
@@ -20,12 +25,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-
 def rat(value) -> Fraction:
-    """Coerce an int, string or Fraction to a Fraction."""
+    """Coerce an int, string or Fraction to a Fraction; a bool is refused."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return rat_from_str(value)
@@ -45,10 +49,15 @@ def rat_from_str(s: str) -> Fraction:
     Fraction would build 10**exponent in full, so a short literal such as
     "1e10000000" could cost unbounded time and memory.
     """
+    if not isinstance(s, str):
+        raise ValueError("expected a rational string such as \"p/q\", got %r" % (s,))
     text = s.strip()
     if "e" in text or "E" in text:
         raise ValueError("exponent notation is not accepted: %r" % s)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % s) from None
 
 
 class TruncatedScalar:
@@ -67,8 +76,15 @@ class TruncatedScalar:
             raise ValueError("truncation order must be at least 1")
 
     @classmethod
+    def _raw(cls, coeffs: tuple) -> "TruncatedScalar":
+        """The element with these coefficients, a nonempty tuple of Fractions."""
+        x = object.__new__(cls)
+        x.coeffs = coeffs
+        return x
+
+    @classmethod
     def from_rational(cls, x, order: int) -> "TruncatedScalar":
-        return cls((rat(x),) + (Fraction(0),) * (order - 1))
+        return cls._raw((rat(x),) + (Fraction(0),) * (order - 1))
 
     @property
     def order(self) -> int:
@@ -88,18 +104,18 @@ class TruncatedScalar:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return TruncatedScalar(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return TruncatedScalar._raw(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedScalar(-a for a in self.coeffs)
+        return TruncatedScalar._raw(tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return TruncatedScalar(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return TruncatedScalar._raw(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         other = self._lift(other)
@@ -120,7 +136,7 @@ class TruncatedScalar:
                 b = other.coeffs[j]
                 if b:
                     out[i + j] += a * b
-        return TruncatedScalar(out)
+        return TruncatedScalar._raw(tuple(out))
 
     __rmul__ = __mul__
 
@@ -150,7 +166,7 @@ class TruncatedScalar:
         """Reduce mod pi^order (order <= self.order)."""
         if not 1 <= order <= self.order:
             raise ValueError("bad truncation order %d" % order)
-        return TruncatedScalar(self.coeffs[:order])
+        return TruncatedScalar._raw(self.coeffs[:order])
 
     def shift(self, s: int) -> "TruncatedScalar":
         """Multiply by pi^s.
@@ -161,13 +177,13 @@ class TruncatedScalar:
         """
         if s >= 0:
             coeffs = (Fraction(0),) * s + self.coeffs
-            return TruncatedScalar(coeffs[:self.order])
+            return TruncatedScalar._raw(coeffs[:self.order])
         k = -s
         if k >= self.order:
             raise ValueError("cannot shift down past the truncation order")
         if any(self.coeffs[:k]):
             raise ValueError("inexact division by pi^%d" % k)
-        return TruncatedScalar(self.coeffs[k:])
+        return TruncatedScalar._raw(self.coeffs[k:])
 
     def __repr__(self):
         return "TruncatedScalar(%s)" % (list(map(rat_to_str, self.coeffs)),)
@@ -204,6 +220,13 @@ class RatMatrix:
                 raise ValueError("empty matrix needs an explicit ncols")
             self.ncols = ncols
 
+    @classmethod
+    def _raw(cls, rows: tuple, ncols: int) -> "RatMatrix":
+        """The matrix with these rows, a tuple of length-ncols tuples of Fractions."""
+        m = object.__new__(cls)
+        m.rows, m.nrows, m.ncols = rows, len(rows), ncols
+        return m
+
     def rref(self):
         """Reduced row echelon form, padded with zero rows to the row count.
 
@@ -211,37 +234,34 @@ class RatMatrix:
         """
         reduced = RowEliminator(self.ncols, self.rows).reduced_rows()
         dense = [_dense(row, self.ncols) for row in reduced]
-        dense.extend([_ZERO] * self.ncols for _ in range(self.nrows - len(reduced)))
-        return RatMatrix(dense, ncols=self.ncols), tuple(min(row) for row in reduced)
+        dense += [(_ZERO,) * self.ncols] * (self.nrows - len(reduced))
+        return RatMatrix._raw(tuple(dense), self.ncols), tuple(min(row) for row in reduced)
 
     def rank(self) -> int:
         return RowEliminator(self.ncols, self.rows).rank
 
     def kernel_basis(self):
         """Canonical basis of the right kernel as tuples (see RowEliminator.kernel)."""
-        return [tuple(_dense(v, self.ncols))
-                for v in RowEliminator(self.ncols, self.rows).kernel()]
+        return [_dense(v, self.ncols) for v in RowEliminator(self.ncols, self.rows).kernel()]
 
     def det(self) -> Fraction:
         """Determinant by fraction-free (Bareiss) elimination.
 
-        Rows are first scaled to integers; the Bareiss recurrence then keeps
-        every intermediate value an integer, which controls coefficient
-        blowup compared to naive fractional elimination.
+        Each row is first scaled to integers by the lcm of its denominators;
+        the Bareiss recurrence then keeps every intermediate value an integer,
+        which controls coefficient blowup compared to naive fractional elimination.
         """
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
         if n == 0:
             return Fraction(1)
-        scale = Fraction(1)
+        scale = 1
         m = []
         for row in self.rows:
-            denom_lcm = 1
-            for x in row:
-                denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
+            denom_lcm = lcm(*(x.denominator for x in row))
             scale *= denom_lcm
-            m.append([int(x * denom_lcm) for x in row])
+            m.append([x.numerator * (denom_lcm // x.denominator) for x in row])
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -261,7 +281,7 @@ class RatMatrix:
                     m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
                 m[i][k] = 0
             prev = pivot
-        return Fraction(sign * m[n - 1][n - 1]) / scale
+        return Fraction(sign * m[n - 1][n - 1], scale)
 
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
@@ -283,8 +303,8 @@ _ONE = Fraction(1)
 
 
 def _dense(row, ncols):
-    """The sparse row {column: value} as a list of length ncols."""
-    return [row.get(c, _ZERO) for c in range(ncols)]
+    """The sparse row {column: value} as a tuple of length ncols."""
+    return tuple(row.get(c, _ZERO) for c in range(ncols))
 
 
 def row_space_matrix(vectors, ncols):
@@ -476,16 +496,17 @@ def _entries(vec):
 def _sparse(vec):
     """A fresh primitive integer row {column: int} proportional to vec.
 
-    The entries go through `rat` and zero entries are dropped; the row is
-    multiplied by the lcm of its denominators and divided by the gcd of the
-    resulting numerators.
+    Entries other than ints and Fractions go through `rat`, and zero entries
+    are dropped; the row is multiplied by the lcm of its denominators and
+    divided by the gcd of the resulting numerators.
     """
     row = {}
     denominator = 1
     for c, v in _entries(vec):
         if v:
             if type(v) is not int:
-                v = rat(v)
+                if type(v) is not Fraction:
+                    v = rat(v)
                 if v.denominator == 1:
                     v = v.numerator
                     if not v:

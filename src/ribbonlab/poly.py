@@ -20,6 +20,8 @@ variable once.  The variable order is u_0 < u_1 < ... < u_{g-1} < v_0 < ...
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, sub
 
 from .exact import RatMatrix, rat, rat_from_str, rat_to_str
 from .exact import TruncatedScalar
@@ -42,6 +44,13 @@ class BinaryForm:
             self.coeffs = tuple(rat(c) for c in coeffs)
             if len(self.coeffs) != degree + 1:
                 raise ValueError("expected %d coefficients" % (degree + 1))
+
+    @classmethod
+    def _raw(cls, degree: int, coeffs: tuple) -> "BinaryForm":
+        """The form with these coefficients, a tuple of degree + 1 Fractions."""
+        f = object.__new__(cls)
+        f.degree, f.coeffs = degree, coeffs
+        return f
 
     @classmethod
     def monomial(cls, degree: int, a: int, coeff=1) -> "BinaryForm":
@@ -69,16 +78,16 @@ class BinaryForm:
         if not isinstance(other, BinaryForm):
             return NotImplemented
         self._check_degree(other)
-        return BinaryForm(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return BinaryForm._raw(self.degree, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         if not isinstance(other, BinaryForm):
             return NotImplemented
         self._check_degree(other)
-        return BinaryForm(self.degree, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return BinaryForm._raw(self.degree, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return BinaryForm(self.degree, [-a for a in self.coeffs])
+        return BinaryForm._raw(self.degree, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
@@ -89,10 +98,10 @@ class BinaryForm:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         out[i + j] += a * b
-            return BinaryForm(self.degree + other.degree, out)
+            return BinaryForm._raw(self.degree + other.degree, tuple(out))
         if isinstance(other, (int, Fraction)):
             q = rat(other)
-            return BinaryForm(self.degree, [q * a for a in self.coeffs])
+            return BinaryForm._raw(self.degree, tuple(q * a for a in self.coeffs))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -120,12 +129,12 @@ class BinaryForm:
             if a < a0 or self.degree - a < a1:
                 raise ValueError("form not divisible by x0^%d x1^%d" % (a0, a1))
             out[a - a0] = c
-        return BinaryForm(new_degree, out)
+        return BinaryForm._raw(new_degree, tuple(out))
 
     def derivative(self, var: int) -> "BinaryForm":
         """Partial derivative with respect to x0 (var=0) or x1 (var=1)."""
         if self.degree == 0:
-            return BinaryForm(0, [Fraction(0)])
+            return BinaryForm._raw(0, (Fraction(0),))
         out = [Fraction(0)] * self.degree
         for a, c in enumerate(self.coeffs):
             if not c:
@@ -138,7 +147,7 @@ class BinaryForm:
                     out[a] = (self.degree - a) * c
             else:
                 raise ValueError("var must be 0 or 1")
-        return BinaryForm(self.degree - 1, out)
+        return BinaryForm._raw(self.degree - 1, tuple(out))
 
     def __repr__(self):
         parts = []
@@ -176,14 +185,11 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
         other_deg = n if m == 0 else m
         return const ** other_deg
     size = m + n
-    rows = []
-    fc = [f.coeffs[m - i] for i in range(m + 1)]  # degree-descending in x0
-    gc = [g.coeffs[n - i] for i in range(n + 1)]
-    for shift in range(n):
-        rows.append([Fraction(0)] * shift + fc + [Fraction(0)] * (size - m - 1 - shift))
-    for shift in range(m):
-        rows.append([Fraction(0)] * shift + gc + [Fraction(0)] * (size - n - 1 - shift))
-    return RatMatrix(rows).det()
+    zero = (Fraction(0),)
+    fc, gc = f.coeffs[::-1], g.coeffs[::-1]  # degree-descending in x0
+    rows = ([zero * shift + fc + zero * (size - m - 1 - shift) for shift in range(n)]
+            + [zero * shift + gc + zero * (size - n - 1 - shift) for shift in range(m)])
+    return RatMatrix._raw(tuple(rows), size).det()
 
 
 class WPoly:
@@ -217,6 +223,13 @@ class WPoly:
                 else:
                     clean[exps] = coeff
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, g: int, terms: dict) -> "WPoly":
+        """The polynomial with these terms: valid exponent tuples, no zero coefficient."""
+        p = object.__new__(cls)
+        p.g, p.terms = g, terms
+        return p
 
     @classmethod
     def zero(cls, g: int) -> "WPoly":
@@ -278,7 +291,7 @@ class WPoly:
                     del out[e]
             else:
                 out[e] = c
-        return WPoly(self.g, out)
+        return WPoly._raw(self.g, out)
 
     def __sub__(self, other):
         if not isinstance(other, WPoly):
@@ -286,7 +299,7 @@ class WPoly:
         return self + (-other)
 
     def __neg__(self):
-        return WPoly(self.g, {e: -c for e, c in self.terms.items()})
+        return WPoly._raw(self.g, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, WPoly):
@@ -304,9 +317,9 @@ class WPoly:
                             del out[e]
                     elif c:
                         out[e] = c
-            return WPoly(self.g, out)
-        # scalar (Fraction, int, or TruncatedScalar)
-        return WPoly(self.g, {e: c * other for e, c in self.terms.items()})
+            return WPoly._raw(self.g, out)
+        # scalar (Fraction, int, or TruncatedScalar); a product may vanish
+        return WPoly._raw(self.g, {e: v for e, c in self.terms.items() if (v := c * other)})
 
     def __rmul__(self, other):
         return self * other
@@ -370,6 +383,11 @@ class WPoly:
     def from_json(cls, g: int, data) -> "WPoly":
         terms = {}
         for entry in data:
+            if not (isinstance(entry, dict) and "c" in entry and all(
+                    isinstance(entry.get(k), list) and all(type(x) is int for x in entry[k])
+                    for k in "uv")):
+                raise ValueError("bad term %r: expected an object with integer lists "
+                                 "u and v and a coefficient c" % (entry,))
             exps = tuple(entry["u"]) + tuple(entry["v"])
             c = entry["c"]
             coeff = TruncatedScalar.from_json(c) if isinstance(c, list) else rat_from_str(c)
@@ -412,17 +430,23 @@ def monomials(g: int, degree: int, grading: str = "weighted", u_only: bool = Fal
     The order is a fixed convention so that coefficient vectors, rref forms
     and JSON output are reproducible.  It is built, not sorted: fewer v
     factors means a larger total degree, and v exponents outrank u ones.
+    Each enumeration is built once per process; every call gets a fresh list.
     """
+    return list(_monomials(g, degree, grading, u_only))
+
+
+@lru_cache(maxsize=None)
+def _monomials(g: int, degree: int, grading: str, u_only: bool) -> tuple:
     if grading not in GRADINGS:
         raise ValueError("unknown grading %r" % grading)
     if u_only:
         pad = (0,) * (g - 2)
-        return [u + pad for u in _compositions(degree, g)]
+        return tuple(u + pad for u in _compositions(degree, g))
     if grading == "koszul":
-        return list(_compositions(degree, 2 * g - 2))
-    return [u + v for s in range(degree // 2 + 1)
-            for v in _compositions(s, g - 2)
-            for u in _compositions(degree - 2 * s, g)]
+        return tuple(_compositions(degree, 2 * g - 2))
+    return tuple(u + v for s in range(degree // 2 + 1)
+                 for v in _compositions(s, g - 2)
+                 for u in _compositions(degree - 2 * s, g))
 
 
 def monomial_index(basis):
@@ -443,13 +467,11 @@ def veronese_pullback(p: WPoly) -> BinaryForm:
     if not p.terms:
         raise ValueError("pullback of the zero polynomial has no determined degree")
     d = p.degree("weighted")
-    n = g - 1
-    out = BinaryForm(d * n)
-    coeffs = list(out.coeffs)
+    coeffs = [Fraction(0)] * (d * (g - 1) + 1)
     for e, c in p.terms.items():
         a = sum(i * k for i, k in enumerate(e[:g]))
         coeffs[a] += c
-    return BinaryForm(d * n, coeffs)
+    return BinaryForm._raw(d * (g - 1), tuple(coeffs))
 
 
 def quartic_lift(f: BinaryForm, g: int) -> WPoly:

@@ -339,10 +339,10 @@ def split_membership_evaluation_oracle(rng, g, degree):
     rows = []
     for e in basis:
         first, second = split_ribbon_evaluation(WPoly(g, {e: Fraction(1)}))
-        rows.append(list(first.coeffs) + list(second.coeffs))
+        rows.append({i: c for i, c in enumerate(first.coeffs + second.coeffs) if c})
     # the evaluation is linear and sends each monomial to at most one
     # coordinate, so a generator multiple's image is read off these rows
-    spots = [next(((i, c) for i, c in enumerate(row) if c), None) for row in rows]
+    spots = [next(iter(row.items()), None) for row in rows]
     gens = ideal.generators()
     layout, multiples, _ = generator_multiples(gens, degree, "weighted", basis)
     for (k, _), multiple in zip(layout, multiples):
@@ -354,7 +354,7 @@ def split_membership_evaluation_oracle(rng, g, degree):
         if any(image.values()):
             return False, {"generator": gens[k].to_json()}, None
     # the two kernels coincide iff the evaluation rank matches the slice rank
-    rank = RatMatrix(rows, ncols=len(rows[0])).rank()
+    rank = sparse_rank(rows, len(first.coeffs + second.coeffs))
     want = len(basis) - hilbert_function(ideal, "weighted", [degree])[0]
     ok = len(basis) - rank == want
     return ok, None if ok else {"evaluation_kernel": len(basis) - rank,

@@ -275,8 +275,8 @@ def split_ribbon_evaluation(p: WPoly):
                 raise ValueError("degree too small for a v term")
             j = next(t for t, k in enumerate(e[g:]) if k)
             second[a + j] += c
-    return (BinaryForm(deg1, first),
-            BinaryForm(deg2, second) if second is not None else BinaryForm(0))
+    return (BinaryForm._raw(deg1, tuple(first)),
+            BinaryForm._raw(deg2, tuple(second)) if second is not None else BinaryForm(0))
 
 
 def generator_multiples(gens, degree: int, grading: str, columns=None):

@@ -114,15 +114,59 @@ def test_limit_relation_rejects_outside_ideal(capsys):
 
 
 def test_unhandled_input_errors_end_in_one_error_document(capsys):
-    # a bare number list is no term list
-    code, doc = run_cli(capsys, "limit-relation", "--g", "3", "--poly", "[1,2]")
+    # a bare number list is no term list: the parser names the bad term
+    code = main(["limit-relation", "--g", "3", "--poly", "[1,2]"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
     assert code == 1
     assert doc["status"] == "error"
-    assert doc["payload"]["message"].startswith("TypeError: ")
+    assert doc["payload"]["message"].startswith("bad term 1: expected an object")
+    assert "Traceback" not in captured.err
     code, doc = run_cli(capsys, "limit-quadric", "--g", "4", "--q", "[[1,0],[0,1e400]]")
     assert code == 1
     assert doc["status"] == "error"
     assert doc["payload"]["message"].startswith("JSON number 1e400 is not exact")
+
+
+def test_malformed_terms_are_refused_by_name_without_a_traceback(capsys):
+    good = {"u": [1, 0, 1], "v": [0], "c": "1"}
+    for term in ({"u": [1, 0, 1], "v": [0]}, {"u": [1, 0, 1], "v": [True], "c": "1"},
+                 {"u": "101", "v": [0], "c": "1"}, [1, 0, 1], None):
+        code = main(["limit-relation", "--g", "3", "--poly", json.dumps([good, term])])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert code == 1 and doc["status"] == "error", term
+        assert doc["payload"]["message"].startswith("bad term %r" % (term,)), term
+        assert "Traceback" not in captured.err
+
+
+def test_booleans_and_zero_denominators_are_refused(capsys):
+    code, doc = run_cli(capsys, "limit-quadric", "--g", "4", "--q", "[[1,0],[0,true]]")
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["message"] == "malformed matrix: cannot coerce True to a rational"
+    poly = json.dumps([{"u": [1, 0, 1], "v": [0], "c": "1/0"}])
+    code, doc = run_cli(capsys, "limit-relation", "--g", "3", "--poly", poly)
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["message"] == "zero denominator in '1/0'"
+    code, doc = run_cli(capsys, "limit-quadric", "--g", "4", "--q", '[[1,0],[0,"2/0"]]')
+    assert code == 1 and doc["payload"]["message"] == "zero denominator in '2/0'"
+
+
+# SHA-256 of the `verify --suite all --gmax 5 --dmax 4` stdout at seeds 2-5;
+# seed 1 is pinned by bench/digests.json
+VERIFY_DIGESTS = {
+    2: "9e613db90a40c50b046779a7daf68cbb3f4f7ce41fefe9275c41ce04e4b4bbd8",
+    3: "55e0df8e5c1b4d4d38c231f8cb55b1775cdcdab8bb93b0d6ddbea111fd959f7e",
+    4: "b24f2bdb5d7d32a4f75970688e984a2ba91aa7ecb62960bab42baa05d3e9633a",
+    5: "aea116f517d8bc9766fffae6595823fec46dd338d32f60f42d73b72164aec269",
+}
+
+
+def test_verify_bytes_are_pinned_at_seeds_2_to_5(capsys):
+    for seed, digest in VERIFY_DIGESTS.items():
+        main(["verify", "--suite", "all", "--gmax", "5", "--dmax", "4", "--seed", str(seed)])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, seed
 
 
 def test_argument_errors_end_in_one_error_document(capsys):

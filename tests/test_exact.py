@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from ribbonlab.exact import (
     RatMatrix,
     RowEliminator,
     TruncatedScalar,
+    _entries,
+    _sparse,
     rat,
     rat_from_str,
     rat_to_str,
@@ -119,6 +122,19 @@ def test_rat_string_round_trip():
     assert rat(4) == Fraction(4)
 
 
+def test_booleans_and_zero_denominators_are_refused():
+    for value in (True, False):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            rat(value)
+        with pytest.raises(TypeError):
+            RatMatrix([[1, value]])
+    for text in ("1/0", " -3/0 ", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rat_from_str(text)
+    with pytest.raises(ValueError, match="rational string"):
+        rat_from_str(1)
+
+
 def test_exponent_notation_is_refused():
     for text in ("1e5", " 2E-3", "1.5e1", "3/1e2"):
         with pytest.raises(ValueError, match="exponent"):
@@ -149,6 +165,57 @@ def test_det_matches_laplace_oracle():
         for _ in range(8):
             m = rand_matrix(rng, n, n)
             assert m.det() == laplace_det(m)
+
+
+def gauss_det(rows) -> Fraction:
+    """Test-only oracle: Fraction Gaussian elimination with row swaps."""
+    rows = [[rat(x) for x in row] for row in rows]
+    n, det = len(rows), Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return det
+
+
+def test_det_matches_gaussian_oracle_with_denominators_and_zero_pivots():
+    # half the entries are zero, so pivots vanish and rows must be swapped
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = [[rat(rand_entry(rng)) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            rows[0][0] = Fraction(0)
+        m = RatMatrix(rows)
+        assert m.det() == gauss_det(rows)
+        assert type(m.det()) is Fraction
+
+
+def test_sparse_entry_matches_rat_path():
+    # the engine's entry conversion against coercing every entry through rat
+    def oracle(vec):
+        row = {c: rat(v) for c, v in _entries(vec) if rat(v)}
+        denominator = math.lcm(*(v.denominator for v in row.values()))
+        row = {c: int(v * denominator) for c, v in row.items()}
+        content = math.gcd(*row.values())
+        return {c: v // content for c, v in row.items()} if content > 1 else row
+
+    rng = random.Random(23)
+    for _ in range(300):
+        ncols = rng.randint(0, 7)
+        dense = [rand_entry(rng) for _ in range(ncols)]
+        assert _sparse(dense) == oracle(dense)
+        sparse = {c: x for c, x in enumerate(dense) if rng.random() < 0.5}
+        got = _sparse(sparse)
+        assert got == oracle(sparse)
+        assert all(type(v) is int for v in got.values())
 
 
 def test_det_singular_matrix_is_zero():
@@ -487,6 +554,37 @@ def test_truncated_ring_axioms():
         assert a * (b + c) == a * b + a * c
         one = TruncatedScalar.from_rational(1, order)
         assert a * one == a
+
+
+def test_truncated_arithmetic_matches_public_constructor():
+    # the private constructor stores what the public one would build
+    rng = random.Random(37)
+    for _ in range(40):
+        order = rng.randint(1, 5)
+        a, b = rand_truncated(rng, order), rand_truncated(rng, order)
+        k = rng.randint(1, order)
+        s = rng.randint(0, order)
+        results = [a + b, a - b, -a, a * b, a * 3, a + Fraction(1, 2), 2 - a,
+                   a.truncate(k), a.shift(s),
+                   TruncatedScalar.from_rational(rand_fraction(rng), order)]
+        if order > 1:
+            results.append((a * TruncatedScalar([0, 1] + [0] * (order - 2))).shift(-1))
+        for x in results:
+            public = TruncatedScalar(x.coeffs)
+            assert x == public and type(x.coeffs) is tuple
+            assert all(type(c) is Fraction for c in x.coeffs)
+
+
+def test_rref_matrix_matches_public_constructor():
+    rng = random.Random(39)
+    for _ in range(20):
+        dense, _, ncols = rand_case(rng)
+        if not dense:
+            continue
+        reduced, _ = RatMatrix(dense, ncols=ncols).rref()
+        assert reduced == RatMatrix(reduced.rows, ncols=ncols)
+        assert all(type(row) is tuple and all(type(x) is Fraction for x in row)
+                   for row in reduced.rows)
 
 
 def test_truncated_pi_is_nilpotent():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ribbonlab.exact import RatMatrix, TruncatedScalar
 from ribbonlab.poly import (
     BinaryForm,
     WPoly,
@@ -17,6 +18,7 @@ from ribbonlab.poly import (
     resultant,
     veronese_pullback,
 )
+from ribbonlab.xg import split_ribbon_evaluation
 
 
 def rand_form(rng, degree, span=5):
@@ -173,6 +175,17 @@ def test_monomials_match_sorted_oracle():
         monomials(4, 2, "bigraded")
 
 
+def test_monomials_returns_a_fresh_list_each_call():
+    first = monomials(4, 3, "weighted")
+    want = list(first)
+    first.clear()
+    again = monomials(4, 3, "weighted")
+    assert again == want and again is not first
+    again.append((9,) * 6)
+    again.reverse()
+    assert monomials(4, 3) == want
+
+
 def test_monomial_index_round_trip():
     ms = monomials(4, 3, "weighted")
     idx = monomial_index(ms)
@@ -258,3 +271,72 @@ def test_json_round_trips():
     g = 4
     p = WPoly.u_monomial(g, [0, 3], Fraction(1, 2)) - WPoly.v_var(g, 1)
     assert WPoly.from_json(g, p.to_json()) == p
+
+
+def assert_as_public(x):
+    """x equals, field by field, what its class's public constructor builds from it."""
+    if isinstance(x, WPoly):
+        public = WPoly(x.g, x.terms)
+        assert x == public and x.terms == public.terms
+        assert all(type(e) is tuple and len(e) == 2 * x.g - 2 for e in x.terms)
+        return
+    public = BinaryForm(x.degree, x.coeffs)
+    assert x == public and type(x.coeffs) is tuple
+    assert all(type(c) is Fraction for c in x.coeffs)
+
+
+def test_form_arithmetic_matches_public_constructor():
+    rng = random.Random(43)
+    for _ in range(30):
+        d = rng.randint(0, 5)
+        f, g = rand_form(rng, d), rand_form(rng, d)
+        h = rand_form(rng, rng.randint(0, 4))
+        results = [f + g, f - g, -f, f * h, f * Fraction(2, 3), 0 * f,
+                   f.derivative(0), f.derivative(1)]
+        a0 = rng.randint(0, 2)
+        results.append((f * BinaryForm.monomial(a0 + 1, a0)).divide_exact(a0, 1))
+        for x in results:
+            assert_as_public(x)
+        assert resultant(f, h) == sylvester_det(f, h)
+
+
+def sylvester_det(f, g):
+    """The resultant's Sylvester determinant through the public RatMatrix constructor."""
+    m, n = f.degree, g.degree
+    if m == 0 or n == 0:
+        return resultant(f, g)
+    fc, gc = list(reversed(f.coeffs)), list(reversed(g.coeffs))
+    rows = ([[0] * k + fc + [0] * (n - 1 - k) for k in range(n)]
+            + [[0] * k + gc + [0] * (m - 1 - k) for k in range(m)])
+    return RatMatrix(rows).det()
+
+
+def test_wpoly_arithmetic_matches_public_constructor():
+    rng = random.Random(47)
+    for g in (3, 4, 5):
+        for _ in range(10):
+            a, b = rand_wpoly(rng, g), rand_wpoly(rng, g)
+            for x in (a + b, a - b, a - a, -a, a * b, a * Fraction(-1, 2), a * 0, 2 * a):
+                assert_as_public(x)
+    # truncated coefficients, where a scalar product can vanish: pi^2 * pi = 0
+    pi = TruncatedScalar([0, 1, 0])
+    p = rand_wpoly(rng, 4).map_coeffs(lambda c: TruncatedScalar([c, 1, 0]) * pi)
+    for x in (p * pi, (p * pi) * pi, -p, p + p * pi):
+        assert_as_public(x)
+    assert not (p * pi) * pi
+
+
+def test_pullback_and_evaluation_match_public_constructor():
+    rng = random.Random(53)
+    for g in (3, 4, 5):
+        for d in (1, 2, 3):
+            ms = monomials(g, d, "weighted")
+            p = WPoly(g, {e: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                          for e in rng.sample(ms, min(4, len(ms)))})
+            if not p:
+                continue
+            for x in split_ribbon_evaluation(p):
+                assert_as_public(x)
+            u = WPoly(g, {e: c for e, c in p.terms.items() if not any(e[g:])})
+            if u:
+                assert_as_public(veronese_pullback(u))
