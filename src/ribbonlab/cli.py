@@ -10,16 +10,19 @@ Subcommands:
 
 This module holds only the argument parsing, the commands, the cost guard
 and the error contract; the verify checks are (check, params) data in
-ribbonlab.suites.  Every command prints one JSON document {"status": ...,
-"payload": ...}, whatever its input: a failure, a bad argument or an
-unwritable --json-out included, is a status "error" document whose payload
-carries the message (an exception of an unexpected type is named in it, and
-its traceback goes to stderr); only --help prints usage instead.  The bytes
-depend only on the inputs and --seed: verify and family build seed each
-random draw from a stable checksum of (seed, suite, property, params)
-(suites.rng_for), verify runs its items one after another in a fixed order,
-and wall-clock timing goes to stderr, never into the document.  Exit status
-is 0 only when the status is "ok" and, for verify, every property passed.
+ribbonlab.suites.  Each command handler imports the modules it runs when it
+is called, so limit-quadric and limit-relation load only conormal, rnc, poly
+and exact, and only verify and family build load suites.  Every command
+prints one JSON document {"status": ..., "payload": ...}, whatever its
+input: a failure, a bad argument or an unwritable --json-out included, is a
+status "error" document whose payload carries the message (an exception of
+an unexpected type is named in it, and its traceback goes to stderr); only
+--help prints usage instead.  The bytes depend only on the inputs and
+--seed: verify and family build seed each random draw from a stable checksum
+of (seed, suite, property, params) (suites.rng_for), verify runs its items
+one after another in a fixed order, and wall-clock timing goes to stderr,
+never into the document.  Exit status is 0 only when the status is "ok" and,
+for verify, every property passed.
 
 limit-relation and verify refuse, before building anything, arguments that
 reach a degree-d slice in g coordinates with more than MAX_SLICE_MONOMIALS
@@ -32,22 +35,9 @@ import json
 import sys
 import time
 
-from .conormal import LambdaFunctional, is_limit_quadric, phi_d
-from .exact import rat, rat_to_str
-from .families import (
-    TruncatedFamily,
-    binary_discriminant,
-    constant_family,
-    discriminant_section,
-    hyperell_order,
-    perturb_hyperelliptic,
-    rescale_v,
-    ribbon_order,
-)
-from .poly import BinaryForm, WPoly, veronese_pullback
-from .rnc import QuadForm
-from .suites import SUITES, rng_for, run_items
-from .xg import hyperelliptic_model, random_ribbon_ell, split_ribbon_ideal
+# The --suite choices, sorted(suites.SUITES); a constant, so that building the
+# parser imports no suite.
+SUITE_NAMES = ("conormal", "families", "fitting", "rnc", "xg")
 
 
 class CommandError(ValueError):
@@ -138,7 +128,10 @@ def _load_json_arg(text):
         raise CommandError("file %r is not valid JSON: %s" % (text, exc))
 
 
-def _parse_binary_form(data) -> BinaryForm:
+def _parse_binary_form(data):
+    from .exact import rat
+    from .poly import BinaryForm
+
     if isinstance(data, dict):
         return BinaryForm.from_json(data)
     if isinstance(data, list):
@@ -148,7 +141,9 @@ def _parse_binary_form(data) -> BinaryForm:
     raise CommandError("expected a coefficient list or a degree/coeffs object")
 
 
-def _parse_family(data) -> TruncatedFamily:
+def _parse_family(data):
+    from .families import TruncatedFamily
+
     if not isinstance(data, dict):
         raise CommandError("expected a family JSON object")
     try:
@@ -161,6 +156,10 @@ def _parse_family(data) -> TruncatedFamily:
 # commands
 
 def cmd_limit_quadric(args):
+    from .conormal import is_limit_quadric
+    from .exact import rat_to_str
+    from .rnc import QuadForm
+
     data = _load_json_arg(args.q)
     if isinstance(data, dict):
         q = QuadForm.from_json(data)
@@ -184,11 +183,19 @@ def cmd_limit_quadric(args):
 
 
 def cmd_limit_relation(args):
+    from .conormal import LambdaFunctional, phi_d
+    from .poly import WPoly, veronese_pullback
+
     if args.d is not None:
         _check_slice_size(args.g, args.d)
     data = _load_json_arg(args.poly)
     if not isinstance(data, list):
         raise CommandError("--poly must be a list of term objects")
+    for term in data:
+        # WPoly.from_json reads a list c as a truncated series, for family files
+        if isinstance(term, dict) and isinstance(term.get("c"), list):
+            raise CommandError("bad term %r: the coefficient c of a relation is a "
+                               "rational number, not a list" % (term,))
     x = WPoly.from_json(args.g, data)
     if not x:
         raise CommandError("the zero polynomial is not a canonical relation")
@@ -209,6 +216,8 @@ def cmd_limit_relation(args):
 
 
 def cmd_verify(args):
+    from .suites import SUITES, run_items
+
     if args.gmax < 3:
         raise CommandError("--gmax must be at least 3")
     if args.dmax < 2:
@@ -234,6 +243,10 @@ def cmd_verify(args):
 
 
 def cmd_family_build(args):
+    from .families import constant_family, perturb_hyperelliptic
+    from .suites import rng_for
+    from .xg import hyperelliptic_model, random_ribbon_ell, split_ribbon_ideal
+
     g, d, bound = args.g, args.d, args.order_bound
     if bound is None:
         bound = 3 * d + 2 if args.model == "perturbed" else 4
@@ -256,6 +269,8 @@ def cmd_family_build(args):
 
 
 def cmd_family_rescale(args):
+    from .families import rescale_v
+
     family = _parse_family(_load_json_arg(args.family))
     scaled = rescale_v(family, args.k)
     return {"g": scaled.g, "k": args.k, "order_bound": scaled.order_bound,
@@ -263,6 +278,8 @@ def cmd_family_rescale(args):
 
 
 def cmd_family_order(args):
+    from .families import hyperell_order, ribbon_order
+
     family = _parse_family(_load_json_arg(args.family))
     bound = family.order_bound
 
@@ -279,6 +296,9 @@ def cmd_family_order(args):
 
 
 def cmd_family_discriminant(args):
+    from .exact import rat_to_str
+    from .families import binary_discriminant, discriminant_section, ribbon_order
+
     family = _parse_family(_load_json_arg(args.family))
     section = discriminant_section(family)
     return {"g": family.g,
@@ -318,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_limit_relation)
 
     p = sub.add_parser("verify", parents=[common], help="run a property suite")
-    p.add_argument("--suite", choices=sorted(SUITES) + ["all"], default="all")
+    p.add_argument("--suite", choices=list(SUITE_NAMES) + ["all"], default="all")
     p.add_argument("--gmax", type=int, default=5)
     p.add_argument("--dmax", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)

@@ -2,12 +2,13 @@ import hashlib
 import importlib.util
 import json
 import random
+import re
 import time
 from pathlib import Path
 
 import pytest
 
-from ribbonlab import cli, suites
+from ribbonlab import cli, families, suites, xg
 from ribbonlab.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -140,6 +141,19 @@ def test_malformed_terms_are_refused_by_name_without_a_traceback(capsys):
         assert "Traceback" not in captured.err
 
 
+def test_truncated_coefficients_are_refused_in_a_relation(capsys):
+    # WPoly.from_json reads a list c as a truncated series, which a relation
+    # over Q cannot have; it is refused before phi_d is built
+    term = {"u": [1, 0, 1], "v": [0], "c": ["1", "2"]}
+    poly = json.dumps([term, {"u": [0, 2, 0], "v": [0], "c": ["-1", "-2"]}])
+    code = main(["limit-relation", "--g", "3", "--poly", poly])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1 and doc["status"] == "error"
+    assert doc["payload"]["message"].startswith("bad term %r: the coefficient c" % (term,))
+    assert re.fullmatch(r"elapsed \d+\.\d ms\n", captured.err)
+
+
 def test_booleans_and_zero_denominators_are_refused(capsys):
     code, doc = run_cli(capsys, "limit-quadric", "--g", "4", "--q", "[[1,0],[0,true]]")
     assert code == 1 and doc["status"] == "error"
@@ -186,6 +200,18 @@ def test_help_still_prints_usage_and_exits_zero(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: ribbonlab verify")
+
+
+def test_suite_choices_come_from_the_suite_names(capsys):
+    # the parser lists the suites from a constant, without importing them
+    assert cli.SUITE_NAMES == tuple(sorted(suites.SUITES))
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    usage = capsys.readouterr().out
+    assert "[--suite {%s}]" % ",".join(sorted(suites.SUITES) + ["all"]) in usage
+    code, doc = run_cli(capsys, "verify", "--suite", "nope")
+    assert code == 1 and doc["status"] == "error"
+    assert "argument --suite: invalid choice: 'nope'" in doc["payload"]["message"]
 
 
 def test_unwritable_json_out_ends_in_an_error_document(tmp_path, capsys):
@@ -270,7 +296,9 @@ def test_cost_guard_refuses_large_slices_before_building(capsys, monkeypatch):
     def built(*args):
         raise AssertionError("work started before the cost guard")
 
-    monkeypatch.setattr(cli, "run_items", built)
+    # the handlers import what they run when called, so a patch on the
+    # defining module is what they would call
+    monkeypatch.setattr(suites, "run_items", built)
     monkeypatch.setattr(cli, "_load_json_arg", built)
     for argv in (["verify", "--gmax", "40"],
                  ["verify", "--suite", "rnc", "--gmax", "5", "--dmax", "17"],
@@ -293,9 +321,10 @@ def test_family_cost_guard_refuses_before_building(capsys, monkeypatch):
     def built(*args):
         raise AssertionError("work started before the cost guard")
 
-    for name in ("constant_family", "perturb_hyperelliptic", "split_ribbon_ideal",
-                 "hyperelliptic_model", "_load_json_arg"):
-        monkeypatch.setattr(cli, name, built)
+    for module, name in ((families, "constant_family"), (families, "perturb_hyperelliptic"),
+                         (xg, "split_ribbon_ideal"), (xg, "hyperelliptic_model"),
+                         (cli, "_load_json_arg")):
+        monkeypatch.setattr(module, name, built)
     degree_12 = json.dumps([1] * 13)
     for argv in (["--g", "5", "--d", "1000000", "--h", degree_12],
                  ["--g", "5", "--model", "split", "--order-bound", "100000000"],
