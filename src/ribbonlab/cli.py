@@ -8,21 +8,20 @@ Subcommands:
                   families, all)
   family          build / rescale / order / discriminant over pi-adic families
 
-This module holds only the argument parsing, the commands, the cost guard
-and the error contract; the verify checks are (check, params) data in
-ribbonlab.suites.  Each command handler imports the modules it runs when it
-is called, so limit-quadric and limit-relation load only conormal, rnc, poly
-and exact, and only verify and family build load suites.  Every command
-prints one JSON document {"status": ..., "payload": ...}, whatever its
-input: a failure, a bad argument or an unwritable --json-out included, is a
-status "error" document whose payload carries the message (an exception of
-an unexpected type is named in it, and its traceback goes to stderr); only
---help prints usage instead.  The bytes depend only on the inputs and
---seed: verify and family build seed each random draw from a stable checksum
-of (seed, suite, property, params) (suites.rng_for), verify runs its items
-one after another in a fixed order, and wall-clock timing goes to stderr,
-never into the document.  Exit status is 0 only when the status is "ok" and,
-for verify, every property passed.
+This module holds only the argument parsing, the commands, the cost guard and
+the error contract; the verify checks are (check, params) data in
+ribbonlab.suites.  Each command handler imports the modules it runs when it is
+called, so limit-quadric and limit-relation load only conormal, rnc, poly and
+exact, and only verify loads suites.  Every command prints one JSON document
+{"status": ..., "payload": ...}, whatever its input: a failure, a bad argument
+or an unwritable --json-out included, is a status "error" document whose
+payload carries the message (an exception of an unexpected type is named in it,
+and its traceback goes to stderr); only --help prints usage instead.  The bytes
+depend only on the inputs and --seed: verify and family build seed each random
+draw from a stable checksum of (seed, suite, property, params) (xg.rng_for),
+verify runs its items one after another in a fixed order, and wall-clock timing
+goes to stderr, never into the document.  Exit status is 0 only when the status
+is "ok" and, for verify, every property passed.
 
 limit-relation and verify refuse, before building anything, arguments that
 reach a degree-d slice in g coordinates with more than MAX_SLICE_MONOMIALS
@@ -184,7 +183,7 @@ def cmd_limit_quadric(args):
 
 def cmd_limit_relation(args):
     from .conormal import LambdaFunctional, phi_d
-    from .poly import WPoly, veronese_pullback
+    from .poly import WPoly
 
     if args.d is not None:
         _check_slice_size(args.g, args.d)
@@ -201,10 +200,11 @@ def cmd_limit_relation(args):
         raise CommandError("the zero polynomial is not a canonical relation")
     d = args.d if args.d is not None else x.degree("weighted")
     _check_slice_size(args.g, d)
-    if (not x.is_u_only() or not x.is_homogeneous("weighted")
-            or x.degree("weighted") != d or not veronese_pullback(x).is_zero()):
+    try:
+        matrix = phi_d(x, d)
+    except ValueError:
+        # phi_d refuses x unless it is u-only, of degree d and pulls back to zero
         raise CommandError("not a canonical relation")
-    matrix = phi_d(x, d)
     kernel = matrix.left_kernel_basis()
     return {"g": args.g,
             "d": d,
@@ -244,8 +244,7 @@ def cmd_verify(args):
 
 def cmd_family_build(args):
     from .families import constant_family, perturb_hyperelliptic
-    from .suites import rng_for
-    from .xg import hyperelliptic_model, random_ribbon_ell, split_ribbon_ideal
+    from .xg import hyperelliptic_model, random_ribbon_ell, rng_for, split_ribbon_ideal
 
     g, d, bound = args.g, args.d, args.order_bound
     if bound is None:

@@ -122,22 +122,18 @@ class ConormalMatrix:
         return {"g": self.g, "d": self.d, "matrix": self.mat.to_json()}
 
 
-def phi_d(x: WPoly, d: int | None = None) -> ConormalMatrix:
+def phi_d(x: WPoly, d: int) -> ConormalMatrix:
     """Conormal matrix of a degree-d relation x through the curve, by the closed form.
 
-    x must be a u-polynomial with vanishing pullback ("x not in the ideal"
-    otherwise).  For nonzero x the degree is inferred; pass d explicitly to
-    evaluate the zero relation.  One pass over the terms (see `_entries`).
+    x must be zero or a u-polynomial, homogeneous of degree d >= 2, with
+    vanishing pullback; anything else raises ValueError.  One pass over the
+    terms (see `_entries`).
     """
     g = x.g
     if not x.is_u_only():
         raise ValueError("x must be a u-polynomial")
-    if x.terms:
-        d = x.degree("weighted") if d is None else d
-        if x.degree("weighted") != d:
-            raise ValueError("x is not homogeneous of degree %d" % d)
-    elif d is None:
-        raise ValueError("degree needed for the zero relation")
+    if x.terms and x.degree("weighted") != d:
+        raise ValueError("x is not homogeneous of degree %d" % d)
     if d < 2:
         raise ValueError("relations live in degree >= 2")
     if x.terms and not veronese_pullback(x).is_zero():
@@ -165,7 +161,7 @@ def _entries(e, g):
             yield j, a - j - 2, w
 
 
-def psi_d(lam: LambdaFunctional, x: WPoly, d: int | None = None) -> BinaryForm:
+def psi_d(lam: LambdaFunctional, x: WPoly, d: int) -> BinaryForm:
     """Contraction lam . phi_d(x), a binary form of degree (d-1)(g-1)-2."""
     m = phi_d(x, d)
     if lam.g != m.g:
@@ -187,7 +183,7 @@ def is_limit_quadric(q: QuadForm):
     return True, LambdaFunctional(q.g, kernel[0]).normalized()
 
 
-def is_limit_relation(x: WPoly, d: int | None = None):
+def is_limit_relation(x: WPoly, d: int):
     """Degeneracy test for a relation: rank(phi_d(x)) < g - 2.
 
     Returns (flag, witness); the witness is the first vector of the left

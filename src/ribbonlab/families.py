@@ -126,8 +126,8 @@ def perturb_hyperelliptic(g: int, h: BinaryForm, d: int, order_bound: int,
                           odd_direction) -> TruncatedFamily:
     """Add pi^d times v-linear forms to the pure-u equations of v^2 = h.
 
-    `odd_direction` is a list aligned with uu_keys(g); entries are v-linear
-    forms or None.  The result reduces to the hyperelliptic model mod pi^d
+    `odd_direction` is a list of v-linear forms (zero ones included) aligned
+    with uu_keys(g).  The result reduces to the hyperelliptic model mod pi^d
     and, when some entry is nonzero, stops being hyperelliptic at order d+1.
     """
     if d < 1:
@@ -274,10 +274,6 @@ class DiscriminantSection:
     def to_json(self):
         return {"g": self.g, "s": self.s.to_json()}
 
-    @classmethod
-    def from_json(cls, data) -> "DiscriminantSection":
-        return cls(int(data["g"]), BinaryForm.from_json(data["s"]))
-
 
 def discriminant_section(family: TruncatedFamily) -> DiscriminantSection:
     """Read the degree 2g+2 section off a family in normalized ribbon form.
@@ -364,7 +360,7 @@ def order_doubling_experiment(g: int, h: BinaryForm, d: int, odd_direction) -> d
     checks both orders, and reads the section back, which must equal h.
     Raises on any failed check; returns the report as a JSON-ready dict.
     """
-    if not any(ell is not None and ell for ell in odd_direction):
+    if not any(odd_direction):
         raise ValueError("odd direction must be nonzero")
     order_bound = 3 * d + 2
     family = perturb_hyperelliptic(g, h, d, order_bound, odd_direction)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
 
 
 class LinFormMatrix:
@@ -188,13 +187,11 @@ def verify_power_ideal(m: int, r: int, mode: str = "phi2"):
         raise ValueError("unknown mode %r" % mode)
     witnesses = []
     all_realized = True
-    count = 0
     for combo in combinations_with_replacement(range(m), r):
         monomial = [0] * m
         for i in combo:
             monomial[i] += 1
         monomial = tuple(monomial)
-        count += 1
         try:
             labels, det = minor_for_monomial(matrix, monomial)
         except ArithmeticError:
@@ -207,8 +204,5 @@ def verify_power_ideal(m: int, r: int, mode: str = "phi2"):
             "columns": [list(lab) for lab in labels],
             "sign": int(det[monomial]),
         })
-    if count != comb(m + r - 1, r):
-        raise ArithmeticError("checked %d monomials, expected %d"
-                              % (count, comb(m + r - 1, r)))
-    return {"m": m, "r": r, "mode": mode, "monomials_checked": count,
+    return {"m": m, "r": r, "mode": mode, "monomials_checked": len(witnesses),
             "all_realized": all_realized, "witnesses": witnesses}

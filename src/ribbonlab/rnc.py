@@ -40,11 +40,6 @@ class QuadForm:
         self.mat = mat
 
     @classmethod
-    def zero(cls, g: int) -> "QuadForm":
-        n = g - 2
-        return cls(g, [[0] * n for _ in range(n)])
-
-    @classmethod
     def basis_element(cls, g: int, i: int, j: int) -> "QuadForm":
         """The symmetric unit e_i (.) e_j: ones at (i, j) and (j, i)."""
         n = g - 2

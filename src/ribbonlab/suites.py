@@ -5,15 +5,13 @@ module-level function named after the property it tests; `run_items` calls
 it as check(rng, **params) and returns (ok, counterexample, detail).  The
 params dict is therefore both the record in the output document and the
 exact arguments the check ran with.  The generator of an item is seeded by
-a stable checksum of (seed, suite, property, params) (`rng_for`), so every
-item draws the same inputs whatever ran before it.
+a stable checksum of (seed, suite, property, params) (`xg.rng_for`), so
+every item draws the same inputs whatever ran before it.
 
 The random generators and the catalecticant minors are shared with the
 acceptance tests.
 """
 
-import json
-import zlib
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -55,15 +53,11 @@ from .xg import (
     hilbert_function,
     hyperelliptic_model,
     random_ribbon_ell,
+    rng_for,
     split_ribbon_evaluation,
     split_ribbon_ideal,
     syzygies_by_degree,
 )
-
-
-def rng_for(seed: int, suite: str, prop: str, params: dict) -> Random:
-    tag = "%d:%s:%s:%s" % (seed, suite, prop, json.dumps(params, sort_keys=True))
-    return Random(zlib.crc32(tag.encode("utf-8")))
 
 
 def run_items(suite: str, items, seed: int):
@@ -88,48 +82,48 @@ def run_items(suite: str, items, seed: int):
 # ---------------------------------------------------------------------------
 # random generators and fixed witnesses
 
-def random_quad(g: int, rng: Random, bound: int = 4) -> QuadForm:
+def random_quad(g: int, rng: Random) -> QuadForm:
     n = g - 2
     entries = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            entries[i][j] = entries[j][i] = Fraction(rng.randint(-bound, bound))
+            entries[i][j] = entries[j][i] = Fraction(rng.randint(-4, 4))
     return QuadForm(g, entries)
 
 
-def random_degenerate_quad(g: int, rng: Random, bound: int = 4) -> QuadForm:
+def random_degenerate_quad(g: int, rng: Random) -> QuadForm:
     """A sum of g-3 rank-one blocks; rank < g-2 by construction."""
     n = g - 2
     entries = [[Fraction(0)] * n for _ in range(n)]
     for _ in range(n - 1):
-        vec = [Fraction(rng.randint(-bound, bound)) for _ in range(n)]
+        vec = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 entries[i][j] += vec[i] * vec[j]
     return QuadForm(g, entries)
 
 
-def random_binary_form(degree: int, rng: Random, bound: int = 6) -> BinaryForm:
-    """A nonzero form; each try draws degree+1 coefficients in [-bound, bound]."""
+def random_binary_form(degree: int, rng: Random) -> BinaryForm:
+    """A nonzero form; each try draws degree+1 coefficients in [-6, 6]."""
     while True:
-        form = BinaryForm(degree, [Fraction(rng.randint(-bound, bound))
+        form = BinaryForm(degree, [Fraction(rng.randint(-6, 6))
                                    for _ in range(degree + 1)])
         if not form.is_zero():
             return form
 
 
-def random_squarefree_form(degree: int, rng: Random, bound: int = 6) -> BinaryForm:
+def random_squarefree_form(degree: int, rng: Random) -> BinaryForm:
     """A form of exact degree with nonzero discriminant."""
     while True:
-        form = random_binary_form(degree, rng, bound)
+        form = random_binary_form(degree, rng)
         if form.coeff(degree) and binary_discriminant(form) != 0:
             return form
 
 
-def _random_slice_element(slice_: IdealSlice, rng: Random, bound: int = 3) -> WPoly:
+def _random_slice_element(slice_: IdealSlice, rng: Random) -> WPoly:
     out = WPoly(slice_.g, {})
     for p in slice_.basis:
-        c = rng.randint(-bound, bound)
+        c = rng.randint(-3, 3)
         if c:
             out = out + p.map_coeffs(lambda x, c=c: x * c)
     return out

@@ -21,9 +21,12 @@ quartics.
 
 from __future__ import annotations
 
+import json
+import zlib
 from fractions import Fraction
 from math import comb
 from operator import add
+from random import Random
 
 from .exact import RowEliminator, left_kernel, rat, sparse_rank
 from .poly import (
@@ -137,11 +140,6 @@ class XgIdeal:
             doc[name] = [{"key": list(k), "poly": p.to_json()} for k, p in self.group_items(name)]
         return doc
 
-    @classmethod
-    def from_json(cls, data) -> "XgIdeal":
-        g = int(data["g"])
-        return cls(g, *load_groups(g, data))
-
 
 def load_groups(g: int, data):
     """The UU, UV, VV item lists of a to_json document, in that order."""
@@ -160,8 +158,8 @@ def split_ribbon_ideal(g: int) -> XgIdeal:
 def canonical_ribbon_ideal(g: int, ell) -> XgIdeal:
     """Ribbon in canonical form: UU_e = (uu)_{0,e} - ell_e(v).
 
-    `ell` is a list of v-linear forms (or zero polynomials) aligned with
-    uu_keys(g).
+    `ell` is a list of v-linear forms (zero polynomials included) aligned
+    with uu_keys(g).
     """
     split = split_ribbon_ideal(g)
     uu = [(k, p - e) for (k, p), e in zip(split.UU, v_linear_forms(g, ell))]
@@ -169,12 +167,11 @@ def canonical_ribbon_ideal(g: int, ell) -> XgIdeal:
 
 
 def v_linear_forms(g: int, ell):
-    """ell as a list of WPoly aligned with uu_keys(g), None read as zero.
+    """ell, after checking that it holds one WPoly per key of uu_keys(g).
 
     Raises ValueError on a wrong length or an entry that is not a linear
     form in the v variables.
     """
-    ell = [WPoly.zero(g) if e is None else e for e in ell]
     if len(ell) != len(uu_keys(g)):
         raise ValueError("expected %d linear forms" % len(uu_keys(g)))
     for e in ell:
@@ -222,16 +219,26 @@ def ribbon_ell_space(g: int):
     return [ribbon_ell(g, [int(s == t) for s in range(g - 2)]) for t in range(g - 2)]
 
 
-def random_ribbon_ell(g: int, rng, bound: int = 5):
+def rng_for(seed: int, suite: str, prop: str, params: dict) -> Random:
+    """A generator seeded by a stable checksum of (seed, suite, prop, params).
+
+    verify seeds each item with it and family build its ribbon direction, so
+    a draw depends only on these values, not on what ran before it.
+    """
+    tag = "%d:%s:%s:%s" % (seed, suite, prop, json.dumps(params, sort_keys=True))
+    return Random(zlib.crc32(tag.encode("utf-8")))
+
+
+def random_ribbon_ell(g: int, rng):
     """ribbon_ell of a random nonzero functional.
 
-    Each try draws g-2 integers rng.randint(-bound, bound); a try whose
-    corrections all vanish is drawn again, so the ribbon is never split.
+    Each try draws g-2 integers rng.randint(-5, 5); a try whose corrections
+    all vanish is drawn again, so the ribbon is never split.
     """
     if g < 3:
         raise ValueError("g must be at least 3")
     while True:
-        ell = ribbon_ell(g, [rng.randint(-bound, bound) for _ in range(g - 2)])
+        ell = ribbon_ell(g, [rng.randint(-5, 5) for _ in range(g - 2)])
         if any(ell):
             return ell
 
@@ -332,9 +339,11 @@ def hilbert_function(ideal: XgIdeal, grading, degrees):
 
     over the (c, b) of degree d, and dim (S/I)_d is #classes(d) minus the
     rank of the VV multiples projected onto the classes.  Every other ideal
-    (canonical ribbons, v-rescaled models, families over Q[pi]/(pi^N))
-    takes the generic branch: the rank of all generator multiples over the
-    monomials.
+    over Q (canonical ribbons, v-rescaled models) takes the generic branch:
+    the rank of all generator multiples over the monomials.  A family over
+    Q[pi]/(pi^N) (families.TruncatedFamily) is refused with a TypeError,
+    since the rank takes only rational entries; its quotient dimensions are
+    families.reduction_hilbert_function.
     """
     if _has_split_binomials(ideal):
         return _split_quotient_dimensions(ideal, grading, degrees)
@@ -517,19 +526,16 @@ def _s_poly(f: WPoly, h: WPoly, lead_f, lead_h, key) -> WPoly:
 def buchberger(gens, order: str = "grlex") -> GroebnerResult:
     """Buchberger's criterion: is the input a Groebner basis in `order`?
 
-    `gens` is an XgIdeal or a plain list of WPoly.  Every S-pair of the
-    input is top-reduced against the input, in pair order, and the check
-    stops at the first nonzero remainder (Cox-Little-O'Shea, Ideals,
-    Varieties, and Algorithms, section 2.6).  By the product criterion a
-    pair whose leading monomials are coprime reduces to zero, so it is
-    skipped (ibid., section 2.9, Proposition 4).  Nothing is added to the
-    basis.
+    `gens` is a list of WPoly.  Every S-pair of the input is top-reduced
+    against the input, in pair order, and the check stops at the first
+    nonzero remainder (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+    section 2.6).  By the product criterion a pair whose leading monomials
+    are coprime reduces to zero, so it is skipped (ibid., section 2.9,
+    Proposition 4).  Nothing is added to the basis.
     """
     if order not in MONOMIAL_ORDERS:
         raise ValueError("unknown order %r" % order)
     key = MONOMIAL_ORDERS[order]
-    if isinstance(gens, XgIdeal):
-        gens = gens.generators()
     basis = [p for p in gens if p]
     if not basis:
         raise ValueError("empty generating set")

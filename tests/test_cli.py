@@ -183,6 +183,33 @@ def test_verify_bytes_are_pinned_at_seeds_2_to_5(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, seed
 
 
+# SHA-256 of the stdout of `family build --g 4 --d 1 --h FAMILY_H --seed 3` and
+# of rescale --k 1, order and discriminant on the family it builds
+FAMILY_H = json.dumps([1, -2, 0, 3, 0, 0, 1, 0, -1, 2, 1])
+FAMILY_DIGESTS = {
+    "build": "b2b828269582e1d15940ea6b1c1f048b78c4fd05b15eb90a2db55807f08a447c",
+    "rescale": "3f85f2501ce2a7b8b52d95a5901bf12ffa58f8daee46872918e0ae24c49e8c39",
+    "order": "bfe406978179ef64a0bd3e3273bc129af621dd7cf28d29c27fe62cba0b7b64b5",
+    "discriminant": "3e2ce4d92da04ec5d94cea10c043460a89130139204700387ccd44e16273ea84",
+}
+
+
+def test_family_bytes_are_pinned(tmp_path, capsys):
+    def digest(*argv):
+        assert main(list(argv)) == 0, argv
+        out = capsys.readouterr().out
+        return json.loads(out), hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+    doc, got = digest("family", "build", "--g", "4", "--d", "1", "--h", FAMILY_H,
+                      "--seed", "3")
+    assert got == FAMILY_DIGESTS["build"]
+    built = tmp_path / "built.json"
+    built.write_text(json.dumps(doc["payload"]["family"]))
+    for action, extra in (("rescale", ["--k", "1"]), ("order", []), ("discriminant", [])):
+        _, got = digest("family", action, "--family", str(built), *extra)
+        assert got == FAMILY_DIGESTS[action], action
+
+
 def test_argument_errors_end_in_one_error_document(capsys):
     for argv, words in (((), "required"),
                         (("verify", "--suite", "nope"), "invalid choice"),

@@ -106,12 +106,14 @@ def test_closed_form_phi_matches_forward_substitution_oracle():
 def test_phi_d_shape_and_membership_check():
     g, d = 4, 3
     x = WPoly.u_var(g, 0) * (WPoly.u_monomial(g, [0, 2]) - WPoly.u_monomial(g, [1, 1]))
-    m = phi_d(x)
+    m = phi_d(x, d)
     assert (m.mat.nrows, m.mat.ncols) == (g - 2, (d - 1) * (g - 1) - 1)
     with pytest.raises(ValueError):
-        phi_d(WPoly.u_monomial(4, [0, 0]))  # not in the ideal
+        phi_d(x, d + 1)  # not of the degree asked for
     with pytest.raises(ValueError):
-        phi_d(WPoly.v_var(4, 0) * WPoly.v_var(4, 0))  # not u-only
+        phi_d(WPoly.u_monomial(4, [0, 0]), 2)  # not in the ideal
+    with pytest.raises(ValueError):
+        phi_d(WPoly.v_var(4, 0) * WPoly.v_var(4, 0), 4)  # not u-only
 
 
 def test_phi_2_inverts_q_to_quadric():
@@ -160,7 +162,7 @@ def test_psi_2_is_lambda_contraction():
 def test_is_limit_quadric_scalar_case():
     flag, witness = is_limit_quadric(QuadForm(3, [[1]]))
     assert not flag and witness is None
-    flag, witness = is_limit_quadric(QuadForm.zero(3))
+    flag, witness = is_limit_quadric(QuadForm(3, [[0]]))
     assert flag and witness == LambdaFunctional.basis_vector(3, 0)
 
 
@@ -184,14 +186,14 @@ def test_is_limit_relation_examples():
     # nondegenerate q: multiplying by u_0 keeps full rank
     q = QuadForm(g, [[1, 0], [0, 1]])
     x = WPoly.u_var(g, 0) * q_to_quadric(q)
-    flag, witness = is_limit_relation(x)
+    flag, witness = is_limit_relation(x, 3)
     assert not flag and witness is None
     # rank-one q: the relation degenerates and the witness spans the left kernel
     q1 = QuadForm(g, [[1, 0], [0, 0]])
     x1 = WPoly.u_var(g, 1) * q_to_quadric(q1)
-    flag, witness = is_limit_relation(x1)
+    flag, witness = is_limit_relation(x1, 3)
     assert flag
-    m = phi_d(x1)
+    m = phi_d(x1, 3)
     contracted = [sum(witness.coords[i] * m.mat.rows[i][j] for i in range(g - 2))
                   for j in range(m.mat.ncols)]
     assert all(x == 0 for x in contracted)

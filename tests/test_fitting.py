@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
@@ -140,7 +141,9 @@ def test_verify_power_ideal_small():
     for m in (1, 2, 3):
         report = verify_power_ideal(m, m, "phi2")
         assert report["all_realized"]
-        assert report["monomials_checked"] == len(report["witnesses"])
+        # every degree-m monomial in m variables, each once
+        assert report["monomials_checked"] == comb(2 * m - 1, m)
+        assert len({tuple(w["monomial"]) for w in report["witnesses"]}) == comb(2 * m - 1, m)
         for w in report["witnesses"]:
             assert w["sign"] in (1, -1)
     report = verify_power_ideal(2, 3, "blocks")

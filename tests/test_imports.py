@@ -68,7 +68,10 @@ def test_family_commands_load_no_suite(tmp_path):
     octic = json.dumps([1, 0, 0, 0, 0, 0, 0, 0, 1])
     built = family_file("built", ["family", "build", "--g", "3", "--h", octic])
     scaled = family_file("scaled", ["family", "rescale", "--family", built, "--k", "1"])
-    for argv in (["rescale", "--family", built, "--k", "1"],
+    for argv in (["build", "--g", "3", "--h", octic],
+                 ["build", "--g", "3", "--model", "split"],
+                 ["build", "--g", "3", "--model", "hyperelliptic", "--h", octic],
+                 ["rescale", "--family", built, "--k", "1"],
                  ["order", "--family", scaled],
                  ["discriminant", "--family", scaled]):
         loaded = loaded_after_command("family", *argv)

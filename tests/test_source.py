@@ -3,13 +3,15 @@
 import ast
 import importlib
 import importlib.util
+import json
 import types
 from pathlib import Path
 
 import ribbonlab
 from ribbonlab import cli
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def test_package_source_has_no_assert_statements():
@@ -40,3 +42,35 @@ def test_traced_names_resolve():
             assert isinstance(getattr(module, attr, None), types.FunctionType), attr
     for name in tracer.CLI_COMMANDS:
         assert isinstance(getattr(cli, name, None), types.FunctionType), name
+
+
+# One small call per LIBRARY_JOBS entry of bench/job.py, with the payload the
+# closed forms give: the split Hilbert function (2d-1)(g-1), the g=4 minimal
+# syzygy shapes, and dim I_d - ((d-1)(g-1)-1) for the eliminated ribbon.
+LIBRARY_CALLS = [
+    ("hilbert", {"g": 4, "degrees": [2, 3, 4], "h": [-1] + [0] * 9 + [1]},
+     {"hilbert": [9, 15, 21]}),
+    ("syzygies", {"model": "split", "g": 4, "max_degree": 5},
+     {"minimal": {"3": 2, "4": 6, "5": 6}, "kernel": {"3": 2, "4": 14, "5": 51}}),
+    ("syzygies", {"model": "hyperelliptic", "g": 4, "max_degree": 5,
+                  "h": [-1] + [0] * 9 + [1]},
+     {"minimal": {"3": 2, "4": 6, "5": 6}, "kernel": {"3": 2, "4": 14, "5": 51}}),
+    ("syzygies", {"model": "ribbon", "g": 4, "max_degree": 5, "coeffs": [1, 2]},
+     {"minimal": {"3": 2, "4": 6, "5": 3}, "kernel": {"3": 2, "4": 14, "5": 51}}),
+    ("eliminate", {"g": 4, "d": 3, "coeffs": [1, 2]}, {"dim": 5}),
+    ("ell_space", {"g": 5}, {"dim": 3}),
+    ("groebner", {"g": 4, "degrees": [2, 3]},
+     {"order": "grlex", "basis": 9, "normal": [9, 15]}),
+]
+
+
+def test_benchmark_library_jobs_run():
+    # the benchmark's lib jobs call the package through bench/job.py; a changed
+    # signature would otherwise only fail the benchmark's own tests
+    spec = importlib.util.spec_from_file_location("bench_job", BENCH / "job.py")
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    assert {kind for kind, _, _ in LIBRARY_CALLS} == set(job.LIBRARY_JOBS)
+    for kind, params, want in LIBRARY_CALLS:
+        payload = job.LIBRARY_JOBS[kind](ribbonlab, params)
+        assert json.loads(json.dumps(payload)) == want, (kind, params)

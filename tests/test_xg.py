@@ -746,16 +746,6 @@ def test_models_match_the_per_key_oracle():
         assert hyperelliptic_model(g, h) == per_key_model(g, h=h)
 
 
-def test_xg_ideal_json_round_trip():
-    rng = random.Random(5)
-    ideal = canonical_ribbon_ideal(4, random_ell(4, rng))
-    loaded = XgIdeal.from_json(ideal.to_json())
-    assert loaded.g == ideal.g
-    assert loaded.UU == ideal.UU
-    assert loaded.UV == ideal.UV
-    assert loaded.VV == ideal.VV
-
-
 def test_eliminate_v_degree_matches_dense_oracle():
     # dense rows of all generator multiples over v-first columns, textbook
     # rref, and the rows with no v entry: the u-only part of the slice
