@@ -198,6 +198,8 @@ def cmd_limit_relation(args):
     x = WPoly.from_json(args.g, data)
     if not x:
         raise CommandError("the zero polynomial is not a canonical relation")
+    if not x.is_homogeneous("weighted"):
+        raise CommandError("not a canonical relation")
     d = args.d if args.d is not None else x.degree("weighted")
     _check_slice_size(args.g, d)
     try:

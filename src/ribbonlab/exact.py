@@ -25,6 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 def rat(value) -> Fraction:
     """Coerce an int, string or Fraction to a Fraction; a bool is refused."""
     if isinstance(value, Fraction):
@@ -65,7 +69,9 @@ class TruncatedScalar:
 
     The length of `coeffs` is exactly `order`; arithmetic between elements of
     different orders is refused rather than silently coerced, since the order
-    tracks how far a family is known.
+    tracks how far a family is known.  Most digits of a family's coefficients
+    are zero, so the arithmetic passes a zero digit through instead of adding
+    it, and every zero digit it makes is the one shared constant.
     """
 
     __slots__ = ("coeffs",)
@@ -84,7 +90,7 @@ class TruncatedScalar:
 
     @classmethod
     def from_rational(cls, x, order: int) -> "TruncatedScalar":
-        return cls._raw((rat(x),) + (Fraction(0),) * (order - 1))
+        return cls._raw((rat(x),) + (_ZERO,) * (order - 1))
 
     @property
     def order(self) -> int:
@@ -104,18 +110,20 @@ class TruncatedScalar:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return TruncatedScalar._raw(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return TruncatedScalar._raw(tuple((a + b if a else b) if b else a
+                                          for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedScalar._raw(tuple(-a for a in self.coeffs))
+        return TruncatedScalar._raw(tuple(-a if a else _ZERO for a in self.coeffs))
 
     def __sub__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return TruncatedScalar._raw(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return TruncatedScalar._raw(tuple((a - b if a else -b) if b else a
+                                          for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         other = self._lift(other)
@@ -128,14 +136,15 @@ class TruncatedScalar:
         if other is None:
             return NotImplemented
         n = self.order
-        out = [Fraction(0)] * n
+        out = [_ZERO] * n
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
             for j in range(n - i):
                 b = other.coeffs[j]
                 if b:
-                    out[i + j] += a * b
+                    k = i + j
+                    out[k] = out[k] + a * b if out[k] else a * b
         return TruncatedScalar._raw(tuple(out))
 
     __rmul__ = __mul__
@@ -150,7 +159,10 @@ class TruncatedScalar:
         return any(self.coeffs)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # equal to a rational when every higher digit is zero, so hash as one
+        if any(self.coeffs[1:]):
+            return hash(self.coeffs)
+        return hash(self.coeffs[0])
 
     def valuation(self):
         """Smallest i with nonzero pi^i coefficient, or None for the zero element."""
@@ -176,7 +188,7 @@ class TruncatedScalar:
         by |s|, since the discarded head carried that much precision.
         """
         if s >= 0:
-            coeffs = (Fraction(0),) * s + self.coeffs
+            coeffs = (_ZERO,) * s + self.coeffs
             return TruncatedScalar._raw(coeffs[:self.order])
         k = -s
         if k >= self.order:
@@ -222,7 +234,10 @@ class RatMatrix:
 
     @classmethod
     def _raw(cls, rows: tuple, ncols: int) -> "RatMatrix":
-        """The matrix with these rows, a tuple of length-ncols tuples of Fractions."""
+        """The matrix with these rows, a tuple of length-ncols tuples of Fractions.
+
+        Entries may be ints instead where only the determinant is read.
+        """
         m = object.__new__(cls)
         m.rows, m.nrows, m.ncols = rows, len(rows), ncols
         return m
@@ -296,10 +311,6 @@ class RatMatrix:
 
     def to_json(self):
         return [[rat_to_str(x) for x in row] for row in self.rows]
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _dense(row, ncols):

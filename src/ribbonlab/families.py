@@ -24,11 +24,11 @@ produces.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .exact import RowEliminator, TruncatedScalar, rat_to_str
-from .poly import BinaryForm, WPoly, resultant, veronese_pullback
+from .exact import RatMatrix, RowEliminator, TruncatedScalar, rat_to_str
+from .poly import BinaryForm, WPoly, veronese_pullback
 from .xg import (
-    BASE_POLYS,
     GROUP_DEGREES,
     GROUP_KEYS,
     GROUPS,
@@ -36,8 +36,8 @@ from .xg import (
     generator_multiples,
     hyperelliptic_model,
     load_groups,
+    split_ribbon_ideal,
     v_linear_forms,
-    vv_base_poly,
 )
 
 # Involution signs: v -> -v composed with these per-group signs fixes
@@ -216,19 +216,33 @@ def _shape_order(family: TruncatedFamily, allowed_v_degrees) -> int:
     """Largest m <= order_bound with the reduction mod pi^m in the given shape.
 
     The shape fixes every generator to its standard base polynomial except
-    for deviation monomials whose v-degree is allowed for the group.
+    for deviation monomials whose v-degree is allowed for the group.  The
+    deviation is read digit by digit: the base polynomial is rational, so
+    it changes only the constant digit of each coefficient.
     """
-    m = family.order_bound
+    g, m = family.g, family.order_bound
+    split = split_ribbon_ideal(g)
     for name in GROUPS:
-        for key, p in family.group_items(name):
-            dev = p - _lift_poly(BASE_POLYS[name](family.g, key), family.order_bound)
-            for e, c in dev.terms.items():
-                if sum(e[family.g:]) in allowed_v_degrees[name]:
-                    continue
-                val = c.valuation()
-                if val is not None and val < m:
-                    m = val
+        allowed = allowed_v_degrees[name]
+        for (_, p), (_, base) in zip(family.group_items(name), split.group_items(name)):
+            base = base.terms
+            if any(e not in p.terms and sum(e[g:]) not in allowed for e in base):
+                return 0  # the deviation keeps -base's constant digit there
+            for e, c in p.terms.items():
+                if sum(e[g:]) not in allowed:
+                    m = _deviation_valuation(c, base.get(e, 0), m)
     return m
+
+
+def _deviation_valuation(c: TruncatedScalar, b, bound: int) -> int:
+    """The valuation of c - b for a rational b, or bound if that is smaller."""
+    digits = c.coeffs
+    if digits[0] != b:
+        return 0
+    for i in range(1, bound):
+        if digits[i]:
+            return i
+    return bound
 
 
 def ribbon_order(family: TruncatedFamily) -> int:
@@ -291,19 +305,16 @@ def discriminant_section(family: TruncatedFamily) -> DiscriminantSection:
     if m % 2:
         raise ValueError("family leaves ribbon form at odd order %d" % m)
     quotient = None
-    for key, p in family.VV:
+    for (key, p), (_, base) in zip(family.VV, split_ribbon_ideal(g).VV):
         i, j = key
-        dev = p - _lift_poly(vv_base_poly(g, key), family.order_bound)
-        digit = {}
-        for e, c in dev.terms.items():
-            a = c.coeffs[m]
-            if not a:
-                continue
-            if any(e[g:]):
-                raise ValueError("family is not normalized: VV%s has v terms"
-                                 " at level pi^%d" % (key, m))
-            digit[e] = -a
-        p_ij = WPoly(g, digit)
+        # digit m of p - base: the rational base lies in the constant digit only
+        dev = WPoly._raw(g, {e: c.coeffs[m] for e, c in p.terms.items() if c.coeffs[m]})
+        if m == 0:
+            dev = dev - base
+        if any(any(e[g:]) for e in dev.terms):
+            raise ValueError("family is not normalized: VV%s has v terms"
+                             " at level pi^%d" % (key, m))
+        p_ij = -dev
         if not p_ij:
             raise ValueError("family is not normalized: VV%s has no pure-u"
                              " term at level pi^%d" % (key, m))
@@ -323,14 +334,46 @@ def binary_discriminant(s: BinaryForm) -> Fraction:
     Computed as the resultant of the two partial derivatives, divided by
     the x0-leading coefficient when that is nonzero.  Roots at infinity
     need no special handling because the homogeneous resultant sees them.
+    The partials share the degree m = deg s - 1, so their resultant is
+    read off their m x m Bezout matrix (_bezout_resultant) rather than the
+    2m x 2m Sylvester matrix of poly.resultant; the two agree.
     """
     if s.is_zero():
         raise ValueError("the zero form has no discriminant")
     if s.degree < 1:
         raise ValueError("the form must have positive degree")
-    r = resultant(s.derivative(0), s.derivative(1))
+    r = _bezout_resultant(s.derivative(0), s.derivative(1))
     lead = s.coeff(s.degree)
     return r / lead if lead else r
+
+
+def _bezout_resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
+    """Homogeneous resultant of two forms of the same degree m, as poly.resultant.
+
+    With F = L_f * f and G = L_g * g the integer multiples by the lcms of
+    the denominators, and F_i, G_i their coefficients of x0^i x1^(m-i),
+    the Bezout matrix B of F and G has entry (i, j) equal to the
+    coefficient of x^i y^j in (F(x)G(y) - F(y)G(x)) / (x - y), that is
+    B[i][j] = c(j+1, i) + B[i-1][j+1] with c(p, q) = F_p G_q - F_q G_p.
+    Then Res(F, G) = (-1)^(m(m-1)/2) det B as an identity of polynomials
+    in the coefficients, so vanishing leading coefficients need no special
+    case, and Res(f, g) = Res(F, G) / (L_f L_g)^m.
+    """
+    m = f.degree
+    (lf, a), (lg, b) = _integral(f), _integral(g)
+    c = [[a[p] * b[q] - a[q] * b[p] for q in range(m + 1)] for p in range(m + 1)]
+    rows = []
+    for i in range(m):
+        rows.append(tuple(c[j + 1][i] + (rows[i - 1][j + 1] if i and j + 1 < m else 0)
+                          for j in range(m)))
+    r = RatMatrix._raw(tuple(rows), m).det() / (lf * lg) ** m
+    return -r if m * (m - 1) // 2 % 2 else r
+
+
+def _integral(f: BinaryForm):
+    """(L, integer coefficients of L * f), L the lcm of f's denominators."""
+    scale = lcm(*(x.denominator for x in f.coeffs))
+    return scale, [x.numerator * (scale // x.denominator) for x in f.coeffs]
 
 
 def base_change_pi_squared(family: TruncatedFamily) -> TruncatedFamily:

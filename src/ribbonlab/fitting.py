@@ -12,14 +12,17 @@ inclusion is automatic because all entries are linear.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
+
+from .exact import rat
 
 
 class LinFormMatrix:
     """Matrix whose entries are linear forms in z_1..z_m.
 
-    Entries are coefficient tuples of length m.  col_labels records what
+    Entries are coefficient tuples of length m, exact rationals stored as
+    ints where integral, so that the minors of the 0/1 matrices built here
+    take integer arithmetic only.  col_labels records what
     each column means ((a, b) for the quadratic monomial z_a z_b in phi2
     mode; (a, t) for block a, row t in blocks mode).
     """
@@ -28,7 +31,7 @@ class LinFormMatrix:
 
     def __init__(self, m, entries, kind, col_labels):
         self.m = m
-        self.entries = tuple(tuple(tuple(Fraction(c) for c in entry)
+        self.entries = tuple(tuple(tuple(map(_int_if_integral, entry))
                                    for entry in row) for row in entries)
         self.nrows = len(self.entries)
         self.ncols = len(self.entries[0]) if self.entries else 0
@@ -44,6 +47,12 @@ class LinFormMatrix:
             raise ValueError("need one label per column")
 
 
+def _int_if_integral(c):
+    """The exact rational c, as an int when it is integral."""
+    c = rat(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def phi2_symbolic(m: int) -> LinFormMatrix:
     """The symmetric-square multiplication matrix: m rows, one column per
     quadratic monomial z_a z_b (a <= b); column z_a z_b is z_a e_b + z_b e_a,
@@ -54,15 +63,15 @@ def phi2_symbolic(m: int) -> LinFormMatrix:
     entries = [[None] * len(labels) for _ in range(m)]
     for col, (a, b) in enumerate(labels):
         for row in range(m):
-            coeffs = [Fraction(0)] * m
+            coeffs = [0] * m
             if a == b:
                 if row == a:
-                    coeffs[a] = Fraction(1)
+                    coeffs[a] = 1
             else:
                 if row == b:
-                    coeffs[a] = Fraction(1)
+                    coeffs[a] = 1
                 elif row == a:
-                    coeffs[b] = Fraction(1)
+                    coeffs[b] = 1
             entries[row][col] = tuple(coeffs)
     return LinFormMatrix(m, entries, "phi2", labels)
 
@@ -75,9 +84,9 @@ def phid_symbolic_blocks(m: int, r: int) -> LinFormMatrix:
     entries = [[None] * len(labels) for _ in range(r)]
     for col, (a, t) in enumerate(labels):
         for row in range(r):
-            coeffs = [Fraction(0)] * m
+            coeffs = [0] * m
             if row == t:
-                coeffs[a] = Fraction(1)
+                coeffs[a] = 1
             entries[row][col] = tuple(coeffs)
     return LinFormMatrix(m, entries, "blocks", labels)
 
@@ -113,7 +122,7 @@ def symbolic_minor(matrix: LinFormMatrix, cols):
                     key[var] += 1
                     expand(row + 1, rest, tuple(key), signed * c)
 
-    expand(0, list(cols), (0,) * matrix.m, Fraction(1))
+    expand(0, list(cols), (0,) * matrix.m, 1)
     return total
 
 

@@ -325,7 +325,8 @@ class WPoly:
         return self * other
 
     def map_coeffs(self, fn) -> "WPoly":
-        return WPoly(self.g, {e: fn(c) for e, c in self.terms.items()})
+        """fn applied to every coefficient; the terms it sends to zero are dropped."""
+        return WPoly._raw(self.g, {e: v for e, c in self.terms.items() if (v := fn(c))})
 
     def degree_of(self, exps, grading: str) -> int:
         if grading == "weighted":

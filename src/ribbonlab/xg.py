@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import zlib
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import add
 from random import Random
@@ -149,10 +150,20 @@ def load_groups(g: int, data):
 
 def split_ribbon_ideal(g: int) -> XgIdeal:
     """The two-step structure with trivial gluing: v-products vanish."""
+    return XgIdeal(g, *_split_groups(g))
+
+
+@lru_cache(maxsize=None)
+def _split_groups(g: int) -> tuple:
+    """The UU, UV, VV groups of the split ribbon as tuples of (key, base poly).
+
+    Built once per genus and shared by every model that keeps a group of
+    it; no caller changes a WPoly's terms, so sharing the polys is safe.
+    """
     if g < 3:
         raise ValueError("g must be at least 3")
-    return XgIdeal(g, *[[(k, BASE_POLYS[name](g, k)) for k in GROUP_KEYS[name](g)]
-                        for name in GROUPS])
+    return tuple(tuple((k, BASE_POLYS[name](g, k)) for k in GROUP_KEYS[name](g))
+                 for name in GROUPS)
 
 
 def canonical_ribbon_ideal(g: int, ell) -> XgIdeal:
@@ -161,9 +172,9 @@ def canonical_ribbon_ideal(g: int, ell) -> XgIdeal:
     `ell` is a list of v-linear forms (zero polynomials included) aligned
     with uu_keys(g).
     """
-    split = split_ribbon_ideal(g)
-    uu = [(k, p - e) for (k, p), e in zip(split.UU, v_linear_forms(g, ell))]
-    return XgIdeal(g, uu, split.UV, split.VV)
+    uu, uv, vv = _split_groups(g)
+    uu = [(k, p - e) for (k, p), e in zip(uu, v_linear_forms(g, ell))]
+    return XgIdeal(g, uu, uv, vv)
 
 
 def v_linear_forms(g: int, ell):
@@ -250,10 +261,10 @@ def hyperelliptic_model(g: int, h: BinaryForm) -> XgIdeal:
     """
     if h.degree != 2 * g + 2:
         raise ValueError("expected a form of degree %d" % (2 * g + 2))
-    split = split_ribbon_ideal(g)
+    uu, uv, vv = _split_groups(g)
     vv = [((i, j), p - quartic_lift(BinaryForm.monomial(2 * g - 6, i + j) * h, g))
-          for (i, j), p in split.VV]
-    return XgIdeal(g, split.UU, split.UV, vv)
+          for (i, j), p in vv]
+    return XgIdeal(g, uu, uv, vv)
 
 
 def split_ribbon_evaluation(p: WPoly):
@@ -389,12 +400,12 @@ def _split_quotient_dimensions(ideal: XgIdeal, grading, degrees):
 
 def _has_split_binomials(ideal: XgIdeal) -> bool:
     """Are UU and UV exactly split_ribbon_ideal's groups, with rational coefficients?"""
-    if ideal.g < 3:  # then it has no generators, and split_ribbon_ideal refuses g
+    if ideal.g < 3:  # then it has no generators, and _split_groups refuses g
         return False
-    split = split_ribbon_ideal(ideal.g)
-    ours = ideal.UU + ideal.UV
-    return (ours == split.UU + split.UV
-            and all(type(x) is Fraction for _, p in ours for x in p.terms.values()))
+    uu, uv, _ = _split_groups(ideal.g)
+    return (tuple(ideal.UU) == uu and tuple(ideal.UV) == uv
+            and all(type(x) is Fraction for _, p in ideal.UU + ideal.UV
+                    for x in p.terms.values()))
 
 
 def _summed(pairs):

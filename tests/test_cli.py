@@ -113,6 +113,13 @@ def test_limit_relation_rejects_outside_ideal(capsys):
     assert code == 1
     assert doc["payload"]["message"] == "not a canonical relation"
 
+    # an inhomogeneous relation is refused alike, whether or not --d is given
+    inhomogeneous = '[{"u":[2,0,0,0],"v":[0,0],"c":"1"},{"u":[1,0,0,0],"v":[0,0],"c":"1"}]'
+    for d in (["--d", "2"], []):
+        code, doc = run_cli(capsys, "limit-relation", "--g", "4", *d, "--poly", inhomogeneous)
+        assert code == 1
+        assert doc["payload"]["message"] == "not a canonical relation"
+
 
 def test_unhandled_input_errors_end_in_one_error_document(capsys):
     # a bare number list is no term list: the parser names the bad term
@@ -166,9 +173,10 @@ def test_booleans_and_zero_denominators_are_refused(capsys):
     assert code == 1 and doc["payload"]["message"] == "zero denominator in '2/0'"
 
 
-# SHA-256 of the `verify --suite all --gmax 5 --dmax 4` stdout at seeds 2-5;
-# seed 1 is pinned by bench/digests.json
+# SHA-256 of the `verify --suite all --gmax 5 --dmax 4` stdout at seeds 1-5;
+# seed 1 is also pinned by bench/digests.json
 VERIFY_DIGESTS = {
+    1: "e93479bbe0585f6c11508ebf4301ac2c1f4dbeca0c99f80d41eee27924dbf59f",
     2: "9e613db90a40c50b046779a7daf68cbb3f4f7ce41fefe9275c41ce04e4b4bbd8",
     3: "55e0df8e5c1b4d4d38c231f8cb55b1775cdcdab8bb93b0d6ddbea111fd959f7e",
     4: "b24f2bdb5d7d32a4f75970688e984a2ba91aa7ecb62960bab42baa05d3e9633a",
@@ -176,7 +184,7 @@ VERIFY_DIGESTS = {
 }
 
 
-def test_verify_bytes_are_pinned_at_seeds_2_to_5(capsys):
+def test_verify_bytes_are_pinned_at_seeds_1_to_5(capsys):
     for seed, digest in VERIFY_DIGESTS.items():
         main(["verify", "--suite", "all", "--gmax", "5", "--dmax", "4", "--seed", str(seed)])
         out = capsys.readouterr().out

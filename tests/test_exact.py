@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -573,6 +574,42 @@ def test_truncated_arithmetic_matches_public_constructor():
             public = TruncatedScalar(x.coeffs)
             assert x == public and type(x.coeffs) is tuple
             assert all(type(c) is Fraction for c in x.coeffs)
+
+
+def test_truncated_arithmetic_on_zero_digits_matches_digitwise_oracle():
+    # most digits are zero, which the arithmetic passes through unadded
+    rng = random.Random(41)
+    for _ in range(80):
+        order = rng.randint(1, 6)
+        x, y = ([rand_fraction(rng, 5) if rng.random() < 0.4 else Fraction(0)
+                 for _ in range(order)] for _ in range(2))
+        a, b = TruncatedScalar(x), TruncatedScalar(y)
+        product = [sum((x[i] * y[k - i] for i in range(k + 1)), Fraction(0))
+                   for k in range(order)]
+        for got, want in ((a + b, map(operator.add, x, y)), (a - b, map(operator.sub, x, y)),
+                          (-a, map(operator.neg, x)), (a * b, product),
+                          (a * Fraction(2, 3), (c * Fraction(2, 3) for c in x)),
+                          (a.shift(1), [Fraction(0)] + x[:-1])):
+            assert got.coeffs == tuple(want)
+            assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_truncated_hash_agrees_with_equality():
+    assert TruncatedScalar([3, 0, 0]) == 3 == Fraction(3)
+    assert hash(TruncatedScalar([3, 0, 0])) == hash(Fraction(3))
+    assert len({TruncatedScalar([3, 0, 0]), Fraction(3)}) == 1
+    assert len({TruncatedScalar([0, 0]), 0, Fraction(0)}) == 1
+    assert len({TruncatedScalar([Fraction(1, 2)]), Fraction(1, 2)}) == 1
+    # a nonzero higher digit is no rational
+    assert len({TruncatedScalar([3, 1, 0]), Fraction(3)}) == 2
+    rng = random.Random(43)
+    for _ in range(40):
+        order = rng.randint(1, 4)
+        a = TruncatedScalar([rng.randint(-1, 1) for _ in range(order)])
+        b = TruncatedScalar([rng.randint(-1, 1) for _ in range(order)])
+        for other in (b, b.constant_term(), a.constant_term()):
+            if a == other:
+                assert hash(a) == hash(other)
 
 
 def test_rref_matrix_matches_public_constructor():

@@ -9,6 +9,7 @@ from ribbonlab.exact import TruncatedScalar
 from ribbonlab.families import (
     DiscriminantSection,
     TruncatedFamily,
+    _bezout_resultant,
     base_change_pi_squared,
     binary_discriminant,
     constant_family,
@@ -22,7 +23,7 @@ from ribbonlab.families import (
     rescale_v,
     ribbon_order,
 )
-from ribbonlab.poly import BinaryForm, WPoly
+from ribbonlab.poly import BinaryForm, WPoly, monomials, resultant
 from ribbonlab.xg import (
     XgIdeal,
     canonical_ribbon_ideal,
@@ -32,6 +33,9 @@ from ribbonlab.xg import (
     split_ribbon_ideal,
     uu_keys,
 )
+
+from families_oracle import oracle_hyperell_order, oracle_ribbon_order, oracle_section
+from test_poly import sylvester_det
 
 
 def octic():
@@ -227,6 +231,105 @@ def test_binary_discriminant_detects_multiple_roots():
     assert binary_discriminant(double) == 0
     with pytest.raises(ValueError):
         binary_discriminant(BinaryForm(8))
+
+
+def random_form(rng, degree):
+    """Rational coefficients, zeros among them, at the ends too."""
+    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.7 else 0
+              for _ in range(degree + 1)]
+    for end in (0, degree):
+        if rng.random() < 0.3:
+            coeffs[end] = 0
+    return BinaryForm(degree, coeffs)
+
+
+def test_bezout_discriminant_matches_sylvester_oracle():
+    rng = random.Random(61)
+    for degree in range(1, 13):
+        for _ in range(12):
+            s = random_form(rng, degree)
+            if not s:
+                continue
+            d0, d1 = s.derivative(0), s.derivative(1)
+            r = resultant(d0, d1)
+            assert r == sylvester_det(d0, d1)
+            lead = s.coeff(degree)
+            assert binary_discriminant(s) == (r / lead if lead else r), s
+        # equal-degree pairs that are no partials of one form, m = degree - 1
+        for _ in range(6):
+            f, g = random_form(rng, degree - 1), random_form(rng, degree - 1)
+            assert _bezout_resultant(f, g) == resultant(f, g), (f, g)
+    # a shared root, also at infinity, makes both vanish
+    line = BinaryForm(1, [1, -2])
+    for root in (line, BinaryForm.monomial(1, 1), BinaryForm.monomial(1, 0)):
+        f, g = root * random_form(rng, 4), root * random_form(rng, 4)
+        assert _bezout_resultant(f, g) == resultant(f, g) == 0
+
+
+def shape_test_families(rng):
+    """Perturbed, rescaled, negated and bumped families of genus 3 to 5."""
+    for g in (3, 4, 5):
+        h = random_squarefree(rng, 2 * g + 2)
+        yield constant_family(split_ribbon_ideal(g), 4)
+        yield constant_family(hyperelliptic_model(g, h), 4)
+        yield constant_family(canonical_ribbon_ideal(g, random_ribbon_ell(g, rng)), 3)
+        for d in (1, 2):
+            fam = perturb_hyperelliptic(g, h, d, 3 * d + 2, random_ribbon_ell(g, rng))
+            rescaled = rescale_v(fam, d)
+            for member in (fam, rescaled, rescale_v(rescaled, -1), negate_v(fam),
+                           negate_v(rescaled), base_change_pi_squared(fam)):
+                yield member
+                yield bumped(rng, member)
+
+
+def bumped(rng, fam):
+    """fam with one random term added at a random pi-digit of one generator.
+
+    At digit 0 the bump may take a base term away, or put back what the
+    family already had there.
+    """
+    g, n = fam.g, fam.order_bound
+    groups = [list(fam.UU), list(fam.UV), list(fam.VV)]
+    name = rng.choice([i for i, items in enumerate(groups) if items])
+    index = rng.randrange(len(groups[name]))
+    key, p = groups[name][index]
+    if rng.random() < 0.5:
+        e, c = rng.choice(list(p.terms.items()))
+        c = -c.constant_term()  # cancels the term's constant digit
+    else:
+        e = rng.choice(monomials(g, (2, 3, 4)[name], "weighted"))
+        c = Fraction(rng.randint(1, 3))
+    digit = rng.randrange(n)
+    bump = WPoly(g, {e: TruncatedScalar.from_rational(c, n).shift(digit)})
+    groups[name][index] = (key, p + bump)
+    return TruncatedFamily(g, n, *groups)
+
+
+def test_shape_orders_match_lift_and_subtract_oracle():
+    rng = random.Random(67)
+    seen = set()
+    for fam in shape_test_families(rng):
+        r, h = ribbon_order(fam), hyperell_order(fam)
+        assert r == oracle_ribbon_order(fam), fam
+        assert h == oracle_hyperell_order(fam), fam
+        seen.add((r == 0, r == fam.order_bound, h == 0, h == fam.order_bound))
+    # every order was seen at zero, strictly inside and at the bound
+    assert {s[:2] for s in seen} >= {(True, False), (False, False), (False, True)}
+    assert {s[2:] for s in seen} >= {(True, False), (False, False), (False, True)}
+
+
+def test_discriminant_section_matches_oracle():
+    rng = random.Random(71)
+    for g in (3, 4, 5):
+        h = random_squarefree(rng, 2 * g + 2)
+        # at m = 0 the quartics sit in the constant digit, beside the base terms
+        const = constant_family(hyperelliptic_model(g, h), 3)
+        assert discriminant_section(const).s == oracle_section(const, 0) == h
+        for d in (1, 2):
+            fam = rescale_v(perturb_hyperelliptic(g, h, d, 3 * d + 2,
+                                                  random_ribbon_ell(g, rng)), d)
+            section = discriminant_section(fam)
+            assert section.s == oracle_section(fam, ribbon_order(fam)) == h
 
 
 def test_order_doubling_experiment():

@@ -158,6 +158,19 @@ def test_verify_power_ideal_guards():
         verify_power_ideal(2, 2, "nope")
 
 
+def test_entries_stay_exact_with_integral_ones_as_ints():
+    entries = [[(Fraction(1, 2), Fraction(4, 2)), (1, 0), ("-2/3", 5)],
+               [(0, 3), (Fraction(-1, 3), 1), (2, Fraction(7, 5))]]
+    mat = LinFormMatrix(2, entries, "random", range(3))
+    assert mat.entries[0][0] == (Fraction(1, 2), 2) and type(mat.entries[0][0][1]) is int
+    assert mat.entries[0][2] == (Fraction(-2, 3), 5)
+    assert all(type(c) is int for entry in phi2_symbolic(3).entries[0] for c in entry)
+    for cols in combinations(range(3), 2):
+        assert symbolic_minor(mat, list(cols)) == permutation_minor(mat, cols)
+    with pytest.raises(TypeError):
+        LinFormMatrix(1, [[(0.5,)]], "random", [0])
+
+
 def test_entries_must_be_linear():
     with pytest.raises(ValueError):
         LinFormMatrix(2, [[(1, 0, 0)]], "phi2", [(0, 0)])

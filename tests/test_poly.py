@@ -326,6 +326,26 @@ def test_wpoly_arithmetic_matches_public_constructor():
     assert not (p * pi) * pi
 
 
+def test_map_coeffs_matches_public_constructor():
+    # the images are stored as the public constructor stores them: zeros dropped
+    rng = random.Random(59)
+    pi = TruncatedScalar([0, 1, 0])
+    maps = [lambda c: c * 2, lambda c: c if c > 0 else Fraction(0), lambda c: Fraction(0),
+            lambda c: TruncatedScalar.from_rational(c, 3) * pi]
+    for g in (3, 4, 5):
+        for _ in range(10):
+            p = rand_wpoly(rng, g)
+            # truncated coefficients, some of which vanish mod pi or mod pi^2
+            q = p.map_coeffs(lambda c: TruncatedScalar([0, c, 0]) if c > 0
+                             else TruncatedScalar([c, 0, c]))
+            for x, fn in [(p, fn) for fn in maps] + [
+                    (q, TruncatedScalar.constant_term), (q, lambda c: c.truncate(2)),
+                    (q, lambda c: c * pi)]:
+                mapped = x.map_coeffs(fn)
+                assert_as_public(mapped)
+                assert mapped.terms == WPoly(g, {e: fn(c) for e, c in x.terms.items()}).terms
+
+
 def test_pullback_and_evaluation_match_public_constructor():
     rng = random.Random(53)
     for g in (3, 4, 5):

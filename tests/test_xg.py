@@ -190,6 +190,41 @@ def test_membership_oracle_rejects():
     assert second.is_zero()
 
 
+def test_split_groups_are_built_once_and_equal_a_fresh_build():
+    base = {"UU": (uu_keys, uu_base_poly), "UV": (uv_keys, uv_base_poly),
+            "VV": (vv_keys, vv_base_poly)}
+    rng = random.Random(73)
+    for g in range(3, 8):
+        fresh = tuple(tuple((k, poly(g, k)) for k in keys(g))
+                      for keys, poly in base.values())
+        assert xg._split_groups(g) == fresh
+        assert xg._split_groups(g) is xg._split_groups(g)
+        h = BinaryForm(2 * g + 2, [rng.randint(-3, 3) for _ in range(2 * g + 3)])
+        ell = random_ribbon_ell(g, rng)
+        models = [split_ribbon_ideal(g), hyperelliptic_model(g, h),
+                  canonical_ribbon_ideal(g, ell)]
+        assert [tuple(models[0].group_items(name)) for name in ("UU", "UV", "VV")] == list(fresh)
+        assert tuple(models[1].UU) == fresh[0] and tuple(models[1].UV) == fresh[1]
+        assert tuple(models[2].UV) == fresh[1] and tuple(models[2].VV) == fresh[2]
+        assert [p for _, p in models[2].UU] == [p - e for (_, p), e in zip(fresh[0], ell)]
+    with pytest.raises(ValueError):
+        split_ribbon_ideal(2)
+
+
+def test_split_ribbon_ideal_returns_independent_lists():
+    g = 4
+    first, second = split_ribbon_ideal(g), split_ribbon_ideal(g)
+    for name in ("UU", "UV", "VV"):
+        assert first.group_items(name) is not second.group_items(name)
+    first.UU.pop()
+    first.UV.append(first.UV[0])
+    first.VV[0] = ((0, 0), WPoly.zero(g))
+    third = split_ribbon_ideal(g)
+    assert second == third and second != first
+    assert tuple(third.UU) == xg._split_groups(g)[0]
+    assert hyperelliptic_model(g, BinaryForm.monomial(10, 10)).UU == third.UU
+
+
 def test_hilbert_function_split():
     for g in range(3, 7):
         ideal = split_ribbon_ideal(g)
