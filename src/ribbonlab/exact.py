@@ -64,6 +64,34 @@ def rat_from_str(s: str) -> Fraction:
         raise ValueError("zero denominator in %r" % s) from None
 
 
+def json_fields(data, what: str, *keys):
+    """The values of `keys` in the JSON object `data`, in that order.
+
+    A document that is not an object, or that lacks a key, is refused with
+    a ValueError naming it.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("%s must be a JSON object" % what)
+    for key in keys:
+        if key not in data:
+            raise ValueError("%s has no key %r" % (what, key))
+    return [data[key] for key in keys]
+
+
+def json_list(value, what: str) -> list:
+    """value, after checking that it is a JSON list; `what` names it otherwise."""
+    if not isinstance(value, list):
+        raise ValueError("%s must be a list, got %r" % (what, value))
+    return value
+
+
+def json_int(value, what: str) -> int:
+    """An integer field of a JSON document: an int, or a string int() reads."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
 class TruncatedScalar:
     """Element of Q[pi]/(pi^order), coefficients stored low degree first.
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from operator import add, sub
 
 from .exact import RatMatrix, rat, rat_from_str, rat_to_str
-from .exact import TruncatedScalar
+from .exact import TruncatedScalar, json_fields, json_int, json_list
 
 GRADINGS = ("weighted", "koszul")
 
@@ -169,7 +169,9 @@ class BinaryForm:
 
     @classmethod
     def from_json(cls, data) -> "BinaryForm":
-        return cls(int(data["degree"]), [rat_from_str(c) for c in data["coeffs"]])
+        degree, coeffs = json_fields(data, "a binary form object", "degree", "coeffs")
+        return cls(json_int(degree, "the degree"),
+                   [rat_from_str(c) for c in json_list(coeffs, "the coeffs")])
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> Fraction:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import RatMatrix, rat, rat_from_str, rat_to_str, row_space_matrix
+from .exact import json_fields, json_int, json_list
 from .poly import WPoly, monomial_index, monomials, veronese_pullback
 
 
@@ -82,8 +83,10 @@ class QuadForm:
 
     @classmethod
     def from_json(cls, data) -> "QuadForm":
-        return cls(int(data["g"]),
-                   [[rat_from_str(x) for x in row] for row in data["matrix"]])
+        g, matrix = json_fields(data, "a quadric object", "g", "matrix")
+        rows = [json_list(row, "a matrix row")
+                for row in json_list(matrix, "the quadric matrix")]
+        return cls(json_int(g, "the genus g"), [[rat_from_str(x) for x in row] for row in rows])
 
 
 def q_to_quadric(q: QuadForm) -> WPoly:

@@ -330,13 +330,22 @@ def conormal_items(gmax, dmax):
 def split_membership_evaluation_oracle(rng, g, degree):
     ideal = split_ribbon_ideal(g)
     basis = monomials(g, degree, "weighted")
-    rows = []
+    spots = []
     for e in basis:
-        first, second = split_ribbon_evaluation(WPoly(g, {e: Fraction(1)}))
-        rows.append({i: c for i, c in enumerate(first.coeffs + second.coeffs) if c})
+        monomial = WPoly(g, {e: Fraction(1)})
+        first, second = split_ribbon_evaluation(monomial)
+        image = [(i, c) for i, c in enumerate(first.coeffs + second.coeffs) if c]
+        if len(image) > 1:
+            return False, {"monomial": monomial.to_json(),
+                           "coordinates": [i for i, _ in image]}, None
+        if image:
+            i, c = image[0]
+            # an integral value as an int, like the generator multiples' entries
+            spots.append((i, c.numerator if c.denominator == 1 else c))
+        else:
+            spots.append(None)
     # the evaluation is linear and sends each monomial to at most one
-    # coordinate, so a generator multiple's image is read off these rows
-    spots = [next(iter(row.items()), None) for row in rows]
+    # coordinate, so a generator multiple's image is read off these spots
     gens = ideal.generators()
     layout, multiples, _ = generator_multiples(gens, degree, "weighted", basis)
     for (k, _), multiple in zip(layout, multiples):
@@ -347,8 +356,9 @@ def split_membership_evaluation_oracle(rng, g, degree):
                 image[i] = image.get(i, 0) + value * c
         if any(image.values()):
             return False, {"generator": gens[k].to_json()}, None
-    # the two kernels coincide iff the evaluation rank matches the slice rank
-    rank = sparse_rank(rows, len(first.coeffs + second.coeffs))
+    # the two kernels coincide iff the evaluation rank matches the slice rank;
+    # with one coordinate per monomial, that rank counts the coordinates hit
+    rank = len({spot[0] for spot in spots if spot})
     want = len(basis) - hilbert_function(ideal, "weighted", [degree])[0]
     ok = len(basis) - rank == want
     return ok, None if ok else {"evaluation_kernel": len(basis) - rank,
@@ -534,8 +544,8 @@ def fiber_hilbert_function_preserved(rng, g, d):
     scaled = rescale_v(family, d)
     degrees = [2, 3, 4]
     base = hilbert_function(hyperelliptic_model(g, h), "weighted", degrees)
-    got = reduction_hilbert_function(family, 1, degrees)
-    got_scaled = reduction_hilbert_function(scaled, 1, degrees)
+    got = reduction_hilbert_function(family, 1, degrees)[1]
+    got_scaled = reduction_hilbert_function(scaled, 1, degrees)[1]
     ok = got == base == got_scaled
     return ok, None if ok else {"base": base, "family": got,
                                 "rescaled": got_scaled}, None
@@ -543,21 +553,18 @@ def fiber_hilbert_function_preserved(rng, g, d):
 
 def rescaled_reductions_free_through_double_order(rng, g, d):
     scaled = rescale_v(_perturbed(g, d, 3 * d + 2, rng)[1], d)
-    degrees = [2, 3, 4]
-    fiber = reduction_hilbert_function(scaled, 1, degrees)
-    for m in range(2, 2 * d + 1):
-        got = reduction_hilbert_function(scaled, m, degrees)
-        if got != [m * x for x in fiber]:
-            return False, {"modulus": m, "got": got,
-                           "free": [m * x for x in fiber]}, None
-    detail = {"free_through": 2 * d}
+    # the rescaled bound is 2d + 2, so the table reaches one modulus past 2d
     nxt = 2 * d + 1
-    if nxt <= scaled.order_bound:
-        got = reduction_hilbert_function(scaled, nxt, degrees)
-        detail["next_modulus"] = {"modulus": nxt,
-                                  "free": got == [nxt * x for x in fiber],
-                                  "got": got}
-    return True, None, detail
+    table = reduction_hilbert_function(scaled, nxt, [2, 3, 4])
+    fiber = table[1]
+    for m in range(2, nxt):
+        if table[m] != [m * x for x in fiber]:
+            return False, {"modulus": m, "got": table[m],
+                           "free": [m * x for x in fiber]}, None
+    return True, None, {"free_through": 2 * d,
+                        "next_modulus": {"modulus": nxt,
+                                         "free": table[nxt] == [nxt * x for x in fiber],
+                                         "got": table[nxt]}}
 
 
 def constant_family_reductions_free(rng, g, model):
@@ -565,11 +572,9 @@ def constant_family_reductions_free(rng, g, model):
         ideal = split_ribbon_ideal(g)
     else:
         ideal = hyperelliptic_model(g, random_squarefree_form(2 * g + 2, rng))
-    family = constant_family(ideal, 3)
-    degrees = [2, 3, 4]
-    fiber = reduction_hilbert_function(family, 1, degrees)
+    table = reduction_hilbert_function(constant_family(ideal, 3), 3, [2, 3, 4])
     for m in (2, 3):
-        if reduction_hilbert_function(family, m, degrees) != [m * x for x in fiber]:
+        if table[m] != [m * x for x in table[1]]:
             return False, {"modulus": m}, None
     return True, None, None
 

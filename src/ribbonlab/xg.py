@@ -306,8 +306,9 @@ def generator_multiples(gens, degree: int, grading: str, columns=None):
     pass another order to change the column order.  The multiplier list of
     each weight w is enumerated once and shared by the generators of that
     weight.  Returns (layout, rows, columns) with layout[i] = (generator
-    index, m) for row i.  Coefficients are taken as they are, so truncated
-    families work too.
+    index, m) for row i.  An integral Fraction coefficient becomes an int,
+    once per generator, which the engine takes without conversion; every
+    other coefficient is taken as it is, so truncated families work too.
     """
     gens = list(gens)
     if columns is None:
@@ -323,7 +324,8 @@ def generator_multiples(gens, degree: int, grading: str, columns=None):
             continue
         if w not in multipliers:
             multipliers[w] = monomials(gen.g, degree - w, grading)
-        terms = list(gen.terms.items())
+        terms = [(t, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+                 for t, c in gen.terms.items()]
         for m in multipliers[w]:
             layout.append((e, m))
             rows.append({idx[tuple(map(add, m, t))]: c for t, c in terms})
@@ -652,6 +654,7 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
                        for rep in lower.representatives]
         elim = RowEliminator(len(layout), lifted_rows)
         from_lower_dim = elim.rank
+        lifted = dict(elim.pivots)  # the shape check rewinds to this snapshot
         new_reps = ([v for v in left_kernel(rows, len(columns)) if elim.add(v)]
                     if kernel_dim > from_lower_dim else [])
         shape_name, pattern = shapes.get(degree, (None, None))
@@ -660,11 +663,12 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
             allowed = dict(pattern)
             pure_cols = [col for col, (e, m) in enumerate(layout)
                          if allowed.get(groups[e]) == (sum(m[:g]), sum(m[g:]))]
-            pure = [{pure_cols[local]: c for local, c in v.items()}
-                    for v in left_kernel([rows[col] for col in pure_cols], len(columns))]
+            elim.pivots = lifted
+            for v in left_kernel([rows[col] for col in pure_cols], len(columns)):
+                elim.add({pure_cols[local]: c for local, c in v.items()})
             # the pure syzygies cover the minimal ones exactly when the
             # lifted and pure rows together span the whole kernel
-            shape_matched = RowEliminator(len(layout), lifted_rows + pure).rank == kernel_dim
+            shape_matched = elim.rank == kernel_dim
         records[degree] = SyzygyRecord(
             degree, kernel_dim, from_lower_dim, len(new_reps), shape_name,
             shape_matched, [_vectors_to_polys(ideal, layout, v) for v in new_reps])

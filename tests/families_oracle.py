@@ -1,15 +1,19 @@
-"""Shape orders and sections read the long way: lift the base, then subtract.
+"""Family invariants read the long way, kept as oracles for `ribbonlab.families`.
 
-This is how `ribbonlab.families` read a family's deviation from the split
-ribbon before it read the digits directly, kept as the oracle for that
-reading.  Each base polynomial is built afresh, lifted to Q[pi]/(pi^N) and
-subtracted from its generator, and the deviation's coefficients are
-inspected as truncated scalars.
+Shape orders and sections: this is how the module read a family's deviation
+from the split ribbon before it read the digits directly.  Each base
+polynomial is built afresh, lifted to Q[pi]/(pi^N) and subtracted from its
+generator, and the deviation's coefficients are inspected as truncated
+scalars.
+
+Reduction numbers: `oracle_reduction_hilbert_function` builds and ranks the
+layered matrix afresh for one modulus, monomial-major, as the module did
+before one elimination at the top modulus gave the whole table.
 """
 
-from ribbonlab.exact import TruncatedScalar
+from ribbonlab.exact import RowEliminator, TruncatedScalar
 from ribbonlab.poly import WPoly, veronese_pullback
-from ribbonlab.xg import BASE_POLYS, GROUPS, vv_base_poly
+from ribbonlab.xg import BASE_POLYS, GROUPS, generator_multiples, vv_base_poly
 
 
 def lifted(p, order):
@@ -48,3 +52,18 @@ def oracle_section(family, m):
         p_ij = WPoly(g, {e: -c.coeffs[m] for e, c in dev.terms.items() if c.coeffs[m]})
         quotients.add(veronese_pullback(p_ij).divide_exact(i + j, 2 * g - 6 - i - j))
     return quotients.pop() if len(quotients) == 1 else None
+
+
+def oracle_reduction_hilbert_function(family, modulus, degrees):
+    """Q-dimensions of the quotient slices of the reduction mod pi^modulus alone."""
+    out = []
+    for degree in degrees:
+        _, rows, columns = generator_multiples(family.generators(), degree, "weighted")
+        # pi^layer * row, one column per (monomial, pi digit)
+        layered = [{col * modulus + t: c.coeffs[t - layer]
+                    for col, c in row.items()
+                    for t in range(layer, modulus) if c.coeffs[t - layer]}
+                   for row in rows for layer in range(modulus)]
+        ncols = len(columns) * modulus
+        out.append(ncols - RowEliminator(ncols, layered).rank)
+    return out

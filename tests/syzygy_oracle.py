@@ -7,9 +7,15 @@ the monomial multiples of the lower-degree representatives, which it lifts
 through the per-degree layouts it keeps.  It returns the records as plain
 dicts of the seven `SyzygyRecord` fields.  Only the elimination engine and
 the matrix builder are shared with the code it checks.
+
+`rank_count_syzygies` is the rank-counting loop as it was before its shape
+check reused the pivots of the lifted rows: that check eliminates the lifted
+rows a second time, together with the pure syzygies.
 """
 
-from ribbonlab.exact import RowEliminator, left_kernel
+from operator import add
+
+from ribbonlab.exact import RowEliminator, left_kernel, sparse_rank
 from ribbonlab.poly import WPoly, monomials
 from ribbonlab.xg import SYZYGY_SHAPE_TABLES, generator_multiples
 
@@ -77,6 +83,43 @@ def all_kernels_syzygies(ideal, max_degree, shape_table="ribbon"):
             "shape_matched": shape_matched,
             "representatives": [_vectors_to_polys(ideal, layout, v) for v in new_reps]}
         minimal_reps[degree] = new_reps
+    return records
+
+
+def rank_count_syzygies(ideal, max_degree, shape_table="ribbon"):
+    g = ideal.g
+    shapes = SYZYGY_SHAPE_TABLES[shape_table]
+    groups = ideal.generator_groups()
+    gens = ideal.generators()
+    records = {}
+    min_gen_degree = min(p.degree("weighted") for p in gens)
+    for degree in range(min_gen_degree + 1, max_degree + 1):
+        layout, rows, columns = generator_multiples(gens, degree, "weighted")
+        kernel_dim = len(rows) - sparse_rank(rows, len(columns))
+        row_of = {key: i for i, key in enumerate(layout)}
+        lifted_rows = [{row_of[e, tuple(map(add, m, shift))]: c
+                        for e, coeff in enumerate(rep) for m, c in coeff.terms.items()}
+                       for lower in records.values()
+                       for shift in monomials(g, degree - lower["degree"], "weighted")
+                       for rep in lower["representatives"]]
+        elim = RowEliminator(len(layout), lifted_rows)
+        from_lower_dim = elim.rank
+        new_reps = ([v for v in left_kernel(rows, len(columns)) if elim.add(v)]
+                    if kernel_dim > from_lower_dim else [])
+        shape_name, pattern = shapes.get(degree, (None, None))
+        shape_matched = False if new_reps else None
+        if new_reps and pattern is not None:
+            allowed = dict(pattern)
+            pure_cols = [col for col, (e, m) in enumerate(layout)
+                         if allowed.get(groups[e]) == (sum(m[:g]), sum(m[g:]))]
+            pure = [{pure_cols[local]: c for local, c in v.items()}
+                    for v in left_kernel([rows[col] for col in pure_cols], len(columns))]
+            shape_matched = RowEliminator(len(layout), lifted_rows + pure).rank == kernel_dim
+        records[degree] = {
+            "degree": degree, "kernel_dim": kernel_dim, "from_lower_dim": from_lower_dim,
+            "minimal_count": len(new_reps), "shape_name": shape_name,
+            "shape_matched": shape_matched,
+            "representatives": [_vectors_to_polys(ideal, layout, v) for v in new_reps]}
     return records
 
 

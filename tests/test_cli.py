@@ -136,6 +136,31 @@ def test_unhandled_input_errors_end_in_one_error_document(capsys):
     assert doc["payload"]["message"].startswith("JSON number 1e400 is not exact")
 
 
+def test_malformed_header_objects_are_refused_by_name_without_a_traceback(capsys):
+    cases = [
+        (["limit-quadric", "--q", '{"g":3,"matrix":5}'], "the quadric matrix must be a list"),
+        (["limit-quadric", "--q", '{"g":3,"matrix":[1]}'], "a matrix row must be a list"),
+        (["limit-quadric", "--q", '{"matrix":[[1]]}'], "a quadric object has no key 'g'"),
+        (["limit-quadric", "--q", '{"g":3}'], "a quadric object has no key 'matrix'"),
+        (["limit-quadric", "--q", '{"g":[3],"matrix":[["1"]]}'], "the genus g must be an integer"),
+        (["family", "build", "--g", "3", "--h", '{"degree":8}'],
+         "a binary form object has no key 'coeffs'"),
+        (["family", "build", "--g", "3", "--h", '{"coeffs":["1"]}'],
+         "a binary form object has no key 'degree'"),
+        (["family", "build", "--g", "3", "--h", '{"degree":8,"coeffs":"1"}'],
+         "the coeffs must be a list"),
+        (["family", "build", "--g", "3", "--h", '{"degree":null,"coeffs":[]}'],
+         "the degree must be an integer"),
+    ]
+    for argv, message in cases:
+        code = main(argv)
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert code == 1 and doc["status"] == "error", argv
+        assert doc["payload"]["message"].startswith(message), argv
+        assert "Traceback" not in captured.err, argv
+
+
 def test_malformed_terms_are_refused_by_name_without_a_traceback(capsys):
     good = {"u": [1, 0, 1], "v": [0], "c": "1"}
     for term in ({"u": [1, 0, 1], "v": [0]}, {"u": [1, 0, 1], "v": [True], "c": "1"},

@@ -34,7 +34,12 @@ from ribbonlab.xg import (
     uu_keys,
 )
 
-from families_oracle import oracle_hyperell_order, oracle_ribbon_order, oracle_section
+from families_oracle import (
+    oracle_hyperell_order,
+    oracle_reduction_hilbert_function,
+    oracle_ribbon_order,
+    oracle_section,
+)
 from test_poly import sylvester_det
 
 
@@ -358,11 +363,21 @@ def test_base_change_pi_squared_doubles_orders():
     assert ribbon_order(base_change_pi_squared(rescaled)) == 2 * ribbon_order(rescaled)
 
 
+def free_through(table):
+    """The largest m of the table through which the reductions are free."""
+    m = 1
+    while m + 1 in table and table[m + 1] == [(m + 1) * x for x in table[1]]:
+        m += 1
+    return m
+
+
 def test_reduction_numbers_of_constant_families_are_free():
     split = constant_family(split_ribbon_ideal(4), 3)
     fiber = hilbert_function(split_ribbon_ideal(4), "weighted", [2, 3, 4])
+    table = reduction_hilbert_function(split, 3, [2, 3, 4])
+    assert list(table) == [1, 2, 3]
     for m in (1, 2, 3):
-        assert reduction_hilbert_function(split, m, [2, 3, 4]) == [m * x for x in fiber]
+        assert table[m] == [m * x for x in fiber]
 
 
 def test_reduction_numbers_across_rescaling():
@@ -372,16 +387,18 @@ def test_reduction_numbers_across_rescaling():
     fam = perturb_hyperelliptic(4, h, 1, 4, ell)
     out = rescale_v(fam, 1)
     fiber = hilbert_function(hyperelliptic_model(4, h), "weighted", [2, 3, 4])
+    table, out_table = (reduction_hilbert_function(fam, 2, [2, 3, 4]),
+                        reduction_hilbert_function(out, 3, [2, 3, 4]))
     # mod pi the hyperelliptic fiber and the ribbon fiber agree ...
-    assert reduction_hilbert_function(fam, 1, [2, 3, 4]) == fiber
-    assert reduction_hilbert_function(out, 1, [2, 3, 4]) == fiber
+    assert table[1] == fiber
+    assert out_table[1] == fiber
     # ... and the rescaled family stays free exactly up to the doubled order:
     # the family leaves ribbon form at pi^2, and freeness stops there too
-    assert reduction_hilbert_function(out, 2, [2, 3, 4]) == [2 * x for x in fiber]
-    assert reduction_hilbert_function(out, 3, [4]) == [60] != [3 * 21]
+    assert out_table[2] == [2 * x for x in fiber]
+    assert out_table[3][2] == 60 != 3 * 21
     # the unrescaled perturbation carries only the odd leading term, with no
     # compensating even terms at the next order, so it is not free mod pi^2
-    assert reduction_hilbert_function(fam, 2, [4]) == [39] != [2 * 21]
+    assert table[2][2] == 39 != 2 * 21
 
 
 def test_rescaling_an_unliftable_direction_changes_the_fiber_numbers():
@@ -390,8 +407,60 @@ def test_rescaling_an_unliftable_direction_changes_the_fiber_numbers():
     h = random_squarefree(random.Random(23), 10)
     fam = perturb_hyperelliptic(4, h, 1, 4, [WPoly.v_var(4, 1), WPoly.zero(4), WPoly.zero(4)])
     out = rescale_v(fam, 1)
-    assert reduction_hilbert_function(fam, 1, [3]) == [15]
-    assert reduction_hilbert_function(out, 1, [3]) == [13]
+    assert reduction_hilbert_function(fam, 1, [3]) == {1: [15]}
+    assert reduction_hilbert_function(out, 1, [3]) == {1: [13]}
+
+
+def test_reduction_table_rejects_a_modulus_outside_the_bound():
+    fam = worked_family()
+    for modulus in (0, 5):
+        with pytest.raises(ValueError, match="modulus"):
+            reduction_hilbert_function(fam, modulus, [2])
+
+
+def test_reduction_table_matches_the_per_modulus_oracle():
+    rng = random.Random(41)
+    degrees = [2, 3, 4]
+    families = []
+    for g in (3, 4, 5):
+        for d in (1, 2, 3):
+            fam = perturb_hyperelliptic(g, random_squarefree(rng, 2 * g + 2), d,
+                                        3 * d + 1, random_ribbon_ell(g, rng))
+            families += [fam, rescale_v(fam, d)]
+        h = random_squarefree(rng, 2 * g + 2)
+        families += [constant_family(split_ribbon_ideal(g), 3),
+                     constant_family(hyperelliptic_model(g, h), 3)]
+    for fam in families:
+        table = reduction_hilbert_function(fam, fam.order_bound, degrees)
+        assert list(table) == list(range(1, fam.order_bound + 1))
+        for m, dims in table.items():
+            assert dims == oracle_reduction_hilbert_function(fam, m, degrees), (fam, m)
+
+
+def test_flatness_order_doubles_under_rescaling():
+    # order doubling stated as flatness: perturbed at pi^d, the family is free
+    # through exactly d; rescaled by d, through exactly 2d
+    rng = random.Random(43)
+    for g in (4, 5):
+        for d in (1, 2, 3):
+            fam = perturb_hyperelliptic(g, random_squarefree(rng, 2 * g + 2), d,
+                                        3 * d + 1, random_ribbon_ell(g, rng))
+            scaled = rescale_v(fam, d)
+            assert scaled.order_bound == 2 * d + 1
+            assert free_through(reduction_hilbert_function(fam, d + 1, [2, 3, 4])) == d
+            assert free_through(reduction_hilbert_function(
+                scaled, scaled.order_bound, [2, 3, 4])) == 2 * d
+
+
+def test_flatness_at_genus_three_reaches_the_bound():
+    # both g=3 models are complete intersections, so every family is free
+    rng = random.Random(47)
+    for d in (1, 2, 3):
+        fam = perturb_hyperelliptic(3, random_squarefree(rng, 8), d, 3 * d + 1,
+                                    random_ribbon_ell(3, rng))
+        for family in (fam, rescale_v(fam, d)):
+            table = reduction_hilbert_function(family, family.order_bound, [2, 3, 4])
+            assert free_through(table) == family.order_bound
 
 
 def test_family_json_round_trip():

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from ribbonlab.conormal import LambdaFunctional, phi_d, ribbon_slice
-from ribbonlab.exact import _find, left_kernel, row_space_matrix, sparse_kernel_basis, sparse_rank
+from ribbonlab.exact import (
+    RowEliminator,
+    _find,
+    left_kernel,
+    row_space_matrix,
+    sparse_kernel_basis,
+    sparse_rank,
+)
 from ribbonlab.families import constant_family
 from ribbonlab.poly import BinaryForm, WPoly, monomials, quartic_lift, veronese_pullback
 from ribbonlab.rnc import IdealSlice, hankel_generators, ideal_slice
@@ -33,7 +40,7 @@ from ribbonlab.xg import (
 )
 
 from groebner_oracle import all_pairs_criterion, completed_buchberger, full_scan_normal_count
-from syzygy_oracle import all_kernels_syzygies, record_fields
+from syzygy_oracle import all_kernels_syzygies, rank_count_syzygies, record_fields
 from test_exact import dense_kernel, dense_rref, to_dense
 
 
@@ -188,6 +195,28 @@ def test_membership_oracle_rejects():
     first, second = split_ribbon_evaluation(u(g, 1))
     assert first == BinaryForm.monomial(g - 1, 1)
     assert second.is_zero()
+
+
+def test_evaluation_oracle_item_reads_the_rank_off_the_coordinates(monkeypatch):
+    from ribbonlab import suites
+
+    for g in (3, 4):
+        for degree in (2, 3, 4):
+            assert suites.split_membership_evaluation_oracle(None, g, degree) == \
+                (True, None, None)
+    # send u_0^2 to two coordinates: the item must fail and name it
+    target = WPoly.u_monomial(3, [0, 0])
+
+    def spread(p):
+        first, second = split_ribbon_evaluation(p)
+        if p == target:
+            first = first + BinaryForm.monomial(first.degree, 1)
+        return first, second
+
+    monkeypatch.setattr(suites, "split_ribbon_evaluation", spread)
+    ok, counter, _ = suites.split_membership_evaluation_oracle(None, 3, 2)
+    assert not ok
+    assert counter == {"monomial": target.to_json(), "coordinates": [0, 1]}
 
 
 def test_split_groups_are_built_once_and_equal_a_fresh_build():
@@ -399,6 +428,32 @@ def test_generator_multiples_matches_per_generator_builder():
                 else:
                     with pytest.raises(ValueError, match="inhomogeneous"):
                         generator_multiples(gens, degree, "koszul")
+
+
+def test_generator_multiples_take_integral_coefficients_as_ints():
+    g = 4
+    h = squarefree_h(g)
+    halved = hyperelliptic_model(g, h * Fraction(1, 2))
+    for ideal in (split_ribbon_ideal(g), hyperelliptic_model(g, h)):
+        _, rows, _ = generator_multiples(ideal.generators(), 4, "weighted")
+        assert {type(c) for row in rows for c in row.values()} == {int}
+    _, rows, _ = generator_multiples(halved.generators(), 4, "weighted")
+    assert {type(c) for row in rows for c in row.values()} == {int, Fraction}
+    assert all(type(c) is Fraction for row in rows for c in row.values()
+               if not isinstance(c, int))
+    ribbon = canonical_ribbon_ideal(g, random_ribbon_ell(g, random.Random(59)))
+    for ideal in (split_ribbon_ideal(g), hyperelliptic_model(g, h), halved, ribbon):
+        gens = ideal.generators()
+        for degree in (3, 4, 5):
+            built = generator_multiples(gens, degree, "weighted")
+            as_given = per_generator_multiples(gens, degree, "weighted")
+            assert built == as_given
+            n = len(built[2])
+            ints, fractions = RowEliminator(n, built[1]), RowEliminator(n, as_given[1])
+            assert ints.rank == fractions.rank
+            assert ints.kernel() == fractions.kernel()
+            assert ints.reduced_rows() == fractions.reduced_rows()
+            assert left_kernel(built[1], n) == left_kernel(as_given[1], n)
 
 
 def test_hilbert_function_canonical_matches_split():
@@ -667,6 +722,22 @@ def test_syzygy_records_match_the_all_kernels_oracle():
         records = syzygies_by_degree(ideal, max_degree, table)
         got = {d: record_fields(rec) for d, rec in records.items()}
         assert got == all_kernels_syzygies(ideal, max_degree, table), (name, ideal.g)
+
+
+def test_shape_check_on_reused_pivots_matches_the_double_elimination():
+    rng = random.Random(53)
+    models = [(split_ribbon_ideal(g), 7 if g < 5 else 6, "ribbon") for g in (3, 4, 5)]
+    for g in (3, 4):
+        h = BinaryForm(2 * g + 2, [rng.randint(-5, 5) for _ in range(2 * g + 3)])
+        models.append((hyperelliptic_model(g, h), 7, "hyperelliptic"))
+    models.append((canonical_ribbon_ideal(4, random_ribbon_ell(4, rng)), 7, "ribbon"))
+    for ideal, max_degree, table in models:
+        records = syzygies_by_degree(ideal, max_degree, table)
+        got = {d: record_fields(rec) for d, rec in records.items()}
+        assert got == rank_count_syzygies(ideal, max_degree, table), (table, ideal.g)
+        # the check ran wherever a degree of the table has minimal syzygies
+        assert any(rec.shape_matched is not None and rec.shape_name is not None
+                   for rec in records.values())
 
 
 def _kernel_table(records):
