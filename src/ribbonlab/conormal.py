@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import RatMatrix, left_kernel, rat, rat_to_str, sparse_kernel_basis
+from .exact import RatMatrix, from_integers, left_kernel, rat, rat_to_str
+from .exact import sparse_kernel_basis, to_integers
 from .poly import BinaryForm, WPoly, monomials, veronese_pullback
 from .rnc import IdealSlice, QuadForm
 
@@ -139,11 +140,13 @@ def phi_d(x: WPoly, d: int) -> ConormalMatrix:
     if x.terms and not veronese_pullback(x).is_zero():
         raise ValueError("x not in the ideal of the curve")
     ncols = (d - 1) * (g - 1) - 1
-    rows = [[Fraction(0)] * ncols for _ in range(g - 2)]
-    for e, c in x.terms.items():
+    scale, ints = to_integers(x.terms.values())
+    rows = [[0] * ncols for _ in range(g - 2)]
+    for e, c in zip(x.terms, ints):
         for j, b, w in _entries(e, g):
             rows[j][b] += w * c
-    return ConormalMatrix(g, d, RatMatrix(rows, ncols=ncols))
+    return ConormalMatrix(g, d, RatMatrix._raw(tuple(from_integers(row, scale)
+                                                     for row in rows), ncols))
 
 
 def _entries(e, g):

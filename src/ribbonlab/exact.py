@@ -17,6 +17,13 @@ Values are coerced once, at the boundary: the public constructors, the
 send it through `rat`.  Arithmetic on the package's own values builds its
 results with each class's private `_raw`, which stores them unchecked.
 
+The polynomial kernels follow the engine's rule: integers inside,
+`Fraction`s only at the output.  A kernel scales its rational inputs to
+integers with `to_integers` (one lcm of the denominators per input), does
+every product and sum on ints, and builds its output `Fraction`s once with
+`from_integers`.  Values at rest are never ints: every public value stays a
+`Fraction` (or a `TruncatedScalar`), so `/` on it stays exact.
+
 Rationals serialize as "p/q" (or just "p" when the denominator is 1).
 """
 
@@ -38,6 +45,31 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         return rat_from_str(value)
     raise TypeError("cannot coerce %r to a rational" % (value,))
+
+
+def to_integers(values):
+    """(L, [L * v for v in values] as ints), L the lcm of the values' denominators.
+
+    values is a sequence or dict view of ints and Fractions; it is read a
+    second time only when some denominator is not 1.
+    """
+    ints = []
+    for v in values:
+        if v.denominator != 1:
+            break
+        ints.append(v.numerator)
+    else:
+        return 1, ints
+    pairs = [v.as_integer_ratio() for v in values]
+    scale = lcm(*[q for _, q in pairs])
+    return scale, [n * (scale // q) for n, q in pairs]
+
+
+def from_integers(ints, scale: int) -> tuple:
+    """The Fractions n / scale for n in ints, as a tuple; every zero is one shared zero."""
+    if scale == 1:
+        return tuple([Fraction(n) if n else _ZERO for n in ints])
+    return tuple([Fraction(n, scale) if n else _ZERO for n in ints])
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -302,9 +334,9 @@ class RatMatrix:
         scale = 1
         m = []
         for row in self.rows:
-            denom_lcm = lcm(*(x.denominator for x in row))
-            scale *= denom_lcm
-            m.append([x.numerator * (denom_lcm // x.denominator) for x in row])
+            row_scale, ints = to_integers(row)
+            scale *= row_scale
+            m.append(ints)
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -536,11 +568,11 @@ def _sparse(vec):
     """A fresh primitive integer row {column: int} proportional to vec.
 
     Entries other than ints and Fractions go through `rat`, and zero entries
-    are dropped; the row is multiplied by the lcm of its denominators and
-    divided by the gcd of the resulting numerators.
+    are dropped; a row with a non-integral entry is scaled by `to_integers`,
+    and the row is divided by the gcd of the resulting integers.
     """
     row = {}
-    denominator = 1
+    integral = True
     for c, v in _entries(vec):
         if v:
             if type(v) is not int:
@@ -551,10 +583,10 @@ def _sparse(vec):
                     if not v:
                         continue
                 else:
-                    denominator = lcm(denominator, v.denominator)
+                    integral = False
             row[c] = v
-    if denominator != 1:
-        row = {c: v.numerator * (denominator // v.denominator) for c, v in row.items()}
+    if not integral:
+        row = dict(zip(row, to_integers(row.values())[1]))
     return _primitive(row)
 
 

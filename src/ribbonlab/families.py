@@ -32,9 +32,8 @@ intersections, and every such family is free through its bound.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .exact import RatMatrix, RowEliminator, TruncatedScalar, rat_to_str
+from .exact import RatMatrix, RowEliminator, TruncatedScalar, rat_to_str, to_integers
 from .poly import BinaryForm, WPoly, veronese_pullback
 from .xg import (
     GROUP_DEGREES,
@@ -368,7 +367,7 @@ def _bezout_resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
     case, and Res(f, g) = Res(F, G) / (L_f L_g)^m.
     """
     m = f.degree
-    (lf, a), (lg, b) = _integral(f), _integral(g)
+    (lf, a), (lg, b) = to_integers(f.coeffs), to_integers(g.coeffs)
     c = [[a[p] * b[q] - a[q] * b[p] for q in range(m + 1)] for p in range(m + 1)]
     rows = []
     for i in range(m):
@@ -376,12 +375,6 @@ def _bezout_resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
                           for j in range(m)))
     r = RatMatrix._raw(tuple(rows), m).det() / (lf * lg) ** m
     return -r if m * (m - 1) // 2 % 2 else r
-
-
-def _integral(f: BinaryForm):
-    """(L, integer coefficients of L * f), L the lcm of f's denominators."""
-    scale = lcm(*(x.denominator for x in f.coeffs))
-    return scale, [x.numerator * (scale // x.denominator) for x in f.coeffs]
 
 
 def base_change_pi_squared(family: TruncatedFamily) -> TruncatedFamily:

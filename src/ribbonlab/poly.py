@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from .exact import RatMatrix, rat, rat_from_str, rat_to_str
+from .exact import RatMatrix, from_integers, rat, rat_from_str, rat_to_str, to_integers
 from .exact import TruncatedScalar, json_fields, json_int, json_list
 
 GRADINGS = ("weighted", "koszul")
@@ -91,17 +91,20 @@ class BinaryForm:
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            out = [Fraction(0)] * (self.degree + other.degree + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return BinaryForm._raw(self.degree + other.degree, tuple(out))
+            scale, a = to_integers(self.coeffs)
+            other_scale, b = to_integers(other.coeffs)
+            out = [0] * (self.degree + other.degree + 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            return BinaryForm._raw(self.degree + other.degree,
+                                   from_integers(out, scale * other_scale))
         if isinstance(other, (int, Fraction)):
             q = rat(other)
-            return BinaryForm._raw(self.degree, tuple(q * a for a in self.coeffs))
+            scale, a = to_integers(self.coeffs)
+            return BinaryForm._raw(self.degree, from_integers(
+                [x * q.numerator for x in a], scale * q.denominator))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -133,21 +136,17 @@ class BinaryForm:
 
     def derivative(self, var: int) -> "BinaryForm":
         """Partial derivative with respect to x0 (var=0) or x1 (var=1)."""
-        if self.degree == 0:
+        if var not in (0, 1):
+            raise ValueError("var must be 0 or 1")
+        n = self.degree
+        if n == 0:
             return BinaryForm._raw(0, (Fraction(0),))
-        out = [Fraction(0)] * self.degree
-        for a, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if var == 0:
-                if a:
-                    out[a - 1] = a * c
-            elif var == 1:
-                if self.degree - a:
-                    out[a] = (self.degree - a) * c
-            else:
-                raise ValueError("var must be 0 or 1")
-        return BinaryForm._raw(self.degree - 1, tuple(out))
+        scale, ints = to_integers(self.coeffs)
+        if var == 0:
+            out = [a * c for a, c in enumerate(ints) if a]
+        else:
+            out = [(n - a) * c for a, c in enumerate(ints[:n])]
+        return BinaryForm._raw(n - 1, from_integers(out, scale))
 
     def __repr__(self):
         parts = []
@@ -198,7 +197,9 @@ class WPoly:
     """Polynomial in the weighted coordinates of genus g.
 
     Exponent keys are tuples of length 2g-2: entries 0..g-1 are u exponents,
-    entries g..2g-3 are v exponents.  Zero coefficients are never stored.
+    entries g..2g-3 are v exponents.  Zero coefficients are never stored, and
+    every stored coefficient is a Fraction or a TruncatedScalar: the public
+    constructor sends every other coefficient through `rat`.
     """
 
     __slots__ = ("g", "terms")
@@ -214,6 +215,8 @@ class WPoly:
                 exps = tuple(exps)
                 if len(exps) != n or any(e < 0 for e in exps):
                     raise ValueError("bad exponent tuple %r for g=%d" % (exps, g))
+                if not isinstance(coeff, TruncatedScalar):
+                    coeff = rat(coeff)
                 if not coeff:
                     continue
                 if exps in clean:
@@ -306,10 +309,19 @@ class WPoly:
     def __mul__(self, other):
         if isinstance(other, WPoly):
             self._check_g(other)
+            # over Q the loop runs on the integer multiples (see `to_integers`)
+            rational = all(type(c) is Fraction
+                           for p in (self, other) for c in p.terms.values())
+            if rational:
+                scale, a = to_integers(self.terms.values())
+                other_scale, b = to_integers(other.terms.values())
+                left, right = zip(self.terms, a), list(zip(other.terms, b))
+            else:
+                left, right = self.terms.items(), list(other.terms.items())
             out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
+            for e1, c1 in left:
+                for e2, c2 in right:
+                    e = tuple(map(add, e1, e2))
                     c = c1 * c2
                     if e in out:
                         s = out[e] + c
@@ -319,6 +331,8 @@ class WPoly:
                             del out[e]
                     elif c:
                         out[e] = c
+            if rational:
+                out = dict(zip(out, from_integers(out.values(), scale * other_scale)))
             return WPoly._raw(self.g, out)
         # scalar (Fraction, int, or TruncatedScalar); a product may vanish
         return WPoly._raw(self.g, {e: v for e, c in self.terms.items() if (v := c * other)})
@@ -470,11 +484,11 @@ def veronese_pullback(p: WPoly) -> BinaryForm:
     if not p.terms:
         raise ValueError("pullback of the zero polynomial has no determined degree")
     d = p.degree("weighted")
-    coeffs = [Fraction(0)] * (d * (g - 1) + 1)
-    for e, c in p.terms.items():
-        a = sum(i * k for i, k in enumerate(e[:g]))
-        coeffs[a] += c
-    return BinaryForm._raw(d * (g - 1), tuple(coeffs))
+    scale, ints = to_integers(p.terms.values())
+    coeffs = [0] * (d * (g - 1) + 1)
+    for e, c in zip(p.terms, ints):
+        coeffs[sum(i * k for i, k in enumerate(e[:g]))] += c
+    return BinaryForm._raw(d * (g - 1), from_integers(coeffs, scale))
 
 
 def quartic_lift(f: BinaryForm, g: int) -> WPoly:
@@ -484,20 +498,20 @@ def quartic_lift(f: BinaryForm, g: int) -> WPoly:
     u_{a_4} where each a_t takes as much of k as fits: a_t = min(g-1,
     k - a_1 - ... - a_{t-1}).  Distinct lifts of the same form differ by
     elements of the curve ideal, so downstream identities are checked by
-    ideal membership rather than literal equality.
+    ideal membership rather than literal equality.  Distinct k lift to
+    distinct monomials, so each coefficient of f is one term of the lift.
     """
     n = g - 1
     if f.degree != 4 * n:
         raise ValueError("expected a form of degree %d" % (4 * n))
-    total = WPoly.zero(g)
+    terms = {}
     for k, c in enumerate(f.coeffs):
-        if not c:
-            continue
-        indices = []
-        rem = k
-        for _ in range(4):
-            a = min(n, rem)
-            indices.append(a)
-            rem -= a
-        total = total + WPoly.u_monomial(g, indices, c)
-    return total
+        if c:
+            e = [0] * (2 * g - 2)
+            rem = k
+            for _ in range(4):
+                a = min(n, rem)
+                e[a] += 1
+                rem -= a
+            terms[tuple(e)] = c
+    return WPoly._raw(g, terms)

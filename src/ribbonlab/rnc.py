@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import RatMatrix, rat, rat_from_str, rat_to_str, row_space_matrix
+from .exact import RatMatrix, _clear, from_integers, rat, rat_from_str, rat_to_str
+from .exact import row_space_matrix, to_integers
 from .exact import json_fields, json_int, json_list
 from .poly import WPoly, monomial_index, monomials, veronese_pullback
 
@@ -92,10 +93,12 @@ class QuadForm:
 def q_to_quadric(q: QuadForm) -> WPoly:
     """Quadric through the rational normal curve attached to a symmetric form."""
     g = q.g
+    n = q.size
+    scale, ints = to_integers([c for row in q.mat.rows for c in row])
     total = {}
-    for i in range(q.size):
-        for j in range(q.size):
-            c = q.entry(i, j)
+    for i in range(n):
+        for j in range(n):
+            c = ints[i * n + j]
             if not c:
                 continue
             for (a, b), sign in (((i + 2, j), 1), ((i + 1, j + 1), -1)):
@@ -103,8 +106,9 @@ def q_to_quadric(q: QuadForm) -> WPoly:
                 e[a] += 1
                 e[b] += 1
                 key = tuple(e)
-                total[key] = total.get(key, Fraction(0)) + sign * c
-    return WPoly(g, total)
+                total[key] = total.get(key, 0) + sign * c
+    total = {e: c for e, c in total.items() if c}
+    return WPoly._raw(g, dict(zip(total, from_integers(total.values(), scale))))
 
 
 def hankel_generators(g: int):
@@ -172,17 +176,21 @@ class IdealSlice:
     def contains(self, p: WPoly) -> bool:
         """Membership by one pass of p's vector over the stored canonical rows.
 
-        Each row is zero on the other rows' leads, so subtracting it clears its
-        lead without touching another one; p lies in the slice iff nothing is
-        left.
+        Each row is zero on the other rows' leads, so clearing its lead does
+        not touch another one; p lies in the slice iff nothing is left.  The
+        pass runs on integers, as RowEliminator's does: p's vector is scaled
+        once, each row that meets it is scaled when it is met, and a lead is
+        cleared by an integer combination of the two.
         """
         vec = self.vector_of(p)
+        vec = dict(zip(vec, to_integers(vec.values())[1]))
         for row in self.rows:
-            factor = vec.get(next(iter(row)))
-            if factor:
-                for c, v in row.items():
-                    vec[c] = vec.get(c, 0) - factor * v
-        return not any(vec.values())
+            lead = next(iter(row))
+            x = vec.pop(lead, 0)
+            if x:
+                tail = dict(zip(row, to_integers(row.values())[1]))
+                vec = _clear(vec, x, tail.pop(lead), tail)[1]
+        return not vec
 
     def __eq__(self, other):
         if not isinstance(other, IdealSlice):

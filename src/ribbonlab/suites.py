@@ -26,7 +26,7 @@ from .conormal import (
     psi_d,
     ribbon_slice,
 )
-from .exact import RatMatrix, rat, sparse_rank
+from .exact import _ZERO, RatMatrix, rat, sparse_rank
 from .families import (
     TruncatedFamily,
     base_change_pi_squared,
@@ -330,17 +330,21 @@ def conormal_items(gmax, dmax):
 def split_membership_evaluation_oracle(rng, g, degree):
     ideal = split_ribbon_ideal(g)
     basis = monomials(g, degree, "weighted")
+    one = Fraction(1)
     spots = []
     for e in basis:
-        monomial = WPoly(g, {e: Fraction(1)})
+        monomial = WPoly._raw(g, {e: one})
         first, second = split_ribbon_evaluation(monomial)
-        image = [(i, c) for i, c in enumerate(first.coeffs + second.coeffs) if c]
+        coords = first.coeffs + second.coeffs
+        # the evaluation's zeros are one shared object, so most entries are
+        # passed over by identity, without Fraction.__bool__
+        image = [i for i, c in enumerate(coords) if c is not _ZERO and c]
         if len(image) > 1:
-            return False, {"monomial": monomial.to_json(),
-                           "coordinates": [i for i, _ in image]}, None
+            return False, {"monomial": monomial.to_json(), "coordinates": image}, None
         if image:
-            i, c = image[0]
+            i = image[0]
             # an integral value as an int, like the generator multiples' entries
+            c = coords[i]
             spots.append((i, c.numerator if c.denominator == 1 else c))
         else:
             spots.append(None)

@@ -29,7 +29,7 @@ from math import comb
 from operator import add
 from random import Random
 
-from .exact import RowEliminator, left_kernel, rat, sparse_rank
+from .exact import RowEliminator, from_integers, left_kernel, rat, sparse_rank, to_integers
 from .poly import (
     MONOMIAL_ORDERS,
     BinaryForm,
@@ -257,13 +257,18 @@ def random_ribbon_ell(g: int, rng):
 def hyperelliptic_model(g: int, h: BinaryForm) -> XgIdeal:
     """Hyperelliptic curve y^2 = h embedded in X_g: v_i v_j = p_ij(u).
 
-    h is a binary form of degree 2g+2; p_ij lifts x0^(i+j) x1^(2g-6-i-j) h.
+    h is a binary form of degree 2g+2; p_ij lifts x0^(i+j) x1^(2g-6-i-j) h,
+    whose coefficients are h's shifted up by s = i+j, so the keys of one s
+    share one lift.
     """
     if h.degree != 2 * g + 2:
         raise ValueError("expected a form of degree %d" % (2 * g + 2))
     uu, uv, vv = _split_groups(g)
-    vv = [((i, j), p - quartic_lift(BinaryForm.monomial(2 * g - 6, i + j) * h, g))
-          for (i, j), p in vv]
+    zero = (Fraction(0),)
+    minus_lifts = [-quartic_lift(BinaryForm._raw(4 * (g - 1), zero * s + h.coeffs
+                                                 + zero * (2 * g - 6 - s)), g)
+                   for s in range(2 * g - 5)]
+    vv = [((i, j), p + minus_lifts[i + j]) for (i, j), p in vv]
     return XgIdeal(g, uu, uv, vv)
 
 
@@ -271,9 +276,11 @@ def split_ribbon_evaluation(p: WPoly):
     """Evaluate on the split ribbon: a pair (a, eps*b) with eps^2 = 0.
 
     u_i maps to (x0^i x1^(g-1-i), 0) and v_j to (0, x0^j x1^(g-3-j)); a term
-    with two or more v factors dies.  Requires weighted-homogeneous input;
-    returns (first, second) binary forms of degrees d(g-1) and d(g-1)-(g+1).
-    Membership in the split-ribbon ideal is exactly: both vanish.
+    with two or more v factors dies.  Requires weighted-homogeneous input
+    over Q; returns (first, second) binary forms of degrees d(g-1) and
+    d(g-1)-(g+1), except that for d = 1, where no term has a v factor, the
+    second value is the zero form of degree 0.  Membership in the
+    split-ribbon ideal is exactly: both vanish.
     """
     g = p.g
     if not p.terms:
@@ -281,9 +288,10 @@ def split_ribbon_evaluation(p: WPoly):
     d = p.degree("weighted")
     deg1 = d * (g - 1)
     deg2 = deg1 - (g + 1)
-    first = [Fraction(0)] * (deg1 + 1)
-    second = [Fraction(0)] * (deg2 + 1) if deg2 >= 0 else None
-    for e, c in p.terms.items():
+    scale, ints = to_integers(p.terms.values())
+    first = [0] * (deg1 + 1)
+    second = [0] * (deg2 + 1) if deg2 >= 0 else None
+    for e, c in zip(p.terms, ints):
         b = sum(e[g:])
         a = sum(i * k for i, k in enumerate(e[:g]))
         if b == 0:
@@ -293,8 +301,9 @@ def split_ribbon_evaluation(p: WPoly):
                 raise ValueError("degree too small for a v term")
             j = next(t for t, k in enumerate(e[g:]) if k)
             second[a + j] += c
-    return (BinaryForm._raw(deg1, tuple(first)),
-            BinaryForm._raw(deg2, tuple(second)) if second is not None else BinaryForm(0))
+    return (BinaryForm._raw(deg1, from_integers(first, scale)),
+            BinaryForm._raw(deg2, from_integers(second, scale)) if second is not None
+            else BinaryForm(0))
 
 
 def generator_multiples(gens, degree: int, grading: str, columns=None):

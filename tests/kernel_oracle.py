@@ -1,0 +1,144 @@
+"""The polynomial kernels in plain Fraction arithmetic, as they were written before
+they became fraction-free.
+
+Each function here is the loop its counterpart in `ribbonlab` ran before that
+counterpart moved to integers inside (`exact.to_integers`) and Fractions only
+at the output (`exact.from_integers`).  Every step below is a Fraction
+operation and every result goes through a public constructor, so these are
+the oracles for the integer kernels.
+"""
+
+from fractions import Fraction
+
+from ribbonlab.exact import RatMatrix
+from ribbonlab.poly import BinaryForm, WPoly
+
+
+def form_product(f, h):
+    out = [Fraction(0)] * (f.degree + h.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(h.coeffs):
+            out[i + j] += a * b
+    return BinaryForm(f.degree + h.degree, out)
+
+
+def form_scalar_product(f, q):
+    return BinaryForm(f.degree, [Fraction(q) * a for a in f.coeffs])
+
+
+def form_derivative(f, var):
+    if f.degree == 0:
+        return BinaryForm(0)
+    out = [Fraction(0)] * f.degree
+    for a, c in enumerate(f.coeffs):
+        if var == 0 and a:
+            out[a - 1] = a * c
+        elif var == 1 and f.degree - a:
+            out[a] = (f.degree - a) * c
+    return BinaryForm(f.degree - 1, out)
+
+
+def wpoly_product(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return WPoly(p.g, out)
+
+
+def pullback(p):
+    """veronese_pullback on a nonzero u-only polynomial of weighted degree d."""
+    g = p.g
+    d = p.degree("weighted")
+    coeffs = [Fraction(0)] * (d * (g - 1) + 1)
+    for e, c in p.terms.items():
+        coeffs[sum(i * k for i, k in enumerate(e[:g]))] += c
+    return BinaryForm(d * (g - 1), coeffs)
+
+
+def phi_matrix(x, d):
+    """The closed form of phi_d(x), as a RatMatrix, on a relation x of degree d."""
+    g = x.g
+    ncols = (d - 1) * (g - 1) - 1
+    rows = [[Fraction(0)] * ncols for _ in range(g - 2)]
+    for e, c in x.terms.items():
+        a = sum(i * k for i, k in enumerate(e[:g]))
+        s = w = 0
+        for j in range(g - 2):
+            s += e[j]
+            w += s
+            if w and a >= j + 2:
+                rows[j][a - j - 2] += w * c
+    return RatMatrix(rows, ncols=ncols)
+
+
+def quadric(q):
+    """q_to_quadric: sum_{i,j} q_ij (u_{i+2} u_j - u_{i+1} u_{j+1})."""
+    g = q.g
+    total = {}
+    for i in range(q.size):
+        for j in range(q.size):
+            c = q.entry(i, j)
+            for (a, b), sign in (((i + 2, j), 1), ((i + 1, j + 1), -1)):
+                e = [0] * (2 * g - 2)
+                e[a] += 1
+                e[b] += 1
+                key = tuple(e)
+                total[key] = total.get(key, Fraction(0)) + sign * c
+    return WPoly(g, total)
+
+
+def slice_contains(slice_, p):
+    """IdealSlice.contains: subtract factor * row for each canonical row whose lead p meets."""
+    vec = slice_.vector_of(p)
+    for row in slice_.rows:
+        factor = vec.get(next(iter(row)))
+        if factor:
+            for c, v in row.items():
+                vec[c] = vec.get(c, 0) - factor * v
+    return not any(vec.values())
+
+
+def evaluation(p):
+    """split_ribbon_evaluation on a nonzero weighted-homogeneous p."""
+    g = p.g
+    d = p.degree("weighted")
+    deg1 = d * (g - 1)
+    deg2 = deg1 - (g + 1)
+    first = [Fraction(0)] * (deg1 + 1)
+    second = [Fraction(0)] * (deg2 + 1) if deg2 >= 0 else [Fraction(0)]
+    for e, c in p.terms.items():
+        b = sum(e[g:])
+        a = sum(i * k for i, k in enumerate(e[:g]))
+        if b == 0:
+            first[a] += c
+        elif b == 1:
+            j = next(t for t, k in enumerate(e[g:]) if k)
+            second[a + j] += c
+    return BinaryForm(deg1, first), BinaryForm(max(deg2, 0), second)
+
+
+def summed_quartic_lift(f, g):
+    """quartic_lift as a sum of one public u-monomial per coefficient of f."""
+    n = g - 1
+    total = WPoly.zero(g)
+    for k, c in enumerate(f.coeffs):
+        if not c:
+            continue
+        indices = []
+        rem = k
+        for _ in range(4):
+            a = min(n, rem)
+            indices.append(a)
+            rem -= a
+        total = total + WPoly.u_monomial(g, indices, c)
+    return total
+
+
+def hyperelliptic_vv(split_vv, g, h):
+    """The VV group of hyperelliptic_model: each v_i v_j minus the lift of
+    the product x0^(i+j) x1^(2g-6-i-j) * h."""
+    return [((i, j), p - summed_quartic_lift(form_product(
+        BinaryForm.monomial(2 * g - 6, i + j), h), g)) for (i, j), p in split_vv]
+

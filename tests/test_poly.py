@@ -279,6 +279,9 @@ def assert_as_public(x):
         public = WPoly(x.g, x.terms)
         assert x == public and x.terms == public.terms
         assert all(type(e) is tuple and len(e) == 2 * x.g - 2 for e in x.terms)
+        # never an int at rest, which `/` would turn into a float
+        assert all(type(c) is Fraction or type(c) is TruncatedScalar
+                   for c in x.terms.values())
         return
     public = BinaryForm(x.degree, x.coeffs)
     assert x == public and type(x.coeffs) is tuple
