@@ -243,6 +243,40 @@ def test_family_bytes_are_pinned(tmp_path, capsys):
         assert got == FAMILY_DIGESTS[action], action
 
 
+def _terms(*terms):
+    return json.dumps([{"u": u, "v": [0] * (len(u) - 2), "c": c} for u, c in terms])
+
+
+# SHA-256 of the stdout of limit-quadric on a degenerate and a nondegenerate
+# quadric, and of limit-relation at d = 2 (d inferred, with a witness), d = 3
+# and d = 4 (both with --d)
+LIMIT_DIGESTS = (
+    (("limit-quadric", "--g", "4", "--q", "[[1,0],[0,0]]"),
+     "ad4617f109c9b3834c0b2744cecedd9d85391ffedc5fca6a2889afb27f2f5082"),
+    (("limit-quadric", "--g", "4", "--q", '[["1","1/2"],["1/2","1"]]'),
+     "e583298766642958c243dce4944217f1e0e320553412d8483890c3c182bcebb3"),
+    (("limit-relation", "--g", "5", "--poly",
+      _terms(([1, 0, 1, 0, 0], "1"), ([0, 2, 0, 0, 0], "-1"))),
+     "c764b2f89ec4659dbc07504eb63b656e07de98aa9edfa2e527ce4f5e31ac042f"),
+    (("limit-relation", "--g", "4", "--d", "3", "--poly",
+      _terms(([2, 0, 1, 0], "1"), ([1, 2, 0, 0], "-1"), ([1, 1, 0, 1], "1"),
+             ([1, 0, 2, 0], "-1"))),
+     "a854753f0e9291dc6fcdca4abf2f1b7a9fa59f1f183436472b7ce51e620ef5c5"),
+    # u0 u3 (u0 u2 - u1^2) + u1 u4 (u1 u3 - u2^2) / 2 - 2 u0 u4 (u0 u2 - u1^2) / 3
+    (("limit-relation", "--g", "5", "--d", "4", "--poly",
+      _terms(([0, 2, 0, 1, 1], "1/2"), ([0, 1, 2, 0, 1], "-1/2"), ([2, 0, 1, 0, 1], "-2/3"),
+             ([1, 2, 0, 0, 1], "2/3"), ([2, 0, 1, 1, 0], "1"), ([1, 2, 0, 1, 0], "-1"))),
+     "6a3a358a812521e8cc9c6b8b6239234529c23957ccaad9d3fc26b6438fc6f997"),
+)
+
+
+def test_limit_command_bytes_are_pinned(capsys):
+    for argv, digest in LIMIT_DIGESTS:
+        assert main(list(argv)) == 0, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
 def test_argument_errors_end_in_one_error_document(capsys):
     for argv, words in (((), "required"),
                         (("verify", "--suite", "nope"), "invalid choice"),

@@ -26,6 +26,20 @@ def test_package_source_has_no_assert_statements():
     assert found == []
 
 
+def test_every_test_module_imports():
+    # the suite runs with --continue-on-collection-errors, where a test module
+    # that fails to import (say, of a removed name) shows only as a collection
+    # error and not as a failed test
+    failed = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        spec = importlib.util.spec_from_file_location("imported_" + path.stem, path)
+        try:
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
+        except Exception as exc:
+            failed.append("%s: %r" % (path.name, exc))
+    assert failed == []
+
+
 def test_traced_names_resolve():
     # the traced benchmark patches these by name; a renamed or deleted one
     # would otherwise only show up there (bench/tracer.py imports only the
