@@ -17,11 +17,11 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {name: module for module, names in {
-    "conormal": "ConormalMatrix LambdaFunctional is_limit_quadric is_limit_relation "
+    "conormal": "LambdaFunctional is_limit_quadric is_limit_relation "
                 "phi_d phi_kernel_slice psi_d ribbon_slice",
     "exact": "RatMatrix TruncatedScalar",
-    "families": "DiscriminantSection TruncatedFamily base_change_pi_squared "
-                "binary_discriminant constant_family discriminant_section even_odd_split "
+    "families": "TruncatedFamily base_change_pi_squared binary_discriminant constant_family "
+                "discriminant_section even_odd_split "
                 "hyperell_order negate_v order_doubling_experiment perturb_hyperelliptic "
                 "reduction_hilbert_function rescale_v ribbon_order",
     "fitting": "phi2_symbolic phid_symbolic_blocks verify_power_ideal",

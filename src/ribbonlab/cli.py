@@ -183,6 +183,7 @@ def cmd_limit_quadric(args):
 
 def cmd_limit_relation(args):
     from .conormal import LambdaFunctional, phi_d
+    from .exact import left_kernel
     from .poly import WPoly
 
     if args.d is not None:
@@ -198,23 +199,28 @@ def cmd_limit_relation(args):
     x = WPoly.from_json(args.g, data)
     if not x:
         raise CommandError("the zero polynomial is not a canonical relation")
-    if not x.is_homogeneous("weighted"):
+    try:
+        degree = x.degree("weighted")
+    except ValueError:  # x is inhomogeneous
         raise CommandError("not a canonical relation")
-    d = args.d if args.d is not None else x.degree("weighted")
-    _check_slice_size(args.g, d)
+    d = args.d
+    if d is None:
+        d = degree
+        _check_slice_size(args.g, d)
     try:
         matrix = phi_d(x, d)
     except ValueError:
         # phi_d refuses x unless it is u-only, of degree d and pulls back to zero
         raise CommandError("not a canonical relation")
-    kernel = matrix.left_kernel_basis()
+    kernel = left_kernel(matrix.rows, matrix.ncols)
     return {"g": args.g,
             "d": d,
             "limit": bool(kernel),
-            "rank": args.g - 2 - len(kernel),
-            "matrix": matrix.to_json()["matrix"],
-            "witness_lambda": (LambdaFunctional(args.g, kernel[0]).normalized().to_json()
-                               if kernel else None)}
+            "rank": matrix.nrows - len(kernel),
+            "matrix": matrix.to_json(),
+            "witness_lambda": (LambdaFunctional(args.g, [kernel[0].get(i, 0)
+                                                         for i in range(matrix.nrows)])
+                               .normalized().to_json() if kernel else None)}
 
 
 def cmd_verify(args):
@@ -301,11 +307,11 @@ def cmd_family_discriminant(args):
     from .families import binary_discriminant, discriminant_section, ribbon_order
 
     family = _parse_family(_load_json_arg(args.family))
-    section = discriminant_section(family)
+    s = discriminant_section(family)
     return {"g": family.g,
             "ribbon_order": ribbon_order(family),
-            "section": section.to_json(),
-            "binary_discriminant": rat_to_str(binary_discriminant(section.s))}
+            "section": {"g": family.g, "s": s.to_json()},
+            "binary_discriminant": rat_to_str(binary_discriminant(s))}
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .exact import RatMatrix, from_integers, left_kernel, rat, rat_to_str
 from .exact import sparse_kernel_basis, to_integers
-from .poly import BinaryForm, WPoly, monomials, veronese_pullback
+from .poly import BinaryForm, WPoly, monomials
 from .rnc import IdealSlice, QuadForm
 
 
@@ -82,53 +82,14 @@ class LambdaFunctional:
         return [rat_to_str(c) for c in self.coords]
 
 
-class ConormalMatrix:
-    """phi_d(x): rows indexed by the beta basis, columns by binary monomials."""
-
-    __slots__ = ("g", "d", "mat")
-
-    def __init__(self, g: int, d: int, mat: RatMatrix):
-        self.g = g
-        self.d = d
-        expected = ((g - 2), (d - 1) * (g - 1) - 1)
-        if (mat.nrows, mat.ncols) != expected:
-            raise ValueError("expected a %d x %d matrix" % expected)
-        self.mat = mat
-
-    @property
-    def form_degree(self) -> int:
-        return (self.d - 1) * (self.g - 1) - 2
-
-    def row_form(self, i: int) -> BinaryForm:
-        return BinaryForm(self.form_degree, self.mat.rows[i])
-
-    def rank(self) -> int:
-        return self.mat.rank()
-
-    def left_kernel_basis(self):
-        """Canonical basis of the left kernel, as coordinates over the beta rows."""
-        n = self.mat.nrows
-        return [[v.get(i, 0) for i in range(n)]
-                for v in left_kernel(self.mat.rows, self.mat.ncols)]
-
-    def __eq__(self, other):
-        if not isinstance(other, ConormalMatrix):
-            return NotImplemented
-        return (self.g, self.d, self.mat) == (other.g, other.d, other.mat)
-
-    def __repr__(self):
-        return "ConormalMatrix(g=%d, d=%d)" % (self.g, self.d)
-
-    def to_json(self):
-        return {"g": self.g, "d": self.d, "matrix": self.mat.to_json()}
-
-
-def phi_d(x: WPoly, d: int) -> ConormalMatrix:
+def phi_d(x: WPoly, d: int) -> RatMatrix:
     """Conormal matrix of a degree-d relation x through the curve, by the closed form.
 
-    x must be zero or a u-polynomial, homogeneous of degree d >= 2, with
-    vanishing pullback; anything else raises ValueError.  One pass over the
-    terms (see `_entries`).
+    Rows are indexed by the beta basis, columns by the binary monomials of
+    degree ncols - 1 = (d-1)(g-1)-2.  x must be zero or a u-polynomial,
+    homogeneous of degree d >= 2, with vanishing pullback; anything else
+    raises ValueError.  One pass over the terms (see `_entries`), which also
+    sums them per fibre of a: x pulls back to zero when every sum is zero.
     """
     g = x.g
     if not x.is_u_only():
@@ -137,25 +98,26 @@ def phi_d(x: WPoly, d: int) -> ConormalMatrix:
         raise ValueError("x is not homogeneous of degree %d" % d)
     if d < 2:
         raise ValueError("relations live in degree >= 2")
-    if x.terms and not veronese_pullback(x).is_zero():
-        raise ValueError("x not in the ideal of the curve")
     ncols = (d - 1) * (g - 1) - 1
     scale, ints = to_integers(x.terms.values())
     rows = [[0] * ncols for _ in range(g - 2)]
+    fibres = {}
     for e, c in zip(x.terms, ints):
-        for j, b, w in _entries(e, g):
+        a = sum(i * k for i, k in enumerate(e[:g]))
+        fibres[a] = fibres.get(a, 0) + c
+        for j, b, w in _entries(e, a, g):
             rows[j][b] += w * c
-    return ConormalMatrix(g, d, RatMatrix._raw(tuple(from_integers(row, scale)
-                                                     for row in rows), ncols))
+    if any(fibres.values()):
+        raise ValueError("x not in the ideal of the curve")
+    return RatMatrix._raw(tuple(from_integers(row, scale) for row in rows), ncols)
 
 
-def _entries(e, g):
+def _entries(e, a, g):
     """(j, b, W_j) for the nonzero entries of the closed form at u^e, b >= 0.
 
-    W_j = sum_{i<=j} (j+1-i) e_i at column b = a(e) - j - 2 of row j, by the
-    running sums s_j = sum_{i<=j} e_i and W_j = sum_{i<=j} s_i.
+    W_j = sum_{i<=j} (j+1-i) e_i at column b = a - j - 2 of row j, a = a(e),
+    by the running sums s_j = sum_{i<=j} e_i and W_j = sum_{i<=j} s_i.
     """
-    a = sum(i * k for i, k in enumerate(e[:g]))
     s = w = 0
     for j in range(g - 2):
         s += e[j]
@@ -167,10 +129,10 @@ def _entries(e, g):
 def psi_d(lam: LambdaFunctional, x: WPoly, d: int) -> BinaryForm:
     """Contraction lam . phi_d(x), a binary form of degree (d-1)(g-1)-2."""
     m = phi_d(x, d)
-    if lam.g != m.g:
+    if lam.g != x.g:
         raise ValueError("genus mismatch")
-    return BinaryForm(m.form_degree, [sum(c * v for c, v in zip(lam.coords, col))
-                                      for col in zip(*m.mat.rows)])
+    return BinaryForm(m.ncols - 1, [sum(c * v for c, v in zip(lam.coords, col))
+                                    for col in zip(*m.rows)])
 
 
 def is_limit_quadric(q: QuadForm):
@@ -192,9 +154,11 @@ def is_limit_relation(x: WPoly, d: int):
     Returns (flag, witness); the witness is the first vector of the left
     kernel, normalized with first nonzero coordinate 1.
     """
-    kernel = phi_d(x, d).left_kernel_basis()
+    m = phi_d(x, d)
+    kernel = left_kernel(m.rows, m.ncols)
     if kernel:
-        return True, LambdaFunctional(x.g, kernel[0]).normalized()
+        return True, LambdaFunctional(x.g, [kernel[0].get(i, 0)
+                                            for i in range(m.nrows)]).normalized()
     return False, None
 
 
@@ -212,8 +176,9 @@ def _conormal_kernel(g: int, d: int, functionals) -> IdealSlice:
     fibres = {}
     rows = [{} for _ in range(len(functionals) * width)]
     for col, e in enumerate(reversed(mons)):
-        fibres.setdefault(sum(i * k for i, k in enumerate(e[:g])), {})[col] = 1
-        for j, b, w in _entries(e, g):
+        a = sum(i * k for i, k in enumerate(e[:g]))
+        fibres.setdefault(a, {})[col] = 1
+        for j, b, w in _entries(e, a, g):
             for t, lam in enumerate(functionals):
                 if lam[j]:
                     rows[t * width + b][col] = lam[j] * w

@@ -273,30 +273,7 @@ def hyperell_order(family: TruncatedFamily) -> int:
     return _shape_order(family, {"UU": (), "UV": (), "VV": (0,)})
 
 
-class DiscriminantSection:
-    """The binary form of degree 2g+2 extracted from a normalized family."""
-
-    __slots__ = ("g", "s")
-
-    def __init__(self, g: int, s: BinaryForm):
-        if s.degree != 2 * g + 2:
-            raise ValueError("expected a form of degree %d" % (2 * g + 2))
-        self.g = g
-        self.s = s
-
-    def __eq__(self, other):
-        if not isinstance(other, DiscriminantSection):
-            return NotImplemented
-        return self.g == other.g and self.s == other.s
-
-    def __repr__(self):
-        return "DiscriminantSection(g=%d, s=%r)" % (self.g, self.s)
-
-    def to_json(self):
-        return {"g": self.g, "s": self.s.to_json()}
-
-
-def discriminant_section(family: TruncatedFamily) -> DiscriminantSection:
+def discriminant_section(family: TruncatedFamily) -> BinaryForm:
     """Read the degree 2g+2 section off a family in normalized ribbon form.
 
     The family must be a ribbon to an exact even order 2d below its bound,
@@ -332,7 +309,7 @@ def discriminant_section(family: TruncatedFamily) -> DiscriminantSection:
         elif quotient != quot:
             raise ValueError("family is not normalized: the VV quartics do"
                              " not match a single section")
-    return DiscriminantSection(g, quotient)
+    return quotient
 
 
 def binary_discriminant(s: BinaryForm) -> Fraction:
@@ -420,7 +397,7 @@ def order_doubling_experiment(g: int, h: BinaryForm, d: int, odd_direction) -> d
         raise ArithmeticError("expected ribbon order %d, found %d"
                               % (2 * d, found_r))
     section = discriminant_section(rescaled)
-    if section.s != h:
+    if section != h:
         raise ArithmeticError("extracted section does not match the input form")
     return {
         "g": g,
@@ -429,7 +406,7 @@ def order_doubling_experiment(g: int, h: BinaryForm, d: int, odd_direction) -> d
         "hyperell_order": found_h,
         "rescaled_order_bound": rescaled.order_bound,
         "ribbon_order": found_r,
-        "section_degree": section.s.degree,
+        "section_degree": section.degree,
         "section_matches_input": True,
         "binary_discriminant": rat_to_str(binary_discriminant(h)),
     }

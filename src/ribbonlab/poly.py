@@ -344,25 +344,19 @@ class WPoly:
         """fn applied to every coefficient; the terms it sends to zero are dropped."""
         return WPoly._raw(self.g, {e: v for e, c in self.terms.items() if (v := fn(c))})
 
-    def degree_of(self, exps, grading: str) -> int:
-        if grading == "weighted":
-            return sum(exps[:self.g]) + 2 * sum(exps[self.g:])
-        if grading == "koszul":
-            return sum(exps)
-        raise ValueError("unknown grading %r" % grading)
-
-    def is_homogeneous(self, grading: str) -> bool:
-        degs = {self.degree_of(e, grading) for e in self.terms}
-        return len(degs) <= 1
-
     def degree(self, grading: str = "weighted"):
         """Common degree of all terms; None for the zero polynomial."""
-        degs = {self.degree_of(e, grading) for e in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("polynomial is not homogeneous in the %s grading" % grading)
-        return degs.pop()
+        if grading == "weighted":
+            g = self.g
+            degrees = (sum(e[:g]) + 2 * sum(e[g:]) for e in self.terms)
+        elif grading == "koszul":
+            degrees = map(sum, self.terms)
+        else:
+            raise ValueError("unknown grading %r" % grading)
+        first = next(degrees, None)
+        if any(w != first for w in degrees):
+            raise ValueError("polynomial is inhomogeneous in the %s grading" % grading)
+        return first
 
     def is_u_only(self) -> bool:
         return all(not any(self.v_exps(e)) for e in self.terms)

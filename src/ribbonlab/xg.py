@@ -326,8 +326,6 @@ def generator_multiples(gens, degree: int, grading: str, columns=None):
     layout, rows = [], []
     multipliers = {}
     for e, gen in enumerate(gens):
-        if not gen.is_homogeneous(grading):
-            raise ValueError("generator is inhomogeneous in the %s grading" % grading)
         w = gen.degree(grading)
         if w is None or w > degree:
             continue
@@ -386,11 +384,9 @@ def _split_quotient_dimensions(ideal: XgIdeal, grading, degrees):
     v_weight = WPoly.v_var(g, 0).degree(grading)  # refuses an unknown grading
     projected = []
     for _, p in ideal.VV:
-        if not p.is_homogeneous(grading):
-            raise ValueError("generator is inhomogeneous in the %s grading" % grading)
-        if p.terms:
-            projected.append((p.degree(grading),
-                              [(_key(e, g), x) for e, x in p.terms.items()]))
+        w = p.degree(grading)
+        if w is not None:
+            projected.append((w, [(_key(e, g), x) for e, x in p.terms.items()]))
     out = []
     for degree in degrees:
         rows = []

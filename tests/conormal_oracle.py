@@ -18,8 +18,7 @@ def phi_map_matrix(slice_):
     width = (g - 2) * ((d - 1) * (g - 1) - 1)
     rows = []
     for p in slice_.basis:
-        m = phi_d(p, d)
-        rows.append([x for row in m.mat.rows for x in row])
+        rows.append([x for row in phi_d(p, d).rows for x in row])
     return RatMatrix(rows, ncols=width)
 
 

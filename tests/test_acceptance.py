@@ -65,7 +65,7 @@ def test_criterion_02_phi2_inverts_quadric_map():
     for g in (3, 4, 5, 6):
         for _ in range(50):
             q = random_quad(g, rng)
-            assert phi_d(q_to_quadric(q), 2).mat == q.mat, (g, q.to_json())
+            assert phi_d(q_to_quadric(q), 2) == q.mat, (g, q.to_json())
     print("criterion 02: phi_2 recovered 50 random coefficient matrices "
           "per g in 3..6")
 

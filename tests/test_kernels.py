@@ -135,12 +135,30 @@ def test_phi_d_matches_fraction_oracle(g):
         for _ in range(4):
             x = rand_relation(rng, g, d)
             m = phi_d(x, d)
-            assert m.mat == oracle.phi_matrix(x, d)
-            assert m.mat == RatMatrix(m.mat.rows, ncols=m.mat.ncols)
-            assert all(type(c) is Fraction for row in m.mat.rows for c in row)
-        zero = phi_d(WPoly.zero(g), d).mat
+            assert m == oracle.phi_matrix(x, d)
+            assert m == RatMatrix(m.rows, ncols=m.ncols)
+            assert all(type(c) is Fraction for row in m.rows for c in row)
+        zero = phi_d(WPoly.zero(g), d)
         assert zero == oracle.phi_matrix(WPoly.zero(g), d)
         assert all(c is _ZERO for row in zero.rows for c in row)
+
+
+@pytest.mark.parametrize("g", [3, 4, 5, 6])
+def test_phi_d_refuses_exactly_what_pulls_back_to_nonzero(g):
+    # phi_d sums the scaled terms per fibre of a(e) instead of pulling back
+    rng = random.Random(2227 + g)
+    for d in (2, 3, 4):
+        for _ in range(4):
+            x = rand_relation(rng, g, d)
+            noise = rand_poly(rng, g, d, 1, u_only=True)
+            for y in (x, x + noise, rand_poly(rng, g, d, 3, u_only=True)):
+                if not y:
+                    continue
+                if veronese_pullback(y).is_zero():
+                    assert phi_d(y, d) == oracle.phi_matrix(y, d)
+                else:
+                    with pytest.raises(ValueError, match="x not in the ideal of the curve"):
+                        phi_d(y, d)
 
 
 @pytest.mark.parametrize("g", [3, 4, 5, 6])

@@ -149,8 +149,8 @@ def test_generator_group_sizes():
         assert len(ideal.UU) == (g - 1) * (g - 2) // 2
         assert len(ideal.UV) == (g - 1) * (g - 3)
         assert len(ideal.VV) == (g - 2) * (g - 1) // 2
-        for p in ideal.generators():
-            assert p.is_homogeneous("weighted")
+        for degree, group in ((2, ideal.UU), (3, ideal.UV), (4, ideal.VV)):
+            assert all(p.degree("weighted") == degree for _, p in group)
     with pytest.raises(ValueError):
         split_ribbon_ideal(2)
 
@@ -392,8 +392,6 @@ def per_generator_multiples(gens, degree, grading, columns=None):
     idx = {e: i for i, e in enumerate(columns)}
     layout, rows = [], []
     for e, gen in enumerate(gens):
-        if not gen.is_homogeneous(grading):
-            raise ValueError("generator is inhomogeneous in the %s grading" % grading)
         w = gen.degree(grading)
         if w is None or w > degree:
             continue
@@ -488,9 +486,7 @@ def test_lambda_dictionary_recovers_lambda():
         ideal = canonical_ribbon_ideal(g, ribbon_ell(g, lam))
         rows = []
         for p in eliminate_v_degree(ideal, 2).basis:
-            m = phi_d(p, 2)
-            for a in range(m.form_degree + 1):
-                rows.append([m.row_form(i).coeff(a) for i in range(g - 2)])
+            rows += [list(col) for col in zip(*phi_d(p, 2).rows)]
         kernel = dense_kernel(rows, g - 2)
         assert len(kernel) == 1, g
         assert (LambdaFunctional(g, kernel[0]).normalized()
