@@ -25,11 +25,12 @@ import json
 import zlib
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from operator import add
+from math import comb, gcd
+from operator import add, sub
 from random import Random
 
-from .exact import RowEliminator, from_integers, left_kernel, rat, sparse_rank, to_integers
+from .exact import RowEliminator, _clear, _primitive, from_integers, left_kernel, rat
+from .exact import sparse_rank, to_integers
 from .poly import (
     MONOMIAL_ORDERS,
     BinaryForm,
@@ -39,7 +40,6 @@ from .poly import (
     monomials,
     quartic_lift,
 )
-from .rnc import IdealSlice
 
 GROUPS = ("UU", "UV", "VV")
 
@@ -331,12 +331,16 @@ def generator_multiples(gens, degree: int, grading: str, columns=None):
             continue
         if w not in multipliers:
             multipliers[w] = monomials(gen.g, degree - w, grading)
-        terms = [(t, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
-                 for t, c in gen.terms.items()]
+        terms = [(t, _integral(c)) for t, c in gen.terms.items()]
         for m in multipliers[w]:
             layout.append((e, m))
             rows.append({idx[tuple(map(add, m, t))]: c for t, c in terms})
     return layout, rows, columns
+
+
+def _integral(c):
+    """c as an int when it is an integral Fraction, else c itself; the engine takes both."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def hilbert_function(ideal: XgIdeal, grading, degrees):
@@ -379,6 +383,8 @@ def _split_quotient_dimensions(ideal: XgIdeal, grading, degrees):
 
     The key is additive, so a multiple m * p is p's projection shifted by
     key(m), and the multipliers with c >= 1 in one class give one row.
+    Integral coefficients are projected as ints, once per generator, so the
+    rows reach the engine without a Fraction to convert.
     """
     g = ideal.g
     v_weight = WPoly.v_var(g, 0).degree(grading)  # refuses an unknown grading
@@ -386,7 +392,7 @@ def _split_quotient_dimensions(ideal: XgIdeal, grading, degrees):
     for _, p in ideal.VV:
         w = p.degree(grading)
         if w is not None:
-            projected.append((w, [(_key(e, g), x) for e, x in p.terms.items()]))
+            projected.append((w, [(_key(e, g), _integral(x)) for e, x in p.terms.items()]))
     out = []
     for degree in degrees:
         rows = []
@@ -453,14 +459,17 @@ def _class_count(g: int, degree: int, v_weight: int) -> int:
                for c in (degree - v_weight * b,))
 
 
-def eliminate_v_degree(ideal: XgIdeal, degree: int) -> IdealSlice:
+def eliminate_v_degree(ideal: XgIdeal, degree: int):
     """u-polynomials of the given weighted degree lying in the ideal's slice.
 
     Degreewise linear algebra: put the v-involving monomials first, reduce
     the generator multiples, and keep the rref rows whose lead is a u-only
     monomial: they are already the canonical rows of the slice's u-only
-    part.  No elimination order or Groebner step is involved.
+    part.  No elimination order or Groebner step is involved.  Returns an
+    rnc.IdealSlice; rnc is imported here, its only use in this module.
     """
+    from .rnc import IdealSlice
+
     g = ideal.g
     v_cols = [e for e in monomials(g, degree, "weighted") if any(e[g:])]
     u_cols = monomials(g, degree, u_only=True)
@@ -490,20 +499,42 @@ class GroebnerResult:
     def normal_monomial_count(self, degree: int, grading: str = "weighted") -> int:
         """Monomials of the degree not divisible by any leading monomial.
 
-        Each lead's support is filed under its first variable, and a monomial
-        is tested only against the supports filed under its own variables:
-        a lead that divides it has its first variable among them.
+        Counted depth first over u_0..v_{g-3}, without listing the monomials.
+        Each lead's support is filed under its last variable, so once the
+        exponents up to variable x are fixed, the leads filed under x decide
+        whether they divide; at the first exponent of x that one divides,
+        the branch is cut, since every larger exponent is divisible too.
         """
-        candidates = monomials(self.basis[0].g, degree, grading)
-        filed = {}
+        g = self.basis[0].g
+        weights = (1,) * g + (WPoly.v_var(g, 0).degree(grading),) * (g - 2)
+        n = len(weights)
+        filed = [[] for _ in weights]  # (support before x, exponent of x) per lead
         for lead in self.leading_exponents():
             s = _support(lead)
             if not s:  # a constant lead: the unit ideal
                 return 0
-            filed.setdefault(s[0][0], []).append(s)
-        return sum(1 for e in candidates
-                   if not any(all(e[i] >= b for i, b in s)
-                              for x, k in enumerate(e) if k for s in filed.get(x, ())))
+            filed[s[-1][0]].append((s[:-1], s[-1][1]))
+        for leads in filed:  # by exponent of x, so the first lead that divides is the least
+            leads.sort(key=lambda lead: lead[1])
+        # the variables after x make up a rest only in multiples of steps[x]
+        steps = [gcd(*weights[x + 1:]) for x in range(n)]
+        e = [0] * n
+
+        def count(x, rest):
+            w, step, total = weights[x], steps[x], 0
+            # every exponent of x from the least one at which a filed lead divides is cut
+            top = next((b for before, b in filed[x] if all(e[i] >= c for i, c in before)),
+                       rest // w + 1)
+            if not step:  # the last variable takes the whole rest
+                return int(rest % w == 0 and rest // w < top)
+            for k in range(min(top, rest // w + 1)):
+                if (rest - w * k) % step == 0:
+                    e[x] = k
+                    total += count(x + 1, rest - w * k)
+            e[x] = 0
+            return total
+
+        return count(0, degree)
 
 
 def _support(lead):
@@ -511,45 +542,80 @@ def _support(lead):
     return tuple((i, b) for i, b in enumerate(lead) if b)
 
 
-def _top_reduce(p: WPoly, basis, leads, supports, key) -> WPoly:
-    """Reduce the leading term of p against the basis until stuck or zero.
+def _integer_terms(p: WPoly, key):
+    """(lead, lead coefficient, {exponent: int} of the other terms) of p over Z.
 
-    `supports[t]` is `_support(leads[t])`, on which divisibility is tested.
+    p is scaled to integers once (`to_integers`); a coefficient that is not
+    rational, such as a family's TruncatedScalar, is refused by `rat` with a
+    TypeError that names it.
     """
-    g = p.g
-    while p.terms:
-        lt = max(p.terms, key=key)
-        hit = None
-        for t, s in enumerate(supports):
-            if all(lt[i] >= b for i, b in s):
-                hit = t
-                break
-        if hit is None:
+    ints = dict(zip(p.terms, to_integers([rat(c) for c in p.terms.values()])[1]))
+    lead = max(ints, key=key)
+    return lead, ints.pop(lead), ints
+
+
+def _shifted(tail, target, lead):
+    """The terms of tail times the monomial target / lead."""
+    m = tuple(map(sub, target, lead))
+    return {tuple(map(add, e, m)): c for e, c in tail.items()}
+
+
+def _divisor(lt, filed):
+    """Index of a lead dividing the monomial lt, or None.
+
+    Only the leads filed under a variable of lt are tested; a constant lead,
+    filed under None, divides every monomial.
+    """
+    for x, k in enumerate(lt):
+        if k:
+            for t, s in filed.get(x, ()):
+                if all(lt[i] >= b for i, b in s):
+                    return t
+    units = filed.get(None)
+    return units[0][0] if units else None
+
+
+def _top_reduce(p, polys, filed, key):
+    """Reduce the leading term of the integer polynomial p until stuck or zero.
+
+    A step clears the leading term c*lt against polys[t] = (lead, a, tail):
+    p becomes s*(p - c*lt) - r*(lt/lead)*tail for the coprime s, r with
+    s*c = r*a, divided by its content.
+    """
+    while p:
+        lt = max(p, key=key)
+        t = _divisor(lt, filed)
+        if t is None:
             return p
-        quot = tuple(a - b for a, b in zip(lt, leads[hit]))
-        factor = p.terms[lt] / basis[hit].terms[leads[hit]]
-        p = p - WPoly(g, {quot: factor}) * basis[hit]
+        lead, a, tail = polys[t]
+        p = _primitive(_clear(p, p.pop(lt), a, _shifted(tail, lt, lead))[1])
     return p
 
 
-def _s_poly(f: WPoly, h: WPoly, lead_f, lead_h, key) -> WPoly:
-    g = f.g
-    lcm = tuple(max(a, b) for a, b in zip(lead_f, lead_h))
-    mf = tuple(a - b for a, b in zip(lcm, lead_f))
-    mh = tuple(a - b for a, b in zip(lcm, lead_h))
-    return (WPoly(g, {mf: 1 / f.terms[lead_f]}) * f
-            - WPoly(g, {mh: 1 / h.terms[lead_h]}) * h)
+def _s_poly(f, h):
+    """The primitive integer S-polynomial of two (lead, coefficient, tail) triples."""
+    lcm = tuple(map(max, f[0], h[0]))
+    return _primitive(_clear(_shifted(f[2], lcm, f[0]), f[1], h[1],
+                             _shifted(h[2], lcm, h[0]))[1])
 
 
 def buchberger(gens, order: str = "grlex") -> GroebnerResult:
     """Buchberger's criterion: is the input a Groebner basis in `order`?
 
-    `gens` is a list of WPoly.  Every S-pair of the input is top-reduced
-    against the input, in pair order, and the check stops at the first
-    nonzero remainder (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
-    section 2.6).  By the product criterion a pair whose leading monomials
-    are coprime reduces to zero, so it is skipped (ibid., section 2.9,
-    Proposition 4).  Nothing is added to the basis.
+    `gens` is a list of WPoly over Q.  Every S-pair of the input is
+    top-reduced against the input, in pair order, and the check stops at the
+    first nonzero remainder (Cox-Little-O'Shea, Ideals, Varieties, and
+    Algorithms, section 2.6).  By the product criterion a pair whose leading
+    monomials are coprime reduces to zero, so it is skipped (ibid., section
+    2.9, Proposition 4).  Nothing is added to the basis.
+
+    The check runs on integers, by the engine's rule (exact._clear,
+    exact._primitive): each generator is scaled to integers once, and each
+    S-pair and reduction step is a nonzero integer multiple of the rational
+    one, so the verdict is the same.  Each lead is filed under its first
+    variable, and a reduction step tests only the leads filed under the
+    variables of the term it clears.  A coefficient that is not rational is
+    refused with a TypeError.
     """
     if order not in MONOMIAL_ORDERS:
         raise ValueError("unknown order %r" % order)
@@ -557,13 +623,16 @@ def buchberger(gens, order: str = "grlex") -> GroebnerResult:
     basis = [p for p in gens if p]
     if not basis:
         raise ValueError("empty generating set")
-    leads = [max(p.terms, key=key) for p in basis]
-    supports = [_support(lead) for lead in leads]
+    polys = [_integer_terms(p, key) for p in basis]
+    filed, masks = {}, []  # masks[t]: bit i set when variable i divides lead t
+    for t, (lead, _, _) in enumerate(polys):
+        s = _support(lead)
+        filed.setdefault(s[0][0] if s else None, []).append((t, s))
+        masks.append(sum(1 << i for i, _ in s))
     input_is_groebner = not any(
-        _top_reduce(_s_poly(basis[i], basis[j], leads[i], leads[j], key),
-                    basis, leads, supports, key)
-        for i in range(len(basis)) for j in range(i + 1, len(basis))
-        if any(a and b for a, b in zip(leads[i], leads[j])))
+        _top_reduce(_s_poly(polys[i], polys[j]), polys, filed, key)
+        for i in range(len(polys)) for j in range(i + 1, len(polys))
+        if masks[i] & masks[j])
     return GroebnerResult(order, basis, input_is_groebner)
 
 
@@ -634,7 +703,9 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
     """First syzygies of the generator set, degree by weighted degree.
 
     For each degree up to max_degree, both counts are ranks: the rows of the
-    generator multiples minus their rank, and the rank of the lower minimal
+    generator multiples minus their rank, which for the split and
+    hyperelliptic models is the number of monomials minus the closed-form
+    quotient dimension of hilbert_function, and the rank of the lower minimal
     representatives shifted by every monomial of the degree difference
     (these span the same submodule as multiples of the full lower kernels).
     Only where they differ is the left kernel built; its vectors outside the
@@ -648,9 +719,15 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
     gens = ideal.generators()
     records = {}
     min_gen_degree = min(p.degree("weighted") for p in gens)
-    for degree in range(min_gen_degree + 1, max_degree + 1):
+    degrees = range(min_gen_degree + 1, max_degree + 1)
+    # rank = #columns - dim (S/I)_degree, known in closed form for split binomials
+    quotient = (dict(zip(degrees, _split_quotient_dimensions(ideal, "weighted", degrees)))
+                if _has_split_binomials(ideal) else None)
+    for degree in degrees:
         layout, rows, columns = generator_multiples(gens, degree, "weighted")
-        kernel_dim = len(rows) - sparse_rank(rows, len(columns))
+        rank = (len(columns) - quotient[degree] if quotient is not None
+                else sparse_rank(rows, len(columns)))
+        kernel_dim = len(rows) - rank
         row_of = {key: i for i, key in enumerate(layout)}
         lifted_rows = [{row_of[e, tuple(map(add, m, shift))]: c
                         for e, coeff in enumerate(rep) for m, c in coeff.terms.items()}

@@ -24,6 +24,9 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "ribbonlab"
 VERDICT_MODULES = {"ribbonlab", "ribbonlab.cli", "ribbonlab.conormal", "ribbonlab.rnc",
                    "ribbonlab.poly", "ribbonlab.exact"}
 
+# What the weighted-model calls run; eliminate_v_degree adds rnc.
+MODEL_MODULES = {"ribbonlab", "ribbonlab.xg", "ribbonlab.poly", "ribbonlab.exact"}
+
 RELATION = json.dumps([{"u": [1, 0, 1], "v": [0], "c": "1"},
                        {"u": [0, 2, 0], "v": [0], "c": "-1"}])
 
@@ -55,6 +58,17 @@ def test_verdicts_load_only_what_they_run():
         == VERDICT_MODULES
     assert loaded_after_command("limit-relation", "--g", "3", "--poly", RELATION) \
         == VERDICT_MODULES
+
+
+def test_model_calls_load_only_what_they_run():
+    setup = "import ribbonlab as r\nsplit = r.split_ribbon_ideal(4)\n"
+    for call in ("r.hyperelliptic_model(4, r.BinaryForm(10, [1] + [0] * 9 + [-1]))",
+                 "r.hilbert_function(split, 'weighted', [2, 3])",
+                 "r.syzygies_by_degree(split, 4)",
+                 "r.certify_groebner(split)"):
+        assert loaded_after(setup + call) == MODEL_MODULES, call
+    assert loaded_after(setup + "r.eliminate_v_degree(split, 4)") == \
+        MODEL_MODULES | {"ribbonlab.rnc"}
 
 
 def test_family_commands_load_no_suite(tmp_path):

@@ -612,6 +612,38 @@ def test_buchberger_skips_coprime_pairs(monkeypatch):
     assert len(built) == 416
 
 
+def test_buchberger_matches_oracles_on_non_integral_coefficients():
+    # the integer check scales each generator by the lcm of its denominators
+    h = BinaryForm(10, [Fraction(1, 2), 0, Fraction(-2, 3), 1, 0, 0, Fraction(5, 7), 0, 0, 0, 1])
+    ell = [e * Fraction(1, 3) for e in ribbon_ell(4, [1, -2])]
+    for ideal in (hyperelliptic_model(4, h), canonical_ribbon_ideal(4, ell)):
+        gens = ideal.generators()
+        assert any(c.denominator > 1 for p in gens for c in p.terms.values())
+        for order in ("grlex", "grevlex"):
+            _, oracle, _ = completed_buchberger(gens, order)
+            assert all_pairs_criterion(gens, order) == oracle
+            assert buchberger(gens, order).input_is_groebner == oracle
+
+
+def test_buchberger_reduces_by_a_constant_lead():
+    g = 4
+    one = WPoly(g, {(0,) * (2 * g - 2): 1})
+    p = u(g, 0) * u(g, 1)
+    for gens, groebner in (([p + one, p], False), ([p + one, p, one], True)):
+        for order in ("grlex", "grevlex"):
+            assert all_pairs_criterion(gens, order) == groebner
+            assert buchberger(gens, order).input_is_groebner == groebner
+
+
+def test_rational_kernels_refuse_a_family_by_name():
+    family = constant_family(hyperelliptic_model(4, squarefree_h(4)), 3)
+    for call in (lambda: certify_groebner(family),
+                 lambda: hilbert_function(family, "weighted", [2]),
+                 lambda: syzygies_by_degree(family, 4)):
+        with pytest.raises(TypeError, match="cannot coerce TruncatedScalar"):
+            call()
+
+
 def test_hyperelliptic_certificates():
     # at g=3 only grevlex certifies; at g=5 neither order does
     assert certify_groebner(hyperelliptic_model(3, squarefree_h(3))).order == "grevlex"
@@ -636,6 +668,32 @@ def test_normal_monomial_count_matches_full_scan():
             for d in range(8):
                 assert (res.normal_monomial_count(d, grading)
                         == full_scan_normal_count(leads, g, d, grading))
+
+
+def test_normal_monomial_count_matches_full_scan_on_other_leads():
+    ribbon = canonical_ribbon_ideal(4, ribbon_ell(4, [1, -2])).generators()
+    results = [buchberger(ribbon, "grlex"), buchberger(ribbon, "grevlex"),
+               certify_groebner(hyperelliptic_model(3, squarefree_h(3)))]
+    assert results[2].order == "grevlex"
+    for res in results:
+        g, leads = res.basis[0].g, res.leading_exponents()
+        for grading in ("koszul", "weighted"):
+            for d in range(8):
+                assert (res.normal_monomial_count(d, grading)
+                        == full_scan_normal_count(leads, g, d, grading)), (res.order, grading, d)
+
+
+def test_normal_monomial_count_refusals_and_unit_ideal():
+    g = 4
+    res = certify_groebner(split_ribbon_ideal(g))
+    unit = buchberger([u(g, 0) * u(g, 1), WPoly(g, {(0,) * (2 * g - 2): 3})])
+    assert unit.input_is_groebner
+    for r in (res, unit):
+        with pytest.raises(ValueError, match="unknown grading 'lex'"):
+            r.normal_monomial_count(2, "lex")
+        assert r.normal_monomial_count(-1) == 0
+    assert [unit.normal_monomial_count(d, grading)
+            for grading in ("koszul", "weighted") for d in range(4)] == [0] * 8
 
 
 def test_normal_quadratic_monomial_patterns():
