@@ -672,10 +672,13 @@ SYZYGY_SHAPE_TABLES = {"ribbon": RIBBON_SYZYGY_SHAPES,
 class SyzygyRecord:
     """Syzygies of one weighted degree.
 
-    `kernel_dim` (all syzygies) and `from_lower_dim` (monomial multiples of
-    lower-degree minimal syzygies) are ranks, and `minimal_count` is their
-    difference.  `representatives` are the minimal syzygies found here, each
-    one coefficient WPoly per generator.  `shape_matched` reports whether
+    `from_lower_dim` is the rank of the monomial multiples of lower-degree
+    minimal syzygies.  `representatives` are the minimal syzygies found
+    here, each one coefficient WPoly per generator: the canonical left
+    kernel basis of the generator multiples whose row is not a lead of that
+    lifted span, so each is zero on every such lead.  `minimal_count` is
+    their number, and `kernel_dim` (all syzygies) is the sum
+    from_lower_dim + minimal_count.  `shape_matched` reports whether
     syzygies supported on the schematic coefficient pattern for this degree
     account for all minimal generators; it is None when there are none.
     """
@@ -702,16 +705,17 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
                        shape_table: str = "ribbon"):
     """First syzygies of the generator set, degree by weighted degree.
 
-    For each degree up to max_degree, both counts are ranks: the rows of the
-    generator multiples minus their rank, which for the split and
-    hyperelliptic models is the number of monomials minus the closed-form
-    quotient dimension of hilbert_function, and the rank of the lower minimal
-    representatives shifted by every monomial of the degree difference
-    (these span the same submodule as multiples of the full lower kernels).
-    Only where they differ is the left kernel built; its vectors outside the
-    lifted span, taken greedily, are the new minimal representatives, and
-    their schematic shape is checked by restricting supports to the allowed
-    (group, coefficient-bidegree) pattern.
+    In each degree up to max_degree the lower minimal representatives,
+    shifted by every monomial of the degree difference, span the syzygies L
+    that come from lower degrees (the same submodule as multiples of the
+    full lower kernels), and `from_lower_dim` is their rank.  The eliminator
+    of L leads each echelon row with its own row index, so the whole left
+    kernel K of the generator multiples is L plus the part of K that is zero
+    at every lead: the left kernel of only the multiples whose row is not a
+    lead.  Its canonical basis, mapped back to row indices, is the new
+    minimal representatives, and `kernel_dim` is from_lower_dim plus their
+    number.  Their schematic shape is checked by restricting supports to the
+    allowed (group, coefficient-bidegree) pattern.
     """
     g = ideal.g
     shapes = SYZYGY_SHAPE_TABLES[shape_table]
@@ -720,14 +724,12 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
     records = {}
     min_gen_degree = min(p.degree("weighted") for p in gens)
     degrees = range(min_gen_degree + 1, max_degree + 1)
-    # rank = #columns - dim (S/I)_degree, known in closed form for split binomials
+    # the new count is #free rows - rank, and rank = #columns - dim (S/I)_degree
+    # is known in closed form for split binomials: a count of 0 skips the kernel
     quotient = (dict(zip(degrees, _split_quotient_dimensions(ideal, "weighted", degrees)))
                 if _has_split_binomials(ideal) else None)
     for degree in degrees:
         layout, rows, columns = generator_multiples(gens, degree, "weighted")
-        rank = (len(columns) - quotient[degree] if quotient is not None
-                else sparse_rank(rows, len(columns)))
-        kernel_dim = len(rows) - rank
         row_of = {key: i for i, key in enumerate(layout)}
         lifted_rows = [{row_of[e, tuple(map(add, m, shift))]: c
                         for e, coeff in enumerate(rep) for m, c in coeff.terms.items()}
@@ -736,16 +738,19 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
                        for rep in lower.representatives]
         elim = RowEliminator(len(layout), lifted_rows)
         from_lower_dim = elim.rank
-        lifted = dict(elim.pivots)  # the shape check rewinds to this snapshot
-        new_reps = ([v for v in left_kernel(rows, len(columns)) if elim.add(v)]
-                    if kernel_dim > from_lower_dim else [])
+        free = [i for i in range(len(rows)) if i not in elim.pivots]
+        if quotient is not None and len(free) - len(columns) + quotient[degree] == 0:
+            new_reps = []
+        else:
+            new_reps = [{free[local]: c for local, c in v.items()}
+                        for v in left_kernel([rows[i] for i in free], len(columns))]
+        kernel_dim = from_lower_dim + len(new_reps)
         shape_name, pattern = shapes.get(degree, (None, None))
         shape_matched = False if new_reps else None
         if new_reps and pattern is not None:
             allowed = dict(pattern)
             pure_cols = [col for col, (e, m) in enumerate(layout)
                          if allowed.get(groups[e]) == (sum(m[:g]), sum(m[g:]))]
-            elim.pivots = lifted
             for v in left_kernel([rows[col] for col in pure_cols], len(columns)):
                 elim.add({pure_cols[local]: c for local, c in v.items()})
             # the pure syzygies cover the minimal ones exactly when the

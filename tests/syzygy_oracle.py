@@ -1,5 +1,5 @@
-"""The first-syzygy loop `ribbonlab.xg.syzygies_by_degree` ran before its
-counts became ranks, kept as a test-only oracle.
+"""Test-only oracles for `ribbonlab.xg.syzygies_by_degree`: two loops it
+ran before, kept unchanged.
 
 `all_kernels_syzygies` builds the full left kernel of the generator
 multiples in every degree and greedily reduces every kernel vector against
@@ -8,9 +8,16 @@ through the per-degree layouts it keeps.  It returns the records as plain
 dicts of the seven `SyzygyRecord` fields.  Only the elimination engine and
 the matrix builder are shared with the code it checks.
 
-`rank_count_syzygies` is the rank-counting loop as it was before its shape
-check reused the pivots of the lifted rows: that check eliminates the lifted
-rows a second time, together with the pure syzygies.
+`rank_count_syzygies` is the loop that counted by ranks before its shape
+check reused the pivots of the lifted rows: it ranks all the multiples,
+keeps the kernel vectors outside the lifted span greedily, and its shape
+check eliminates the lifted rows a second time, together with the pure
+syzygies.
+
+The code under test takes its representatives from the left kernel of only
+the multiples whose row is not a lead of the lifted span, so its basis
+differs from the oracles' greedy choice; `counts` compares the other six
+fields, and the tests check the representatives by what defines them.
 """
 
 from operator import add
@@ -23,9 +30,12 @@ FIELDS = ("degree", "kernel_dim", "from_lower_dim", "minimal_count",
           "shape_name", "shape_matched", "representatives")
 
 
-def record_fields(record):
-    """The seven fields of a SyzygyRecord as a dict."""
-    return {name: getattr(record, name) for name in FIELDS}
+def counts(records):
+    """{degree: {field: value}} of every field but the representatives, for
+    SyzygyRecords and for the oracles' dicts alike."""
+    return {d: {name: rec[name] if isinstance(rec, dict) else getattr(rec, name)
+                for name in FIELDS[:-1]}
+            for d, rec in records.items()}
 
 
 def all_kernels_syzygies(ideal, max_degree, shape_table="ribbon"):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -40,7 +41,7 @@ from ribbonlab.xg import (
 )
 
 from groebner_oracle import all_pairs_criterion, completed_buchberger, full_scan_normal_count
-from syzygy_oracle import all_kernels_syzygies, rank_count_syzygies, record_fields
+from syzygy_oracle import all_kernels_syzygies, counts, rank_count_syzygies
 from test_exact import dense_kernel, dense_rref, to_dense
 
 
@@ -771,11 +772,39 @@ def syzygy_models():
         yield "ribbon e_%d" % k, canonical_ribbon_ideal(5, ell), 6, "ribbon"
 
 
+def _lifted_span(ideal, records, degree):
+    """(row index of each multiple, the multiples, the lifted rows, their leads)
+    in one degree: the lower records' representatives shifted by every
+    monomial of the degree difference, and the lead row indices of an echelon
+    basis of their span, which depend only on the span."""
+    layout, rows, _ = generator_multiples(ideal.generators(), degree, "weighted")
+    row_of = {key: i for i, key in enumerate(layout)}
+    lifted = [{row_of[e, tuple(map(add, m, shift))]: c
+               for e, coeff in enumerate(rep) for m, c in coeff.terms.items()}
+              for lower in records.values() if lower.degree < degree
+              for shift in monomials(ideal.g, degree - lower.degree, "weighted")
+              for rep in lower.representatives]
+    return row_of, rows, lifted, set(RowEliminator(len(layout), lifted).pivots)
+
+
+def _check_representatives(ideal, records):
+    """The representatives are syzygies, zero on every lead of the lifted
+    span, and together with the lifted rows they span all kernel_dim syzygies."""
+    _check_records_are_syzygies(ideal, records)
+    for degree, rec in records.items():
+        row_of, _, lifted, leads = _lifted_span(ideal, records, degree)
+        reps = [{row_of[e, m]: c for e, coeff in enumerate(rep) for m, c in coeff.terms.items()}
+                for rep in rec.representatives]
+        assert all(leads.isdisjoint(vec) for vec in reps), degree
+        assert RowEliminator(len(row_of), lifted + reps).rank == rec.kernel_dim, degree
+
+
 def test_syzygy_records_match_the_all_kernels_oracle():
     for name, ideal, max_degree, table in syzygy_models():
         records = syzygies_by_degree(ideal, max_degree, table)
-        got = {d: record_fields(rec) for d, rec in records.items()}
-        assert got == all_kernels_syzygies(ideal, max_degree, table), (name, ideal.g)
+        assert counts(records) == counts(all_kernels_syzygies(ideal, max_degree, table)), \
+            (name, ideal.g)
+        _check_representatives(ideal, records)
 
 
 def test_shape_check_on_reused_pivots_matches_the_double_elimination():
@@ -787,8 +816,9 @@ def test_shape_check_on_reused_pivots_matches_the_double_elimination():
     models.append((canonical_ribbon_ideal(4, random_ribbon_ell(4, rng)), 7, "ribbon"))
     for ideal, max_degree, table in models:
         records = syzygies_by_degree(ideal, max_degree, table)
-        got = {d: record_fields(rec) for d, rec in records.items()}
-        assert got == rank_count_syzygies(ideal, max_degree, table), (table, ideal.g)
+        assert counts(records) == counts(rank_count_syzygies(ideal, max_degree, table)), \
+            (table, ideal.g)
+        _check_representatives(ideal, records)
         # the check ran wherever a degree of the table has minimal syzygies
         assert any(rec.shape_matched is not None and rec.shape_name is not None
                    for rec in records.values())
@@ -815,23 +845,39 @@ def test_canonical_ribbon_syzygy_tables():
                                           6: (758, 0)}
 
 
-def test_syzygies_build_no_kernel_without_a_minimal_syzygy(monkeypatch):
-    ideal = canonical_ribbon_ideal(4, random_ribbon_ell(4, random.Random(1)))
-    calls = []
+def test_canonical_ribbon_syzygy_table_at_a_random_g5_functional():
+    # a dense functional, unlike the unit ones above: its lifted degree-6
+    # representatives (rank 758) are the costliest elimination of the table
+    ideal = canonical_ribbon_ideal(5, random_ribbon_ell(5, random.Random(3)))
+    records = syzygies_by_degree(ideal, 6)
+    assert _kernel_table(records) == {3: (8, 8), 4: (61, 21), 5: (249, 0), 6: (758, 0)}
+    _check_records_are_syzygies(ideal, records)
 
-    def counting_left_kernel(rows, ncols):
-        calls.append(len(rows))
+
+def test_syzygies_eliminate_the_multiples_once_per_degree(monkeypatch):
+    ideal = canonical_ribbon_ideal(4, random_ribbon_ell(4, random.Random(1)))
+    kernels = []
+
+    def recording_left_kernel(rows, ncols):
+        kernels.append(rows)
         return left_kernel(rows, ncols)
 
-    monkeypatch.setattr(xg, "left_kernel", counting_left_kernel)
-    counts = {}
-    for max_degree in (5, 7):
-        calls.clear()
-        records = syzygies_by_degree(ideal, max_degree)
-        counts[max_degree] = len(calls)
-    # degrees 6 and 7 have no minimal syzygy, so they build no kernel
-    assert [records[d].minimal_count for d in (6, 7)] == [0, 0]
-    assert counts[7] == counts[5]
+    def refused_sparse_rank(rows, ncols):
+        raise AssertionError("syzygies_by_degree ranked the multiples")
+
+    monkeypatch.setattr(xg, "left_kernel", recording_left_kernel)
+    monkeypatch.setattr(xg, "sparse_rank", refused_sparse_rank)
+    records = syzygies_by_degree(ideal, 7)
+    assert [records[d].minimal_count for d in range(3, 8)] == [2, 6, 3, 0, 0]
+    calls = iter(kernels)
+    for degree, rec in records.items():
+        # one kernel of the multiples whose row is not a lifted lead ...
+        _, rows, _, leads = _lifted_span(ideal, records, degree)
+        assert next(calls) == [row for i, row in enumerate(rows) if i not in leads], degree
+        # ... and one of the pure multiples where the shape check runs
+        if rec.minimal_count and rec.shape_name is not None:
+            assert len(next(calls)) < len(rows), degree
+    assert next(calls, None) is None
 
 
 def test_eliminate_v_canonical_g3():
