@@ -128,7 +128,6 @@ def _load_json_arg(text):
 
 
 def _parse_binary_form(data):
-    from .exact import rat
     from .poly import BinaryForm
 
     if isinstance(data, dict):
@@ -136,19 +135,11 @@ def _parse_binary_form(data):
     if isinstance(data, list):
         if not data:
             raise CommandError("a binary form needs at least one coefficient")
-        return BinaryForm(len(data) - 1, [rat(c) for c in data])
+        try:
+            return BinaryForm(len(data) - 1, data)
+        except TypeError as exc:
+            raise CommandError("malformed binary form: %s" % exc)
     raise CommandError("expected a coefficient list or a degree/coeffs object")
-
-
-def _parse_family(data):
-    from .families import TruncatedFamily
-
-    if not isinstance(data, dict):
-        raise CommandError("expected a family JSON object")
-    try:
-        return TruncatedFamily.from_json(data)
-    except (KeyError, TypeError) as exc:
-        raise CommandError("malformed family JSON: %s" % exc)
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +267,18 @@ def cmd_family_build(args):
 
 
 def cmd_family_rescale(args):
-    from .families import rescale_v
+    from .families import TruncatedFamily, rescale_v
 
-    family = _parse_family(_load_json_arg(args.family))
+    family = TruncatedFamily.from_json(_load_json_arg(args.family))
     scaled = rescale_v(family, args.k)
     return {"g": scaled.g, "k": args.k, "order_bound": scaled.order_bound,
             "family": scaled.to_json()}
 
 
 def cmd_family_order(args):
-    from .families import hyperell_order, ribbon_order
+    from .families import TruncatedFamily, hyperell_order, ribbon_order
 
-    family = _parse_family(_load_json_arg(args.family))
+    family = TruncatedFamily.from_json(_load_json_arg(args.family))
     bound = family.order_bound
 
     def show(m):
@@ -304,9 +295,10 @@ def cmd_family_order(args):
 
 def cmd_family_discriminant(args):
     from .exact import rat_to_str
-    from .families import binary_discriminant, discriminant_section, ribbon_order
+    from .families import (TruncatedFamily, binary_discriminant, discriminant_section,
+                           ribbon_order)
 
-    family = _parse_family(_load_json_arg(args.family))
+    family = TruncatedFamily.from_json(_load_json_arg(args.family))
     s = discriminant_section(family)
     return {"g": family.g,
             "ribbon_order": ribbon_order(family),

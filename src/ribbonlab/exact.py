@@ -119,9 +119,14 @@ def json_list(value, what: str) -> list:
 
 def json_int(value, what: str) -> int:
     """An integer field of a JSON document: an int, or a string int() reads."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError("%s must be an integer, got %r" % (what, value))
-    return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError("%s must be an integer, got %r" % (what, value))
 
 
 class TruncatedScalar:

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import RatMatrix, RowEliminator, TruncatedScalar, rat_to_str, to_integers
+from .exact import (RatMatrix, RowEliminator, TruncatedScalar, json_fields, json_int,
+                    rat_to_str, to_integers)
 from .poly import BinaryForm, WPoly, veronese_pullback
 from .xg import (
     GROUP_DEGREES,
@@ -119,8 +120,9 @@ class TruncatedFamily(XgIdeal):
 
     @classmethod
     def from_json(cls, data) -> "TruncatedFamily":
-        g = int(data["g"])
-        return cls(g, int(data["order_bound"]), *load_groups(g, data))
+        g, bound = json_fields(data, "a family object", "g", "order_bound")
+        g = json_int(g, "the genus g")
+        return cls(g, json_int(bound, "the order bound"), *load_groups(g, data))
 
 
 def constant_family(ideal: XgIdeal, order_bound: int) -> TruncatedFamily:

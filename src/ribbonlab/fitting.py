@@ -1,28 +1,25 @@
-"""Matrices of linear forms whose maximal minors realize monomial powers.
+"""Matrices of single variables whose maximal minors realize monomial powers.
 
 Near the locus where the multiplication map degenerates, its presentation
-matrix reduces to a matrix of linear forms in the transverse coordinates
-z_1..z_m.  Two shapes matter: the symmetric-square map phi2 (square case,
-r = m) and the block matrix (z_1*I_r | ... | z_m*I_r) (surjective case).
-For both, every monomial of degree r is +/- one maximal minor, picked by
-an explicit deterministic column selection; this puts the r-th power of
-(z_1..z_m) inside the ideal of maximal minors, while the reverse
-inclusion is automatic because all entries are linear.
+matrix reduces to one whose entries are single variables z_i or zero.  Two
+shapes matter: the symmetric-square map phi2 (square case, r = m) and the
+block matrix (z_1*I_r | ... | z_m*I_r) (surjective case).  For both, every
+monomial of degree r is +/- one maximal minor, picked by an explicit
+deterministic column selection; this puts the r-th power of (z_1..z_m)
+inside the ideal of maximal minors, while the reverse inclusion is
+automatic because all entries are linear.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .exact import rat
-
 
 class LinFormMatrix:
-    """Matrix whose entries are linear forms in z_1..z_m.
+    """Matrix whose entries are single variables among z_1..z_m, or zero.
 
-    Entries are coefficient tuples of length m, exact rationals stored as
-    ints where integral, so that the minors of the 0/1 matrices built here
-    take integer arithmetic only.  col_labels records what
+    An entry is the index of its variable (an int in range(m)) or None for
+    zero, so the minors take integer signs only.  col_labels records what
     each column means ((a, b) for the quadratic monomial z_a z_b in phi2
     mode; (a, t) for block a, row t in blocks mode).
     """
@@ -31,26 +28,20 @@ class LinFormMatrix:
 
     def __init__(self, m, entries, kind, col_labels):
         self.m = m
-        self.entries = tuple(tuple(tuple(map(_int_if_integral, entry))
-                                   for entry in row) for row in entries)
+        self.entries = tuple(map(tuple, entries))
         self.nrows = len(self.entries)
         self.ncols = len(self.entries[0]) if self.entries else 0
         for row in self.entries:
             if len(row) != self.ncols:
                 raise ValueError("ragged rows")
             for entry in row:
-                if len(entry) != m:
-                    raise ValueError("entry is not a linear form in %d variables" % m)
+                if not (entry is None or type(entry) is int and 0 <= entry < m):
+                    raise ValueError("entry %r is not None or an index in range(%d)"
+                                     % (entry, m))
         self.kind = kind
         self.col_labels = tuple(col_labels)
         if len(self.col_labels) != self.ncols:
             raise ValueError("need one label per column")
-
-
-def _int_if_integral(c):
-    """The exact rational c, as an int when it is integral."""
-    c = rat(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def phi2_symbolic(m: int) -> LinFormMatrix:
@@ -62,17 +53,8 @@ def phi2_symbolic(m: int) -> LinFormMatrix:
     labels = [(a, b) for a in range(m) for b in range(a, m)]
     entries = [[None] * len(labels) for _ in range(m)]
     for col, (a, b) in enumerate(labels):
-        for row in range(m):
-            coeffs = [0] * m
-            if a == b:
-                if row == a:
-                    coeffs[a] = 1
-            else:
-                if row == b:
-                    coeffs[a] = 1
-                elif row == a:
-                    coeffs[b] = 1
-            entries[row][col] = tuple(coeffs)
+        entries[b][col] = a
+        entries[a][col] = b
     return LinFormMatrix(m, entries, "phi2", labels)
 
 
@@ -83,21 +65,17 @@ def phid_symbolic_blocks(m: int, r: int) -> LinFormMatrix:
     labels = [(a, t) for a in range(m) for t in range(r)]
     entries = [[None] * len(labels) for _ in range(r)]
     for col, (a, t) in enumerate(labels):
-        for row in range(r):
-            coeffs = [0] * m
-            if row == t:
-                coeffs[a] = 1
-            entries[row][col] = tuple(coeffs)
+        entries[t][col] = a
     return LinFormMatrix(m, entries, "blocks", labels)
 
 
 def symbolic_minor(matrix: LinFormMatrix, cols):
     """Exact determinant of the square submatrix on the given column indices.
 
-    Returns a polynomial as {exponent tuple: coefficient}.  Laplace
+    Returns a polynomial as {exponent tuple: int coefficient}.  Laplace
     expansion along the rows, depth first: row k takes each column still
-    free, with sign (-1)^(its position among the free columns), and each
-    nonzero variable of that entry; zero entries cut their branch at once.
+    free whose entry is a variable, with sign (-1)^(its position among the
+    free columns); zero entries cut their branch at once.
     """
     r = matrix.nrows
     if len(cols) != r:
@@ -105,25 +83,19 @@ def symbolic_minor(matrix: LinFormMatrix, cols):
     entries = matrix.entries
     total = {}
 
-    def expand(row, free, exps, coeff):
+    def expand(row, free, exps, sign):
         if row == r:
-            val = total.get(exps, 0) + coeff
-            if val:
-                total[exps] = val
-            else:
-                del total[exps]
+            total[exps] = total.get(exps, 0) + sign
             return
         for pos, col in enumerate(free):
-            rest = free[:pos] + free[pos + 1:]
-            signed = -coeff if pos % 2 else coeff
-            for var, c in enumerate(entries[row][col]):
-                if c:
-                    key = list(exps)
-                    key[var] += 1
-                    expand(row + 1, rest, tuple(key), signed * c)
+            var = entries[row][col]
+            if var is not None:
+                expand(row + 1, free[:pos] + free[pos + 1:],
+                       exps[:var] + (exps[var] + 1,) + exps[var + 1:],
+                       -sign if pos % 2 else sign)
 
     expand(0, list(cols), (0,) * matrix.m, 1)
-    return total
+    return {exps: c for exps, c in total.items() if c}
 
 
 def _canonical_partition(m, support, mults):
@@ -183,8 +155,8 @@ def verify_power_ideal(m: int, r: int, mode: str = "phi2"):
 
     Establishes (z_1..z_m)^r inside the ideal of maximal minors by
     exhaustive witness construction.  The reverse inclusion needs every
-    minor to be homogeneous of degree r, which holds for any matrix of
-    linear forms; entries are validated as linear at construction.
+    minor to be homogeneous of degree r, which holds because every entry
+    is one variable or zero, as the constructor checks.
     """
     if mode == "phi2":
         if r != m:

@@ -30,7 +30,7 @@ from operator import add, sub
 from random import Random
 
 from .exact import RowEliminator, _clear, _primitive, from_integers, left_kernel, rat
-from .exact import sparse_rank, to_integers
+from .exact import json_fields, json_int, json_list, sparse_rank, to_integers
 from .poly import (
     MONOMIAL_ORDERS,
     BinaryForm,
@@ -144,8 +144,13 @@ class XgIdeal:
 
 def load_groups(g: int, data):
     """The UU, UV, VV item lists of a to_json document, in that order."""
-    return [[(tuple(e["key"]), WPoly.from_json(g, e["poly"])) for e in data[name]]
-            for name in GROUPS]
+    def item(name, doc):
+        key, poly = json_fields(doc, "a %s generator" % name, "key", "poly")
+        return (tuple(json_int(k, "a key entry") for k in json_list(key, "a key")),
+                WPoly.from_json(g, json_list(poly, "a poly")))
+
+    return [[item(name, doc) for doc in json_list(items, "the %s group" % name)]
+            for name, items in zip(GROUPS, json_fields(data, "a family object", *GROUPS))]
 
 
 def split_ribbon_ideal(g: int) -> XgIdeal:

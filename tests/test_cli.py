@@ -529,6 +529,34 @@ def test_family_document_with_a_huge_or_small_genus_is_refused(capsys):
         assert code == 1 and doc["payload"]["message"] == message
 
 
+def test_family_build_refuses_a_coefficient_entry_by_name(capsys):
+    for entry, shown in (("true", "True"), ("null", "None"), ("[2]", "[2]"), ("{}", "{}")):
+        h = "[1,0,0,%s,0,0,0,0,1]" % entry
+        code = main(["family", "build", "--g", "3", "--model", "hyperelliptic", "--h", h])
+        out, err = capsys.readouterr()
+        assert code == 1 and "Traceback" not in err, entry
+        assert json.loads(out) == {"status": "error", "payload": {
+            "message": "malformed binary form: cannot coerce %s to a rational" % shown}}
+
+
+def test_family_documents_are_read_by_the_named_readers(capsys):
+    base = {"g": 3, "order_bound": 1, "UU": [], "UV": [], "VV": []}
+    for change, message in (({"g": True}, "the genus g must be an integer, got True"),
+                            ({"g": "x"}, "the genus g must be an integer, got 'x'"),
+                            ({"UU": [5]}, "a UU generator must be a JSON object"),
+                            ({"UU": [{"key": [0, 0]}]}, "a UU generator has no key 'poly'"),
+                            ({"UU": [{"key": 0, "poly": []}]}, "a key must be a list, got 0"),
+                            ({"UU": [{"key": [0, 0], "poly": 1}]},
+                             "a poly must be a list, got 1")):
+        family = json.dumps({**base, **change})
+        code = main(["family", "order", "--family", family])
+        out, err = capsys.readouterr()
+        assert code == 1 and "Traceback" not in err, change
+        assert json.loads(out)["payload"]["message"] == message
+    code, doc = run_cli(capsys, "family", "order", "--family", "[]")
+    assert doc["payload"]["message"] == "a family object must be a JSON object"
+
+
 def test_family_build_requires_h(capsys):
     code, doc = run_cli(capsys, "family", "build", "--g", "3")
     assert code == 1
@@ -572,6 +600,8 @@ def test_fuzzed_json_arguments_end_in_one_document(tmp_path, monkeypatch, capsys
         "limit-relation": [[{"u": [1, 0, 1, 0], "v": [0, 0], "c": "1"},
                             {"u": [0, 2, 0, 0], "v": [0, 0], "c": "-1"}]],
         "family": [family, doc["payload"]["family"]],
+        "binary form": [[1, 0, 0, 0, 0, 0, 0, 0, 1],
+                        {"degree": 8, "coeffs": ["1", "0", "0", "0", "0", "0", "0", "0", "1"]}],
     }
     names = ["g", "matrix", "u", "v", "c", "order_bound", "UU", "UV", "VV",
              "key", "poly", "degree", "coeffs", "s"]
@@ -608,15 +638,19 @@ def test_fuzzed_json_arguments_end_in_one_document(tmp_path, monkeypatch, capsys
         st.tuples(st.just("family"), st.sampled_from(["order", "discriminant"]),
                   argument("family").map("--family={}".format)),
         st.tuples(st.just("family"), st.just("rescale"), st.just("--k"), st.just("1"),
-                  argument("family").map("--family={}".format)))
+                  argument("family").map("--family={}".format)),
+        st.tuples(st.just("family"), st.just("build"), st.just("--g"), st.just("3"),
+                  st.sampled_from(["--model=hyperelliptic", "--model=perturbed"]),
+                  argument("binary form").map("--h={}".format)))
 
     @hypothesis.settings(derandomize=True, database=None, deadline=None,
                          max_examples=150)
     @hypothesis.given(argvs)
     def check(argv):
         code = main(list(argv))
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         doc = json.loads(out)
+        assert "Traceback" not in err, argv
         assert code in (0, 1), argv
         assert doc["status"] in ("ok", "error"), argv
         assert (code == 0) == (doc["status"] == "ok"), argv

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,13 +26,11 @@ def test_phi2_shapes_and_columns():
     assert (m2.nrows, m2.ncols) == (2, 3)
     assert m2.col_labels == ((0, 0), (0, 1), (1, 1))
     # z_0^2 column is z_0 e_0; z_0 z_1 column is z_1 e_0 + z_0 e_1
-    assert m2.entries[0][0] == (1, 0) and m2.entries[1][0] == (0, 0)
-    assert m2.entries[0][1] == (0, 1) and m2.entries[1][1] == (1, 0)
-    assert m2.entries[0][2] == (0, 0) and m2.entries[1][2] == (0, 1)
+    assert m2.entries == ((0, 1, None), (None, 0, 1))
 
     m1 = phi2_symbolic(1)
     assert (m1.nrows, m1.ncols) == (1, 1)
-    assert m1.entries[0][0] == (1,)
+    assert m1.entries == ((0,),)
 
     assert (phi2_symbolic(3).nrows, phi2_symbolic(3).ncols) == (3, 6)
 
@@ -40,8 +39,7 @@ def test_block_matrix_layout():
     b = phid_symbolic_blocks(2, 2)
     assert (b.nrows, b.ncols) == (2, 4)
     assert b.col_labels == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert b.entries[0][0] == (1, 0) and b.entries[1][1] == (1, 0)
-    assert b.entries[0][2] == (0, 1) and b.entries[1][3] == (0, 1)
+    assert b.entries == ((0, None, 1, None), (None, 0, None, 1))
     row = phid_symbolic_blocks(3, 1)
     assert row.nrows == 1 and row.ncols == 3
 
@@ -86,7 +84,7 @@ def test_symbolic_minor_against_numeric_determinant():
         det = symbolic_minor(mat, cols)
         z = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
         numeric = RatMatrix(
-            [[sum(c * z[var] for var, c in enumerate(mat.entries[row][col]))
+            [[0 if mat.entries[row][col] is None else z[mat.entries[row][col]]
               for col in cols] for row in range(4)]).det()
         via_poly = sum(
             (c * _eval_monomial(z, exps) for exps, c in det.items()),
@@ -95,21 +93,19 @@ def test_symbolic_minor_against_numeric_determinant():
 
 
 def permutation_minor(matrix, cols):
-    """Oracle: the determinant as a signed sum over all r! permutations."""
+    """Oracle: the determinant as a signed sum over all r! permutations.
+
+    Each permutation picks one entry per row; with every entry a single
+    variable or zero, its term is 0 or +/- the product of those variables.
+    """
     total = {}
     for perm in permutations(range(matrix.nrows)):
+        picked = [matrix.entries[row][cols[pos]] for row, pos in enumerate(perm)]
+        if None in picked:
+            continue
         inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
-        term = {(0,) * matrix.m: Fraction((-1) ** inversions)}
-        for row, pos in enumerate(perm):
-            new = {}
-            for exps, c in term.items():
-                for var, coeff in enumerate(matrix.entries[row][cols[pos]]):
-                    if coeff:
-                        key = exps[:var] + (exps[var] + 1,) + exps[var + 1:]
-                        new[key] = new.get(key, 0) + c * coeff
-            term = new
-        for exps, c in term.items():
-            total[exps] = total.get(exps, 0) + c
+        exps = tuple(picked.count(var) for var in range(matrix.m))
+        total[exps] = total.get(exps, 0) + (-1) ** inversions
     return {exps: c for exps, c in total.items() if c}
 
 
@@ -118,14 +114,16 @@ def test_symbolic_minor_matches_permutation_expansion():
     matrices += [phid_symbolic_blocks(m, r) for m in range(1, 4) for r in range(1, 5)]
     rng = random.Random(31)
     for r, m in ((2, 2), (3, 2), (3, 3), (4, 3), (5, 2)):
-        # dense random linear forms with zero and negative coefficients
-        entries = [[tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(m))
-                    for _ in range(r + 2)] for _ in range(r)]
+        # random variables, with zero entries and a variable repeated along rows
+        entries = [[rng.choice([None, None] + list(range(m))) for _ in range(r + 2)]
+                   for _ in range(r)]
         matrices.append(LinFormMatrix(m, entries, "random", range(r + 2)))
     checked = 0
     for mat in matrices:
         for cols in combinations(range(mat.ncols), mat.nrows):
-            assert symbolic_minor(mat, list(cols)) == permutation_minor(mat, cols), cols
+            det = symbolic_minor(mat, list(cols))
+            assert det == permutation_minor(mat, cols), cols
+            assert all(type(c) is int for c in det.values())
             checked += 1
     assert checked == 995
 
@@ -158,22 +156,12 @@ def test_verify_power_ideal_guards():
         verify_power_ideal(2, 2, "nope")
 
 
-def test_entries_stay_exact_with_integral_ones_as_ints():
-    entries = [[(Fraction(1, 2), Fraction(4, 2)), (1, 0), ("-2/3", 5)],
-               [(0, 3), (Fraction(-1, 3), 1), (2, Fraction(7, 5))]]
-    mat = LinFormMatrix(2, entries, "random", range(3))
-    assert mat.entries[0][0] == (Fraction(1, 2), 2) and type(mat.entries[0][0][1]) is int
-    assert mat.entries[0][2] == (Fraction(-2, 3), 5)
-    assert all(type(c) is int for entry in phi2_symbolic(3).entries[0] for c in entry)
-    for cols in combinations(range(3), 2):
-        assert symbolic_minor(mat, list(cols)) == permutation_minor(mat, cols)
-    with pytest.raises(TypeError):
-        LinFormMatrix(1, [[(0.5,)]], "random", [0])
-
-
 def test_entries_must_be_linear():
-    with pytest.raises(ValueError):
-        LinFormMatrix(2, [[(1, 0, 0)]], "phi2", [(0, 0)])
+    # an entry is one variable index in range(m) or None for zero
+    LinFormMatrix(2, [[0, None, 1]], "random", range(3))
+    for bad in (2, -1, (1, 0), 0.5, True, "0"):
+        with pytest.raises(ValueError, match="entry %s is not" % re.escape(repr(bad))):
+            LinFormMatrix(2, [[0, bad]], "random", range(2))
 
 
 def test_power_ideal_check_survives_python_O():
