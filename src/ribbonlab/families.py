@@ -13,6 +13,16 @@ A TruncatedFamily is an xg.XgIdeal whose coefficients are TruncatedScalar
 values; every operation that changes coefficients rebuilds the three
 groups through XgIdeal.mapped.
 
+Values are validated once, at the boundary.  The TruncatedFamily
+constructor (and so from_json and constant_family) checks every key list,
+coefficient order and generator degree.  The transforms whose inputs are
+already checked, a family or a model with v_linear_forms' directions
+(perturb_hyperelliptic, rescale_v, negate_v, truncate,
+base_change_pi_squared, even_odd_split), build their results through the
+private TruncatedFamily._raw and WPoly._raw and keep only the refusals that
+can still fire: a bad rescaling, and a generator that rescaling or
+truncation empties, refused with the constructor's message.
+
 Order detection is literal shape detection: a family counts as
 hyperelliptic (or a ribbon) to order m when its reduction mod pi^m
 displays the exact generator shapes.  No attempt is made to normalize
@@ -33,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import (RatMatrix, RowEliminator, TruncatedScalar, json_fields, json_int,
+from .exact import (_ZERO, RatMatrix, RowEliminator, TruncatedScalar, json_fields, json_int,
                     rat_to_str, to_integers)
 from .poly import BinaryForm, WPoly, veronese_pullback
 from .xg import (
@@ -94,13 +104,19 @@ class TruncatedFamily(XgIdeal):
                         raise ValueError("coefficients must live in Q[pi]/(pi^%d)"
                                          % order_bound)
                 if p.degree("weighted") != GROUP_DEGREES[name]:
-                    raise ValueError("%s generator %s must be weighted-homogeneous "
-                                     "of degree %d" % (name, key, GROUP_DEGREES[name]))
+                    _refuse_degree(name, key)
+
+    @classmethod
+    def _raw(cls, g: int, order_bound: int, UU, UV, VV) -> "TruncatedFamily":
+        """The family with these groups, already in the shape the constructor checks."""
+        f = object.__new__(cls)
+        f.g, f.order_bound, f.UU, f.UV, f.VV = g, order_bound, UU, UV, VV
+        return f
 
     def truncate(self, order: int) -> "TruncatedFamily":
         """Reduce every coefficient mod pi^order."""
-        return TruncatedFamily(self.g, order, *self.mapped(
-            lambda name, key, p: p.map_coeffs(lambda c: c.truncate(order))))
+        return TruncatedFamily._raw(self.g, order, *_nonempty(self.mapped(
+            lambda name, key, p: p.map_coeffs(lambda c: c.truncate(order)))))
 
     def special_fiber(self) -> XgIdeal:
         """The reduction mod pi, over Q."""
@@ -125,6 +141,24 @@ class TruncatedFamily(XgIdeal):
         return cls(g, json_int(bound, "the order bound"), *load_groups(g, data))
 
 
+def _refuse_degree(name: str, key):
+    raise ValueError("%s generator %s must be weighted-homogeneous of degree %d"
+                     % (name, key, GROUP_DEGREES[name]))
+
+
+def _nonempty(groups):
+    """The UU, UV, VV item lists, refused as the constructor would if a poly is zero.
+
+    Rescaling and truncation only drop terms of an already-checked family,
+    so an emptied generator is the one refusal that can still fire.
+    """
+    for name, items in zip(GROUPS, groups):
+        for key, p in items:
+            if not p:
+                _refuse_degree(name, key)
+    return groups
+
+
 def constant_family(ideal: XgIdeal, order_bound: int) -> TruncatedFamily:
     """The ideal viewed as a family that does not move with pi."""
     return TruncatedFamily(ideal.g, order_bound, *ideal.mapped(
@@ -144,10 +178,11 @@ def perturb_hyperelliptic(g: int, h: BinaryForm, d: int, order_bound: int,
     if order_bound <= 2 * d:
         raise ValueError("order bound %d must exceed 2d = %d" % (order_bound, 2 * d))
     ell = v_linear_forms(g, odd_direction)
-    model = constant_family(hyperelliptic_model(g, h), order_bound)
+    uu, uv, vv = hyperelliptic_model(g, h).mapped(
+        lambda name, key, p: _lift_poly(p, order_bound))
     uu = [(key, p + _lift_poly(e, order_bound, shift=d) if e else p)
-          for (key, p), e in zip(model.UU, ell)]
-    return TruncatedFamily(g, order_bound, uu, model.UV, model.VV)
+          for (key, p), e in zip(uu, ell)]
+    return TruncatedFamily._raw(g, order_bound, uu, uv, vv)
 
 
 def rescale_v(family: TruncatedFamily, k: int) -> TruncatedFamily:
@@ -182,9 +217,9 @@ def rescale_v(family: TruncatedFamily, k: int) -> TruncatedFamily:
             shifted = shifted.truncate(n)
             if shifted:
                 terms[e] = shifted
-        return WPoly(g, terms)
+        return WPoly._raw(g, terms)
 
-    return TruncatedFamily(g, n, *family.mapped(rescaled))
+    return TruncatedFamily._raw(g, n, *_nonempty(family.mapped(rescaled)))
 
 
 def negate_v(family: TruncatedFamily) -> TruncatedFamily:
@@ -195,9 +230,9 @@ def negate_v(family: TruncatedFamily) -> TruncatedFamily:
     terms change sign.
     """
     g = family.g
-    return TruncatedFamily(g, family.order_bound, *family.mapped(
-        lambda name, key, p: WPoly(g, {e: c if _is_even(name, e, g) else -c
-                                       for e, c in p.terms.items()})))
+    return TruncatedFamily._raw(g, family.order_bound, *family.mapped(
+        lambda name, key, p: WPoly._raw(g, {e: c if _is_even(name, e, g) else -c
+                                            for e, c in p.terms.items()})))
 
 
 def even_odd_split(family: TruncatedFamily, base: XgIdeal):
@@ -216,8 +251,8 @@ def even_odd_split(family: TruncatedFamily, base: XgIdeal):
         for (key, p), (_, bp) in zip(family.group_items(name), base.group_items(name)):
             dev = p - _lift_poly(bp, n)
             for part, keep in ((even, True), (odd, False)):
-                part[name].append((key, WPoly(g, {e: c for e, c in dev.terms.items()
-                                                  if _is_even(name, e, g) == keep})))
+                part[name].append((key, WPoly._raw(g, {e: c for e, c in dev.terms.items()
+                                                       if _is_even(name, e, g) == keep})))
     return even, odd
 
 
@@ -365,12 +400,11 @@ def base_change_pi_squared(family: TruncatedFamily) -> TruncatedFamily:
     n = 2 * family.order_bound - 1
 
     def stretch(c: TruncatedScalar) -> TruncatedScalar:
-        out = [Fraction(0)] * n
-        for i, a in enumerate(c.coeffs):
-            out[2 * i] = a
-        return TruncatedScalar(out)
+        out = [_ZERO] * n
+        out[::2] = c.coeffs
+        return TruncatedScalar._raw(tuple(out))
 
-    return TruncatedFamily(family.g, n, *family.mapped(
+    return TruncatedFamily._raw(family.g, n, *family.mapped(
         lambda name, key, p: p.map_coeffs(stretch)))
 
 
@@ -422,13 +456,21 @@ def reduction_hilbert_function(family: TruncatedFamily, modulus: int, degrees):
     free over Q[pi]/(pi^m) shows m times its fiber numbers at m; drops below
     that witness a failure of flatness.
 
-    One elimination per degree gives the whole table.  Each generator
-    multiple is written once per power pi^layer, layer < modulus, over the
-    digit-major columns t*n + c (pi digit t, monomial c).  Mod pi^m the
-    layered matrix is the projection onto the columns below m*n, since the
-    layers at m and above vanish there; the engine leads each pivot at its
-    smallest column, so that projection has rank the number of pivots
-    leading below m*n.
+    One elimination per degree gives the whole table.  The slice mod
+    pi^modulus is spanned by the products pi^layer * multiple, layer <
+    modulus, written over the digit-major columns t*n + c (pi digit t,
+    monomial c).  Mod pi^m that matrix is the projection onto the columns
+    below m*n, since the digits at m and above vanish there; the engine
+    leads each pivot at its smallest column, so that projection has rank
+    the number of pivots leading below m*n.
+
+    Multiplication by pi is a linear map on these columns: the shift by n,
+    cut at modulus*n.  So only layer 0 is eliminated from the multiples.
+    Its pivot rows span the same space as the multiples, so their shifts
+    span the same space as the shifted multiples, and each pivot row is
+    absorbed once per higher layer, shifted by layer*n and cut.  The row
+    space, hence the lead set and the table, is the same, from #multiples +
+    rank*(modulus-1) rows instead of #multiples*modulus.
     """
     if not 1 <= modulus <= family.order_bound:
         raise ValueError("modulus must lie between 1 and the order bound")
@@ -436,11 +478,16 @@ def reduction_hilbert_function(family: TruncatedFamily, modulus: int, degrees):
     for degree in degrees:
         _, rows, columns = generator_multiples(family.generators(), degree, "weighted")
         n = len(columns)
-        layered = [{t * n + col: c.coeffs[t - layer]
-                    for col, c in row.items()
-                    for t in range(layer, modulus) if c.coeffs[t - layer]}
-                   for row in rows for layer in range(modulus)]
-        leads = RowEliminator(n * modulus, layered).pivots
+        top = n * modulus
+        elim = RowEliminator(top, [{t * n + col: c.coeffs[t]
+                                    for col, c in row.items()
+                                    for t in range(modulus) if c.coeffs[t]}
+                                   for row in rows])
+        layer0 = [{lead: a, **tail} for lead, (a, tail) in elim.pivots.items()]
+        for shift in range(n, top, n):
+            for row in layer0:
+                elim.add({c + shift: v for c, v in row.items() if c + shift < top})
+        leads = elim.pivots
         for m, dims in table.items():
             dims.append(n * m - sum(1 for lead in leads if lead < n * m))
     return table

@@ -1,17 +1,25 @@
-"""The polynomial kernels in plain Fraction arithmetic, as they were written before
-they became fraction-free.
+"""Kernels as they were written before their fast paths, kept as oracles.
 
-Each function here is the loop its counterpart in `ribbonlab` ran before that
-counterpart moved to integers inside (`exact.to_integers`) and Fractions only
-at the output (`exact.from_integers`).  Every step below is a Fraction
-operation and every result goes through a public constructor, so these are
-the oracles for the integer kernels.
+Most functions here are the loop their counterpart in `ribbonlab` ran before
+that counterpart moved to integers inside (`exact.to_integers`) and Fractions
+only at the output (`exact.from_integers`).  Every step of those is a
+Fraction operation and every result goes through a public constructor, so
+they are the oracles for the integer kernels.
+
+The rest are the slower paths of the families layer and the matrix builder:
+the flatness table that eliminates every pi-layer of every multiple, the
+family transforms that build their items through the public, checking
+constructors, and `generator_multiples` keyed by exponent tuples.
 """
 
 from fractions import Fraction
+from operator import add
 
-from ribbonlab.exact import RatMatrix
-from ribbonlab.poly import BinaryForm, WPoly
+from ribbonlab.exact import RatMatrix, RowEliminator, TruncatedScalar
+from ribbonlab.families import TruncatedFamily, _is_even, _lift_poly
+from ribbonlab.poly import BinaryForm, WPoly, monomial_index, monomials
+from ribbonlab.xg import GROUP_DEGREES, GROUPS, _integral, generator_multiples
+from ribbonlab.xg import hyperelliptic_model, v_linear_forms
 
 
 def form_product(f, h):
@@ -142,3 +150,107 @@ def hyperelliptic_vv(split_vv, g, h):
     return [((i, j), p - summed_quartic_lift(form_product(
         BinaryForm.monomial(2 * g - 6, i + j), h), g)) for (i, j), p in split_vv]
 
+
+def tuple_keyed_multiples(gens, degree, grading, columns=None):
+    """generator_multiples with each column looked up by its exponent tuple m + t."""
+    gens = list(gens)
+    if columns is None:
+        columns = monomials(gens[0].g, degree, grading) if gens else []
+    idx = monomial_index(columns)
+    layout, rows = [], []
+    multipliers = {}
+    for e, gen in enumerate(gens):
+        w = gen.degree(grading)
+        if w is None or w > degree:
+            continue
+        if w not in multipliers:
+            multipliers[w] = monomials(gen.g, degree - w, grading)
+        terms = [(t, _integral(c)) for t, c in gen.terms.items()]
+        for m in multipliers[w]:
+            layout.append((e, m))
+            rows.append({idx[tuple(map(add, m, t))]: c for t, c in terms})
+    return layout, rows, columns
+
+
+def layered_reduction_hilbert_function(family, modulus, degrees):
+    """reduction_hilbert_function with every multiple written once per pi-layer."""
+    table = {m: [] for m in range(1, modulus + 1)}
+    for degree in degrees:
+        _, rows, columns = generator_multiples(family.generators(), degree, "weighted")
+        n = len(columns)
+        layered = [{t * n + col: c.coeffs[t - layer]
+                    for col, c in row.items()
+                    for t in range(layer, modulus) if c.coeffs[t - layer]}
+                   for row in rows for layer in range(modulus)]
+        leads = RowEliminator(n * modulus, layered).pivots
+        for m, dims in table.items():
+            dims.append(n * m - sum(1 for lead in leads if lead < n * m))
+    return table
+
+
+# The family transforms, each building its result through the public
+# TruncatedFamily and WPoly constructors, which check every item again.
+
+def checked_truncate(family, order):
+    return TruncatedFamily(family.g, order, *family.mapped(
+        lambda name, key, p: p.map_coeffs(lambda c: c.truncate(order))))
+
+
+def checked_perturb_hyperelliptic(g, h, d, order_bound, odd_direction):
+    ell = v_linear_forms(g, odd_direction)
+    model = hyperelliptic_model(g, h)
+    model = TruncatedFamily(g, order_bound, *model.mapped(
+        lambda name, key, p: _lift_poly(p, order_bound)))
+    uu = [(key, p + _lift_poly(e, order_bound, shift=d) if e else p)
+          for (key, p), e in zip(model.UU, ell)]
+    return TruncatedFamily(g, order_bound, uu, model.UV, model.VV)
+
+
+def checked_rescale_v(family, k):
+    if k == 0:
+        return family
+    g = family.g
+    n = family.order_bound - (k if k > 0 else -2 * k)
+
+    def rescaled(name, key, p):
+        terms = {}
+        for e, c in p.terms.items():
+            shifted = c.shift(k * (GROUP_DEGREES[name] - 2 - sum(e[g:]))).truncate(n)
+            if shifted:
+                terms[e] = shifted
+        return WPoly(g, terms)
+
+    return TruncatedFamily(g, n, *family.mapped(rescaled))
+
+
+def checked_negate_v(family):
+    g = family.g
+    return TruncatedFamily(g, family.order_bound, *family.mapped(
+        lambda name, key, p: WPoly(g, {e: c if _is_even(name, e, g) else -c
+                                       for e, c in p.terms.items()})))
+
+
+def checked_even_odd_split(family, base):
+    g, n = family.g, family.order_bound
+    even, odd = {}, {}
+    for name in GROUPS:
+        even[name], odd[name] = [], []
+        for (key, p), (_, bp) in zip(family.group_items(name), base.group_items(name)):
+            dev = p - _lift_poly(bp, n)
+            for part, keep in ((even, True), (odd, False)):
+                part[name].append((key, WPoly(g, {e: c for e, c in dev.terms.items()
+                                                  if _is_even(name, e, g) == keep})))
+    return even, odd
+
+
+def checked_base_change_pi_squared(family):
+    n = 2 * family.order_bound - 1
+
+    def stretch(c):
+        out = [Fraction(0)] * n
+        for i, a in enumerate(c.coeffs):
+            out[2 * i] = a
+        return TruncatedScalar(out)
+
+    return TruncatedFamily(family.g, n, *family.mapped(
+        lambda name, key, p: p.map_coeffs(stretch)))

@@ -509,6 +509,20 @@ def test_family_rescale_reports_inexact_division(tmp_path, capsys):
     assert "does not admit the rescaling" in doc["payload"]["message"]
 
 
+def test_family_rescale_refuses_a_generator_it_empties(tmp_path, capsys):
+    # VV (0, 0) is the pure-u quartic u0^4 with only a constant digit: k = 1
+    # shifts that digit to pi^2, past the new bound 2, and leaves VV (0, 0) zero
+    doc = families.constant_family(xg.split_ribbon_ideal(3), 3).to_json()
+    doc["VV"][0]["poly"] = [{"u": [4, 0, 0], "v": [0], "c": ["1", "0", "0"]}]
+    assert families.TruncatedFamily.from_json(doc).VV[0][1]
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "family", "rescale", "--family", str(fam), "--k", "1")
+    assert code == 1 and out["status"] == "error"
+    assert out["payload"]["message"] == \
+        "VV generator (0, 0) must be weighted-homogeneous of degree 4"
+
+
 def test_family_build_refuses_order_bound_zero_and_genus_two(capsys):
     octic = json.dumps([1, 0, 0, 0, 0, 0, 0, 0, 1])
     for model in ("split", "hyperelliptic", "perturbed"):

@@ -461,6 +461,16 @@ def test_flatness_at_genus_three_reaches_the_bound():
             assert free_through(table) == family.order_bound
 
 
+def test_truncation_refuses_a_generator_it_empties():
+    fam = constant_family(split_ribbon_ideal(3), 3)
+    pi_v0_squared = WPoly(3, {(0, 0, 0, 2): TruncatedScalar([0, 1, 0])})
+    fam = TruncatedFamily(3, 3, fam.UU, fam.UV, [((0, 0), pi_v0_squared)])
+    assert fam.truncate(2).VV == [((0, 0), WPoly(3, {(0, 0, 0, 2): TruncatedScalar([0, 1])}))]
+    with pytest.raises(ValueError) as err:
+        fam.truncate(1)
+    assert str(err.value) == "VV generator (0, 0) must be weighted-homogeneous of degree 4"
+
+
 def test_family_json_round_trip():
     fam = rescale_v(worked_family(), 1)
     data = fam.to_json()

@@ -13,17 +13,32 @@ from fractions import Fraction
 import pytest
 
 import kernel_oracle as oracle
+from ribbonlab import families
 from ribbonlab.conormal import phi_d
-from ribbonlab.exact import _ZERO, RatMatrix, TruncatedScalar, from_integers, to_integers
+from ribbonlab.exact import (_ZERO, RatMatrix, RowEliminator, TruncatedScalar, from_integers,
+                             sparse_rank, to_integers)
+from ribbonlab.families import (
+    base_change_pi_squared,
+    constant_family,
+    even_odd_split,
+    negate_v,
+    perturb_hyperelliptic,
+    reduction_hilbert_function,
+    rescale_v,
+)
 from ribbonlab.poly import BinaryForm, WPoly, monomials, quartic_lift, veronese_pullback
 from ribbonlab.rnc import IdealSlice, QuadForm, ideal_slice, ideal_square_slice, q_to_quadric
 from ribbonlab.xg import (
     _split_groups,
     buchberger,
+    canonical_ribbon_ideal,
+    generator_multiples,
     hyperelliptic_model,
+    random_ribbon_ell,
     split_ribbon_evaluation,
     split_ribbon_ideal,
 )
+from test_families import random_squarefree
 from test_poly import assert_as_public
 
 DENOMINATORS = (1, 2, 3, 7)
@@ -121,6 +136,8 @@ def test_pullback_and_evaluation_match_fraction_oracle(g):
             assert got == oracle.evaluation(p)
             for x in got:
                 assert_as_public(x)
+            if d >= 2:  # the zeros are one shared object, which the xg suite relies on
+                assert all(c is _ZERO for x in got for c in x.coeffs if not c)
             u = rand_poly(rng, g, d, nterms, u_only=True)
             assert veronese_pullback(u) == oracle.pullback(u)
             assert_as_public(veronese_pullback(u))
@@ -232,3 +249,121 @@ def test_integer_coefficients_are_coerced_so_buchberger_stays_exact():
     assert buchberger(as_ints).input_is_groebner == buchberger(split).input_is_groebner
     with pytest.raises(TypeError):
         WPoly(3, {(1, 0, 0, 0): 0.5})
+
+
+def flatness_families(rng, g):
+    """Constant, perturbed and rescaled families of genus g, bounds 3 to 5."""
+    h = random_squarefree(rng, 2 * g + 2)
+    out = [constant_family(split_ribbon_ideal(g), 3),
+           constant_family(hyperelliptic_model(g, h), 4)]
+    for d, bound in ((1, 4), (2, 5)):
+        fam = perturb_hyperelliptic(g, h, d, bound, random_ribbon_ell(g, rng))
+        out += [fam, rescale_v(fam, d)]
+    return out
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_flatness_table_matches_the_all_layers_oracle(g):
+    rng = random.Random(2271 + g)
+    for fam in flatness_families(rng, g):
+        for modulus in range(1, fam.order_bound + 1):
+            assert (reduction_hilbert_function(fam, modulus, [2, 3, 4])
+                    == oracle.layered_reduction_hilbert_function(fam, modulus, [2, 3, 4])), \
+                (fam, modulus)
+
+
+def test_flatness_absorbs_the_multiples_and_shifted_layer_zero_pivots(monkeypatch):
+    # the engine is fed each multiple once and each layer-0 pivot row once per
+    # higher layer: #multiples + rank * (modulus - 1) rows in all
+    fed = []
+
+    class Counting(RowEliminator):
+        def __init__(self, ncols, rows=()):
+            rows = list(rows)
+            fed.append(len(rows))
+            super().__init__(ncols, rows)
+
+        def add(self, vec):
+            fed[-1] += 1
+            return super().add(vec)
+
+    monkeypatch.setattr(families, "RowEliminator", Counting)
+    h = random_squarefree(random.Random(2281), 10)
+    fam = rescale_v(perturb_hyperelliptic(4, h, 1, 4, random_ribbon_ell(4, random.Random(3))), 1)
+    modulus, degree = fam.order_bound, 4
+    _, rows, columns = generator_multiples(fam.generators(), degree, "weighted")
+    n = len(columns)
+    rank = sparse_rank([{t * n + col: c.coeffs[t] for col, c in row.items()
+                         for t in range(modulus) if c.coeffs[t]} for row in rows], n * modulus)
+    table = reduction_hilbert_function(fam, modulus, [degree])
+    assert fed == [len(rows) + rank * (modulus - 1)]
+    assert (len(rows), rank, modulus) == (51, 40, 3)
+    assert len(rows) * modulus > fed[0]
+    assert table == oracle.layered_reduction_hilbert_function(fam, modulus, [degree])
+
+
+def assert_family_as_public(fam):
+    """fam is what the checking constructor builds from its own items."""
+    assert fam == families.TruncatedFamily(fam.g, fam.order_bound, fam.UU, fam.UV, fam.VV)
+    for name in ("UU", "UV", "VV"):
+        for key, p in fam.group_items(name):
+            assert type(key) is tuple
+            assert p == WPoly(p.g, p.terms)
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_transforms_match_their_public_constructor_builds(g):
+    rng = random.Random(2291 + g)
+    for d in (1, 2):
+        h = random_squarefree(rng, 2 * g + 2)
+        ell = random_ribbon_ell(g, rng)
+        bound = 3 * d + 2
+        fam = perturb_hyperelliptic(g, h, d, bound, ell)
+        assert fam == oracle.checked_perturb_hyperelliptic(g, h, d, bound, ell)
+        scaled = rescale_v(fam, d)
+        outputs = [fam, scaled, negate_v(fam), negate_v(scaled), base_change_pi_squared(fam)]
+        assert outputs[1:] == [oracle.checked_rescale_v(fam, d),
+                               oracle.checked_negate_v(fam), oracle.checked_negate_v(scaled),
+                               oracle.checked_base_change_pi_squared(fam)]
+        for source, k in [(fam, k) for k in range(1, d)] + [(scaled, -1), (scaled, -d)]:
+            assert rescale_v(source, k) == oracle.checked_rescale_v(source, k)
+            outputs.append(rescale_v(source, k))
+        for order in range(1, bound + 1):
+            assert fam.truncate(order) == oracle.checked_truncate(fam, order)
+            outputs.append(fam.truncate(order))
+        for out in outputs:
+            assert_family_as_public(out)
+        base = hyperelliptic_model(g, h)
+        for family in (fam, negate_v(fam)):
+            got = even_odd_split(family, base)
+            assert got == oracle.checked_even_odd_split(family, base)
+            for part in got:
+                for items in part.values():
+                    for _, p in items:
+                        assert p == WPoly(g, p.terms)
+
+
+def test_packed_builder_matches_the_tuple_keyed_oracle():
+    rng = random.Random(2301)
+    fam = perturb_hyperelliptic(4, random_squarefree(rng, 10), 1, 3, random_ribbon_ell(4, rng))
+    koszul = [WPoly(4, {e: rand_rat(rng, zero_share=0)
+                        for e in rng.sample(monomials(4, d, "koszul"), 5)}) for d in (2, 3)]
+    cases = {"weighted": [split_ribbon_ideal(5).generators(),
+                          hyperelliptic_model(4, random_squarefree(rng, 10)).generators(),
+                          canonical_ribbon_ideal(5, random_ribbon_ell(5, rng)).generators(),
+                          [rand_poly(rng, 4, 3, 5), rand_poly(rng, 4, 2, 4)],
+                          fam.generators()],
+             "koszul": [split_ribbon_ideal(5).generators(), koszul]}
+    for grading, gens_list in cases.items():
+        for gens in gens_list:
+            g = gens[0].g
+            for degree in range(0, 7):
+                mons = monomials(g, degree, grading)
+                for columns in (None, mons[::-1], rng.sample(mons, len(mons))):
+                    got = generator_multiples(gens, degree, grading, columns)
+                    assert got == oracle.tuple_keyed_multiples(gens, degree, grading, columns)
+    # TruncatedScalar coefficients reach the rows as they are
+    _, rows, _ = generator_multiples(fam.generators(), 4, "weighted")
+    assert any(isinstance(c, TruncatedScalar) and any(c.coeffs[1:])
+               for row in rows for c in row.values())
+    assert generator_multiples([], 3, "weighted") == ([], [], [])
