@@ -11,12 +11,13 @@ Subcommands:
 This module holds only the argument parsing, the commands, the cost guard and
 the error contract; the verify checks are (check, params) data in
 ribbonlab.suites.  Each command handler imports the modules it runs when it is
-called, so limit-quadric and limit-relation load only conormal, rnc, poly and
-exact, and only verify loads suites.  Every command prints one JSON document
-{"status": ..., "payload": ...}, whatever its input: a failure, a bad argument
-or an unwritable --json-out included, is a status "error" document whose
-payload carries the message (an exception of an unexpected type is named in it,
-and its traceback goes to stderr); only --help prints usage instead.  The bytes
+called, so limit-quadric loads only conormal, rnc and exact, limit-relation
+only conormal, poly and exact, and only verify loads suites.  Every command
+prints one JSON document {"status": ..., "payload": ...}, whatever its input:
+a failure, a bad argument or an unwritable --json-out included, is a status
+"error" document whose payload carries the message (an exception of an
+unexpected type is named in it, and its traceback goes to stderr); only --help
+prints usage instead.  The bytes
 depend only on the inputs and --seed: verify and family build seed each random
 draw from a stable checksum of (seed, suite, property, params) (xg.rng_for),
 verify runs its items one after another in a fixed order, and wall-clock timing

@@ -28,6 +28,9 @@ So each slice is one kernel over S_d, the degree-d u-monomials: the closed
 form is linear in the terms, so it is defined on all of S_d, and on the
 relations through the curve (each fibre of a sums to zero) the dropped
 b < 0 terms cancel, so there it is phi_d.
+
+poly and rnc are imported by the functions that use them, so a quadric
+verdict does not load poly and a relation verdict does not load rnc.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ from fractions import Fraction
 
 from .exact import RatMatrix, from_integers, left_kernel, rat, rat_to_str
 from .exact import sparse_kernel_basis, to_integers
-from .poly import BinaryForm, WPoly, monomials
-from .rnc import IdealSlice, QuadForm
 
 
 class LambdaFunctional:
@@ -128,6 +129,7 @@ def _entries(e, a, g):
 
 def psi_d(lam: LambdaFunctional, x: WPoly, d: int) -> BinaryForm:
     """Contraction lam . phi_d(x), a binary form of degree (d-1)(g-1)-2."""
+    from .poly import BinaryForm
     m = phi_d(x, d)
     if lam.g != x.g:
         raise ValueError("genus mismatch")
@@ -171,6 +173,8 @@ def _conormal_kernel(g: int, d: int, functionals) -> IdealSlice:
     the other free ones, so read forwards it is already a canonical rref row;
     the engine lists them with descending leads, so reversed they are the rref.
     """
+    from .poly import monomials
+    from .rnc import IdealSlice
     mons = monomials(g, d, u_only=True)
     width = (d - 1) * (g - 1) - 1
     fibres = {}

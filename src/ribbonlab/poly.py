@@ -402,7 +402,7 @@ class WPoly:
             exps = tuple(entry["u"]) + tuple(entry["v"])
             c = entry["c"]
             coeff = TruncatedScalar.from_json(c) if isinstance(c, list) else rat_from_str(c)
-            terms[exps] = coeff
+            terms[exps] = terms[exps] + coeff if exps in terms else coeff
         return cls(g, terms)
 
 

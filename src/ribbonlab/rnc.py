@@ -10,16 +10,18 @@ x_q through the curve; on basis tensors
 
 which is the half-polarization x_q = sum_{i,j} q_ij (u_{i+2} u_j -
 u_{i+1} u_{j+1}).
+
+The functions that build polynomials import poly when they run, so reading
+and testing a QuadForm (the limit-quadric command) does not load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import RatMatrix, _clear, from_integers, rat, rat_from_str, rat_to_str
+from .exact import RatMatrix, _clear, from_integers, rat_from_str, rat_to_str
 from .exact import row_space_matrix, to_integers
 from .exact import json_fields, json_int, json_list
-from .poly import WPoly, monomial_index, monomials, veronese_pullback
 
 
 class QuadForm:
@@ -92,6 +94,7 @@ class QuadForm:
 
 def q_to_quadric(q: QuadForm) -> WPoly:
     """Quadric through the rational normal curve attached to a symmetric form."""
+    from .poly import WPoly
     g = q.g
     n = q.size
     scale, ints = to_integers([c for row in q.mat.rows for c in row])
@@ -138,11 +141,13 @@ class IdealSlice:
         self.g = g
         self.d = d
         self.monomials = monomials
-        self.index = monomial_index(monomials)
+        # poly.monomial_index, inlined: every slice builds one, so no import here
+        self.index = {e: i for i, e in enumerate(monomials)}
         self.rows = rows
 
     @classmethod
     def from_polys(cls, g: int, d: int, polys) -> "IdealSlice":
+        from .poly import monomial_index, monomials
         mons = monomials(g, d, u_only=True)
         idx = monomial_index(mons)
         vectors = []
@@ -159,6 +164,7 @@ class IdealSlice:
     @property
     def basis(self):
         """The rows as WPolys, terms in column order."""
+        from .poly import WPoly
         return [WPoly(self.g, {self.monomials[c]: row[c] for c in sorted(row)})
                 for row in self.rows]
 
@@ -210,6 +216,7 @@ def ideal_slice(g: int, d: int) -> IdealSlice:
     the last of its fibre in column order, are already the canonical rref.
     Dimension C(g-1+d, d) - (d(g-1)+1).
     """
+    from .poly import monomials
     if g < 3 or d < 1:
         raise ValueError("need g >= 3 and d >= 1")
     mons = monomials(g, d, u_only=True)
@@ -225,6 +232,7 @@ def ideal_square_slice(g: int, d: int) -> IdealSlice:
     Spanned by m * q_a * q_b over degree-(d-4) monomials m and pairs of
     quadric generators; the square has no elements below degree 4.
     """
+    from .poly import WPoly, monomials
     if d < 4:
         raise ValueError("the ideal square has no elements in degree %d" % d)
     gens = hankel_generators(g)

@@ -186,6 +186,21 @@ def test_truncated_coefficients_are_refused_in_a_relation(capsys):
     assert re.fullmatch(r"elapsed \d+\.\d ms\n", captured.err)
 
 
+def test_repeated_monomials_are_summed(capsys):
+    # u0 u2 - u1^2 with its u0 u2 term split in two reads as the merged relation
+    def stdout(poly):
+        main(["limit-relation", "--g", "3", "--d", "2", "--poly", poly])
+        return capsys.readouterr().out
+
+    merged = _terms(([1, 0, 1], "1"), ([0, 2, 0], "-1"))
+    split = _terms(([1, 0, 1], "2"), ([0, 2, 0], "-1"), ([1, 0, 1], "-1"))
+    assert json.loads(stdout(merged))["status"] == "ok"
+    assert stdout(split) == stdout(merged)
+    cancelled = _terms(([1, 0, 1], "1"), ([1, 0, 1], "-1"))
+    assert json.loads(stdout(cancelled))["payload"]["message"] == \
+        "the zero polynomial is not a canonical relation"
+
+
 def test_booleans_and_zero_denominators_are_refused(capsys):
     code, doc = run_cli(capsys, "limit-quadric", "--g", "4", "--q", "[[1,0],[0,true]]")
     assert code == 1 and doc["status"] == "error"

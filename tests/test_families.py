@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -475,6 +476,21 @@ def test_family_json_round_trip():
     fam = rescale_v(worked_family(), 1)
     data = fam.to_json()
     assert TruncatedFamily.from_json(data) == fam
+
+
+def test_family_document_sums_a_split_term():
+    # a monomial listed twice is read as the sum of its coefficients, as the
+    # WPoly constructor sums them; a sum across truncation orders is refused
+    data = rescale_v(worked_family(), 1).to_json()
+    term = data["VV"][0]["poly"][0]
+    assert term["c"] == ["0", "0", "-1"]
+    split = json.loads(json.dumps(data))
+    split["VV"][0]["poly"][0:1] = [dict(term, c=["1", "0", "-3"]),
+                                   dict(term, c=["-1", "0", "2"])]
+    assert TruncatedFamily.from_json(split) == TruncatedFamily.from_json(data)
+    split["VV"][0]["poly"][1]["c"] = ["-1", "0"]
+    with pytest.raises(ValueError, match="^truncation order mismatch: 3 vs 2$"):
+        TruncatedFamily.from_json(split)
 
 
 def test_family_validation():

@@ -20,9 +20,12 @@ import json, sys
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "ribbonlab")))
 """
 
-# What a quadric or relation verdict runs.
-VERDICT_MODULES = {"ribbonlab", "ribbonlab.cli", "ribbonlab.conormal", "ribbonlab.rnc",
-                   "ribbonlab.poly", "ribbonlab.exact"}
+# What a quadric verdict runs (QuadForm is rnc's) and what a relation verdict
+# runs (WPoly is poly's); neither loads the other's module.
+QUADRIC_MODULES = {"ribbonlab", "ribbonlab.cli", "ribbonlab.conormal", "ribbonlab.rnc",
+                   "ribbonlab.exact"}
+RELATION_MODULES = {"ribbonlab", "ribbonlab.cli", "ribbonlab.conormal", "ribbonlab.poly",
+                    "ribbonlab.exact"}
 
 # What the weighted-model calls run; eliminate_v_degree adds rnc.
 MODEL_MODULES = {"ribbonlab", "ribbonlab.xg", "ribbonlab.poly", "ribbonlab.exact"}
@@ -55,9 +58,9 @@ def test_importing_the_package_loads_no_submodule():
 
 def test_verdicts_load_only_what_they_run():
     assert loaded_after_command("limit-quadric", "--g", "4", "--q", "[[1,0],[0,0]]") \
-        == VERDICT_MODULES
+        == QUADRIC_MODULES
     assert loaded_after_command("limit-relation", "--g", "3", "--poly", RELATION) \
-        == VERDICT_MODULES
+        == RELATION_MODULES
 
 
 def test_model_calls_load_only_what_they_run():

@@ -26,6 +26,23 @@ def test_package_source_has_no_assert_statements():
     assert found == []
 
 
+def test_every_module_level_import_is_used():
+    # a name imported at module level and never read only costs start-up;
+    # `from __future__` imports are compiler directives, not names
+    found = []
+    for path in sorted(Path(ribbonlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += ["%s:%d %s" % (path.name, node.lineno, alias.name)
+                          for alias in node.names
+                          if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert found == []
+
+
 def test_every_test_module_imports():
     # the suite runs with --continue-on-collection-errors, where a test module
     # that fails to import (say, of a removed name) shows only as a collection
