@@ -25,7 +25,7 @@ _EXPORTS = {name: module for module, names in {
                 "hyperell_order negate_v order_doubling_experiment perturb_hyperelliptic "
                 "reduction_hilbert_function rescale_v ribbon_order",
     "fitting": "phi2_symbolic phid_symbolic_blocks verify_power_ideal",
-    "poly": "BinaryForm WPoly monomials quartic_lift resultant veronese_pullback",
+    "poly": "BinaryForm WPoly monomials quartic_lift veronese_pullback",
     "rnc": "IdealSlice QuadForm hankel_generators ideal_slice ideal_square_slice "
            "q_to_quadric",
     "xg": "XgIdeal buchberger canonical_ribbon_ideal certify_groebner eliminate_v_degree "

@@ -32,6 +32,7 @@ family build refuses a family of more than MAX_FAMILY_SLOTS coefficient slots.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -112,9 +113,11 @@ _EXACT_JSON = {"parse_float": _reject_float, "parse_constant": _reject_float}
 
 
 def _load_json_arg(text):
-    """Accept inline JSON or a path to a JSON file; a float literal is refused."""
+    """Read the file the argument names if it exists, else parse it inline if
+    it starts like a JSON value ([, {, -, a digit or "), else read it as a
+    path; a float literal is refused."""
     stripped = text.strip()
-    if stripped and stripped[0] in "[{-0123456789\"":
+    if stripped and stripped[0] in "[{-0123456789\"" and not os.path.isfile(text):
         try:
             return json.loads(stripped, **_EXACT_JSON)
         except json.JSONDecodeError as exc:

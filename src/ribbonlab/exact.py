@@ -167,9 +167,9 @@ class TruncatedScalar:
                 raise ValueError("truncation order mismatch: %d vs %d"
                                  % (self.order, other.order))
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return TruncatedScalar.from_rational(other, self.order)
-        return None
+        return None  # a bool too: rat refuses it, so it equals no scalar
 
     def __add__(self, other):
         other = self._lift(other)
@@ -228,13 +228,6 @@ class TruncatedScalar:
         if any(self.coeffs[1:]):
             return hash(self.coeffs)
         return hash(self.coeffs[0])
-
-    def valuation(self):
-        """Smallest i with nonzero pi^i coefficient, or None for the zero element."""
-        for i, a in enumerate(self.coeffs):
-            if a:
-                return i
-        return None
 
     def constant_term(self) -> Fraction:
         return self.coeffs[0]

@@ -356,8 +356,7 @@ def binary_discriminant(s: BinaryForm) -> Fraction:
     the x0-leading coefficient when that is nonzero.  Roots at infinity
     need no special handling because the homogeneous resultant sees them.
     The partials share the degree m = deg s - 1, so their resultant is
-    read off their m x m Bezout matrix (_bezout_resultant) rather than the
-    2m x 2m Sylvester matrix of poly.resultant; the two agree.
+    read off their m x m Bezout matrix (_bezout_resultant).
     """
     if s.is_zero():
         raise ValueError("the zero form has no discriminant")
@@ -369,7 +368,7 @@ def binary_discriminant(s: BinaryForm) -> Fraction:
 
 
 def _bezout_resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
-    """Homogeneous resultant of two forms of the same degree m, as poly.resultant.
+    """Homogeneous resultant of two binary forms of the same degree m.
 
     With F = L_f * f and G = L_g * g the integer multiples by the lcms of
     the denominators, and F_i, G_i their coefficients of x0^i x1^(m-i),

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from .exact import RatMatrix, from_integers, rat, rat_from_str, rat_to_str, to_integers
+from .exact import from_integers, rat, rat_from_str, rat_to_str, to_integers
 from .exact import TruncatedScalar, json_fields, json_int, json_list
 
 GRADINGS = ("weighted", "koszul")
@@ -173,26 +173,6 @@ class BinaryForm:
                    [rat_from_str(c) for c in json_list(coeffs, "the coeffs")])
 
 
-def resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
-    """Homogeneous resultant of two binary forms via the Sylvester matrix.
-
-    All coefficients enter the matrix, so vanishing leading coefficients
-    (roots at [1:0]) are handled without special cases: the resultant is
-    zero iff the forms share a projective root.
-    """
-    m, n = f.degree, g.degree
-    if m == 0 or n == 0:
-        const = f.coeffs[0] if m == 0 else g.coeffs[0]
-        other_deg = n if m == 0 else m
-        return const ** other_deg
-    size = m + n
-    zero = (Fraction(0),)
-    fc, gc = f.coeffs[::-1], g.coeffs[::-1]  # degree-descending in x0
-    rows = ([zero * shift + fc + zero * (size - m - 1 - shift) for shift in range(n)]
-            + [zero * shift + gc + zero * (size - n - 1 - shift) for shift in range(m)])
-    return RatMatrix._raw(tuple(rows), size).det()
-
-
 class WPoly:
     """Polynomial in the weighted coordinates of genus g.
 
@@ -263,9 +243,6 @@ class WPoly:
         for i in indices:
             e[i] += 1
         return cls(g, {tuple(e): rat(coeff)})
-
-    def v_exps(self, exps):
-        return exps[self.g:]
 
     def __bool__(self):
         return bool(self.terms)
@@ -359,7 +336,7 @@ class WPoly:
         return first
 
     def is_u_only(self) -> bool:
-        return all(not any(self.v_exps(e)) for e in self.terms)
+        return all(not any(e[self.g:]) for e in self.terms)
 
     def var_name(self, index: int) -> str:
         if index < self.g:
@@ -458,11 +435,6 @@ def _monomials(g: int, degree: int, grading: str, u_only: bool) -> tuple:
     return tuple(u + v for s in range(degree // 2 + 1)
                  for v in _compositions(s, g - 2)
                  for u in _compositions(degree - 2 * s, g))
-
-
-def monomial_index(basis):
-    """{exponent tuple: position} for a monomial list."""
-    return {e: i for i, e in enumerate(basis)}
 
 
 def veronese_pullback(p: WPoly) -> BinaryForm:

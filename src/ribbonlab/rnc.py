@@ -141,15 +141,14 @@ class IdealSlice:
         self.g = g
         self.d = d
         self.monomials = monomials
-        # poly.monomial_index, inlined: every slice builds one, so no import here
         self.index = {e: i for i, e in enumerate(monomials)}
         self.rows = rows
 
     @classmethod
     def from_polys(cls, g: int, d: int, polys) -> "IdealSlice":
-        from .poly import monomial_index, monomials
+        from .poly import monomials
         mons = monomials(g, d, u_only=True)
-        idx = monomial_index(mons)
+        out = cls(g, d, mons, [])
         vectors = []
         for p in polys:
             if not p:
@@ -158,8 +157,9 @@ class IdealSlice:
                 raise ValueError("slice elements must be u-polynomials")
             if p.degree("weighted") != d:
                 raise ValueError("expected degree %d" % d)
-            vectors.append({idx[e]: c for e, c in p.terms.items()})
-        return cls(g, d, mons, row_space_matrix(vectors, len(mons)))
+            vectors.append(out.vector_of(p))
+        out.rows = row_space_matrix(vectors, len(mons))
+        return out
 
     @property
     def basis(self):

@@ -29,9 +29,8 @@ def oracle_shape_order(family, allowed_v_degrees):
             for e, c in dev.terms.items():
                 if sum(e[family.g:]) in allowed_v_degrees[name]:
                     continue
-                val = c.valuation()
-                if val is not None and val < m:
-                    m = val
+                # the valuation of c: its first nonzero digit (none if c is zero)
+                m = min(m, next((i for i, a in enumerate(c.coeffs) if a), m))
     return m
 
 

@@ -17,7 +17,7 @@ from operator import add
 
 from ribbonlab.exact import RatMatrix, RowEliminator, TruncatedScalar
 from ribbonlab.families import TruncatedFamily, _is_even, _lift_poly
-from ribbonlab.poly import BinaryForm, WPoly, monomial_index, monomials
+from ribbonlab.poly import BinaryForm, WPoly, monomials
 from ribbonlab.xg import GROUP_DEGREES, GROUPS, _integral, generator_multiples
 from ribbonlab.xg import hyperelliptic_model, v_linear_forms
 
@@ -156,7 +156,7 @@ def tuple_keyed_multiples(gens, degree, grading, columns=None):
     gens = list(gens)
     if columns is None:
         columns = monomials(gens[0].g, degree, grading) if gens else []
-    idx = monomial_index(columns)
+    idx = {e: i for i, e in enumerate(columns)}
     layout, rows = [], []
     multipliers = {}
     for e, gen in enumerate(gens):

@@ -74,6 +74,27 @@ def test_limit_quadric_from_file(tmp_path, capsys):
     assert code == 0 and doc["payload"]["degenerate"] is True
 
 
+def test_a_file_whose_name_starts_like_json_is_read(tmp_path, monkeypatch, capsys):
+    # an argument that names an existing file is read from it, whatever its
+    # first character; one that names none keeps the inline rule and message
+    monkeypatch.chdir(tmp_path)
+    octic = json.dumps([1, 0, 0, 0, 0, 0, 0, 0, 1])
+    _, doc = run_cli(capsys, "family", "build", "--g", "3", "--h", octic, "--seed", "3")
+    names = ("1.json", "-fam.json", '"fam".json')
+    for name in names:
+        (tmp_path / name).write_text(json.dumps(doc["payload"]["family"]))
+    want = run_cli(capsys, "family", "order", "--family", "./1.json")
+    assert want[0] == 0
+    for name in names:
+        assert run_cli(capsys, "family", "order", "--family=" + name) == want, name
+    (tmp_path / "1.json").write_text(json.dumps([[1, 0], [0, 0]]))
+    code, doc = run_cli(capsys, "limit-quadric", "--g", "4", "--q", "1.json")
+    assert code == 0 and doc["payload"]["degenerate"] is True
+    code, doc = run_cli(capsys, "family", "order", "--family", "3fam.json")
+    assert code == 1
+    assert doc["payload"]["message"].startswith("inline JSON is malformed: Extra data")
+
+
 def test_limit_relation_ideal_square_element(capsys):
     # (u0 u2 - u1^2)^2 lies in the ideal square, so phi_4 kills it
     sq = [{"u": [2, 0, 2], "v": [0], "c": "1"},

@@ -628,8 +628,22 @@ def test_truncated_pi_is_nilpotent():
     pi = TruncatedScalar([0, 1, 0])
     assert pi * pi * pi == 0
     assert bool(pi * pi)
-    assert (pi * pi).valuation() == 2
-    assert TruncatedScalar.from_rational(0, 3).valuation() is None
+    assert (pi * pi).coeffs == (0, 0, 1)
+    assert not TruncatedScalar.from_rational(0, 3)
+
+
+def test_truncated_scalar_equals_no_bool():
+    # rat refuses a bool, so == answers False instead of raising, and
+    # arithmetic with a bool stays refused
+    one, zero = TruncatedScalar([1, 0]), TruncatedScalar([0, 0])
+    assert one == 1 and zero == 0
+    assert not one == True and one != True and not True == one
+    assert not zero == False and zero != False
+    assert True not in [one] and False not in [zero] and 1 in [one]
+    for value in (True, False):
+        for op in (lambda: one + value, lambda: value - one, lambda: one * value):
+            with pytest.raises(TypeError):
+                op()
 
 
 def test_truncated_shift_and_truncate():

@@ -119,4 +119,4 @@ def test_star_import_binds_every_export():
     exec("from ribbonlab import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == ribbonlab.__all__
-    assert len(namespace) == 49
+    assert len(namespace) == 48

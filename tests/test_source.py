@@ -57,13 +57,59 @@ def test_every_test_module_imports():
     assert failed == []
 
 
+def _load(path):
+    spec = importlib.util.spec_from_file_location("bench_" + path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _references(path):
+    """Every name a file reads, as a Name, an Attribute or an import alias,
+    except where it is read inside a def of that same name."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name.split(".")[-1] if isinstance(node, ast.alias)
+                else None)
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return found
+
+
+def test_every_public_name_is_used():
+    # a public function or method that no code path reads is dead API: each
+    # name of ribbonlab.__all__, and each public method of an exported class,
+    # is read somewhere in the package or the benchmark outside its own def;
+    # the names the tracer patches by string count as read
+    tracer = _load(TRACER)
+    traced = {attr for _, attr in tracer.FUNCTIONS.values()}
+    files = sorted(Path(ribbonlab.__file__).parent.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    used = set().union(*map(_references, files))
+    public = {name: name for name in ribbonlab.__all__}
+    for name in ribbonlab.__all__:
+        obj = getattr(ribbonlab, name)
+        if isinstance(obj, type):
+            public.update(("%s.%s" % (name, attr), attr) for attr, value in vars(obj).items()
+                          if not attr.startswith("_")
+                          and isinstance(value, (types.FunctionType, classmethod,
+                                                 staticmethod, property)))
+    assert sorted(q for q, name in public.items() if name not in used and q not in traced) == []
+
+
 def test_traced_names_resolve():
     # the traced benchmark patches these by name; a renamed or deleted one
     # would otherwise only show up there (bench/tracer.py imports only the
     # standard library)
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load(TRACER)
     for module_name, attr in tracer.FUNCTIONS.values():
         module = importlib.import_module("ribbonlab." + module_name)
         if "." in attr:
@@ -98,9 +144,7 @@ LIBRARY_CALLS = [
 def test_benchmark_library_jobs_run():
     # the benchmark's lib jobs call the package through bench/job.py; a changed
     # signature would otherwise only fail the benchmark's own tests
-    spec = importlib.util.spec_from_file_location("bench_job", BENCH / "job.py")
-    job = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(job)
+    job = _load(BENCH / "job.py")
     assert {kind for kind, _, _ in LIBRARY_CALLS} == set(job.LIBRARY_JOBS)
     for kind, params, want in LIBRARY_CALLS:
         payload = job.LIBRARY_JOBS[kind](ribbonlab, params)
