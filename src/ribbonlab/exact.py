@@ -132,11 +132,14 @@ def json_int(value, what: str) -> int:
 class TruncatedScalar:
     """Element of Q[pi]/(pi^order), coefficients stored low degree first.
 
-    The length of `coeffs` is exactly `order`; arithmetic between elements of
-    different orders is refused rather than silently coerced, since the order
-    tracks how far a family is known.  Most digits of a family's coefficients
-    are zero, so the arithmetic passes a zero digit through instead of adding
-    it, and every zero digit it makes is the one shared constant.
+    The length of `coeffs` is exactly `order`; adding elements of different
+    orders is refused rather than silently coerced, since the order tracks
+    how far a family is known.  A family's coefficients are only added,
+    negated, shifted (multiplied by a power of pi) and truncated: every
+    product the package forms is over Q, so there is no other arithmetic,
+    and no rational is lifted or compared equal to an element.  Most digits
+    are zero, so the arithmetic passes a zero digit through instead of
+    adding it, and every zero digit it makes is the one shared constant.
     """
 
     __slots__ = ("coeffs",)
@@ -161,73 +164,27 @@ class TruncatedScalar:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def _lift(self, other):
-        if isinstance(other, TruncatedScalar):
-            if other.order != self.order:
-                raise ValueError("truncation order mismatch: %d vs %d"
-                                 % (self.order, other.order))
-            return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return TruncatedScalar.from_rational(other, self.order)
-        return None  # a bool too: rat refuses it, so it equals no scalar
-
     def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
+        if not isinstance(other, TruncatedScalar):
             return NotImplemented
+        if other.order != self.order:
+            raise ValueError("truncation order mismatch: %d vs %d" % (self.order, other.order))
         return TruncatedScalar._raw(tuple((a + b if a else b) if b else a
                                           for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return TruncatedScalar._raw(tuple(-a if a else _ZERO for a in self.coeffs))
 
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return TruncatedScalar._raw(tuple((a - b if a else -b) if b else a
-                                          for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        n = self.order
-        out = [_ZERO] * n
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b:
-                    k = i + j
-                    out[k] = out[k] + a * b if out[k] else a * b
-        return TruncatedScalar._raw(tuple(out))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        if isinstance(other, TruncatedScalar):  # of another order: unequal, not refused
-            return self.coeffs == other.coeffs
-        lifted = self._lift(other)
-        return NotImplemented if lifted is None else self.coeffs == lifted.coeffs
+        if not isinstance(other, TruncatedScalar):
+            return NotImplemented
+        return self.coeffs == other.coeffs  # of another order: unequal, not refused
 
     def __bool__(self):
         return any(self.coeffs)
 
     def __hash__(self):
-        # equal to a rational when every higher digit is zero, so hash as one
-        if any(self.coeffs[1:]):
-            return hash(self.coeffs)
-        return hash(self.coeffs[0])
+        return hash(self.coeffs)
 
     def constant_term(self) -> Fraction:
         return self.coeffs[0]

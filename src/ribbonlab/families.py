@@ -10,18 +10,20 @@ families, the rescaling, order detection, the even/odd splitting under
 the involution v -> -v, and extraction of that degree 2g+2 section
 together with a discriminant that vanishes exactly on non-simple zeros.
 A TruncatedFamily is an xg.XgIdeal whose coefficients are TruncatedScalar
-values; every operation that changes coefficients rebuilds the three
-groups through XgIdeal.mapped.
+values.  They are only added, negated, shifted by powers of pi and
+truncated, never multiplied: every product, here and below, is over Q.
+Every operation that changes coefficients rebuilds the three groups
+through XgIdeal.mapped.
 
 Values are validated once, at the boundary.  The TruncatedFamily
 constructor (and so from_json and constant_family) checks every key list,
 coefficient order and generator degree.  The transforms whose inputs are
 already checked, a family or a model with v_linear_forms' directions
-(perturb_hyperelliptic, rescale_v, negate_v, truncate,
-base_change_pi_squared, even_odd_split), build their results through the
-private TruncatedFamily._raw and WPoly._raw and keep only the refusals that
-can still fire: a bad rescaling, and a generator that rescaling or
-truncation empties, refused with the constructor's message.
+(perturb_hyperelliptic, rescale_v, negate_v, base_change_pi_squared,
+even_odd_split), build their results through the private
+TruncatedFamily._raw and WPoly._raw and keep only the refusals that can
+still fire: a bad rescaling, and a generator that the truncation of a
+rescaling empties, refused with the constructor's message.
 
 Order detection is literal shape detection: a family counts as
 hyperelliptic (or a ribbon) to order m when its reduction mod pi^m
@@ -113,11 +115,6 @@ class TruncatedFamily(XgIdeal):
         f.g, f.order_bound, f.UU, f.UV, f.VV = g, order_bound, UU, UV, VV
         return f
 
-    def truncate(self, order: int) -> "TruncatedFamily":
-        """Reduce every coefficient mod pi^order."""
-        return TruncatedFamily._raw(self.g, order, *_nonempty(self.mapped(
-            lambda name, key, p: p.map_coeffs(lambda c: c.truncate(order)))))
-
     def special_fiber(self) -> XgIdeal:
         """The reduction mod pi, over Q."""
         return XgIdeal(self.g, *self.mapped(
@@ -144,19 +141,6 @@ class TruncatedFamily(XgIdeal):
 def _refuse_degree(name: str, key):
     raise ValueError("%s generator %s must be weighted-homogeneous of degree %d"
                      % (name, key, GROUP_DEGREES[name]))
-
-
-def _nonempty(groups):
-    """The UU, UV, VV item lists, refused as the constructor would if a poly is zero.
-
-    Rescaling and truncation only drop terms of an already-checked family,
-    so an emptied generator is the one refusal that can still fire.
-    """
-    for name, items in zip(GROUPS, groups):
-        for key, p in items:
-            if not p:
-                _refuse_degree(name, key)
-    return groups
 
 
 def constant_family(ideal: XgIdeal, order_bound: int) -> TruncatedFamily:
@@ -217,9 +201,11 @@ def rescale_v(family: TruncatedFamily, k: int) -> TruncatedFamily:
             shifted = shifted.truncate(n)
             if shifted:
                 terms[e] = shifted
+        if not terms:  # the one refusal of the constructor's that can still fire
+            _refuse_degree(name, key)
         return WPoly._raw(g, terms)
 
-    return TruncatedFamily._raw(g, n, *_nonempty(family.mapped(rescaled)))
+    return TruncatedFamily._raw(g, n, *family.mapped(rescaled))
 
 
 def negate_v(family: TruncatedFamily) -> TruncatedFamily:

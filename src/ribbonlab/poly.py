@@ -8,9 +8,10 @@ Two polynomial flavors live here:
 * `WPoly`: a polynomial in u_0..u_{g-1} (weight 1) and v_0..v_{g-3}
   (weight 2), the coordinates of the weighted ambient space of genus g.
   Terms are keyed by full exponent tuples (u exponents first, then v
-  exponents).  Coefficients are Fractions or TruncatedScalars; the class
-  only assumes ring operations, so the same code serves exact fibers and
-  one-parameter families.
+  exponents).  Coefficients are Fractions, or TruncatedScalars for the
+  one-parameter families, which are only added, negated and mapped
+  coefficientwise: a product of two WPolys is over Q, and a TruncatedScalar
+  coefficient is refused there.
 
 Gradings: "weighted" counts deg u = 1, deg v = 2; "koszul" counts every
 variable once.  The variable order is u_0 < u_1 < ... < u_{g-1} < v_0 < ...
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add
 
 from .exact import from_integers, rat, rat_from_str, rat_to_str, to_integers
 from .exact import TruncatedScalar, json_fields, json_int, json_list
@@ -52,15 +53,6 @@ class BinaryForm:
         f.degree, f.coeffs = degree, coeffs
         return f
 
-    @classmethod
-    def monomial(cls, degree: int, a: int, coeff=1) -> "BinaryForm":
-        """coeff * x0^a * x1^(degree - a)."""
-        if not 0 <= a <= degree:
-            raise ValueError("exponent out of range")
-        coeffs = [Fraction(0)] * (degree + 1)
-        coeffs[a] = rat(coeff)
-        return cls(degree, coeffs)
-
     def coeff(self, a: int) -> Fraction:
         return self.coeffs[a]
 
@@ -70,47 +62,17 @@ class BinaryForm:
     def __bool__(self):
         return not self.is_zero()
 
-    def _check_degree(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch: %d vs %d" % (self.degree, other.degree))
-
-    def __add__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        self._check_degree(other)
-        return BinaryForm._raw(self.degree, tuple(map(add, self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        self._check_degree(other)
-        return BinaryForm._raw(self.degree, tuple(map(sub, self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return BinaryForm._raw(self.degree, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other):
-        if isinstance(other, BinaryForm):
-            scale, a = to_integers(self.coeffs)
-            other_scale, b = to_integers(other.coeffs)
-            out = [0] * (self.degree + other.degree + 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
-            return BinaryForm._raw(self.degree + other.degree,
-                                   from_integers(out, scale * other_scale))
-        if isinstance(other, (int, Fraction)):
-            q = rat(other)
-            scale, a = to_integers(self.coeffs)
-            return BinaryForm._raw(self.degree, from_integers(
-                [x * q.numerator for x in a], scale * q.denominator))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        if not isinstance(other, BinaryForm):
+            return NotImplemented
+        scale, a = to_integers(self.coeffs)
+        other_scale, b = to_integers(other.coeffs)
+        out = [0] * (self.degree + other.degree + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return BinaryForm._raw(self.degree + other.degree, from_integers(out, scale * other_scale))
 
     def __eq__(self, other):
         if not isinstance(other, BinaryForm):
@@ -284,38 +246,32 @@ class WPoly:
         return WPoly._raw(self.g, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, WPoly):
-            self._check_g(other)
-            # over Q the loop runs on the integer multiples (see `to_integers`)
-            rational = all(type(c) is Fraction
-                           for p in (self, other) for c in p.terms.values())
-            if rational:
-                scale, a = to_integers(self.terms.values())
-                other_scale, b = to_integers(other.terms.values())
-                left, right = zip(self.terms, a), list(zip(other.terms, b))
-            else:
-                left, right = self.terms.items(), list(other.terms.items())
-            out = {}
-            for e1, c1 in left:
-                for e2, c2 in right:
-                    e = tuple(map(add, e1, e2))
-                    c = c1 * c2
-                    if e in out:
-                        s = out[e] + c
-                        if s:
-                            out[e] = s
-                        else:
-                            del out[e]
-                    elif c:
-                        out[e] = c
-            if rational:
-                out = dict(zip(out, from_integers(out.values(), scale * other_scale)))
-            return WPoly._raw(self.g, out)
-        # scalar (Fraction, int, or TruncatedScalar); a product may vanish
-        return WPoly._raw(self.g, {e: v for e, c in self.terms.items() if (v := c * other)})
-
-    def __rmul__(self, other):
-        return self * other
+        """The product over Q, on the integer multiples of the coefficients (`to_integers`)."""
+        if not isinstance(other, WPoly):
+            return NotImplemented
+        self._check_g(other)
+        try:
+            scale, a = to_integers(self.terms.values())
+            other_scale, b = to_integers(other.terms.values())
+        except AttributeError:  # only a TruncatedScalar coefficient has no denominator
+            raise TypeError("a WPoly product is over Q, not over the coefficient %r" % next(
+                c for p in (self, other) for c in p.terms.values()
+                if isinstance(c, TruncatedScalar))) from None
+        out = {}
+        right = list(zip(other.terms, b))
+        for e1, c1 in zip(self.terms, a):
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                if e in out:
+                    s = out[e] + c
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+                elif c:
+                    out[e] = c
+        return WPoly._raw(self.g, dict(zip(out, from_integers(out.values(), scale * other_scale))))
 
     def map_coeffs(self, fn) -> "WPoly":
         """fn applied to every coefficient; the terms it sends to zero are dropped."""
@@ -379,7 +335,13 @@ class WPoly:
             exps = tuple(entry["u"]) + tuple(entry["v"])
             c = entry["c"]
             coeff = TruncatedScalar.from_json(c) if isinstance(c, list) else rat_from_str(c)
-            terms[exps] = terms[exps] + coeff if exps in terms else coeff
+            if exps not in terms:
+                terms[exps] = coeff
+            elif type(terms[exps]) is type(coeff):
+                terms[exps] = terms[exps] + coeff
+            else:
+                raise ValueError("term u=%r v=%r is listed with both a truncated series and "
+                                 "a rational coefficient" % (entry["u"], entry["v"]))
         return cls(g, terms)
 
 

@@ -58,9 +58,6 @@ class QuadForm:
     def size(self) -> int:
         return self.g - 2
 
-    def entry(self, i, j) -> Fraction:
-        return self.mat.rows[i][j]
-
     def is_zero(self) -> bool:
         return all(not x for row in self.mat.rows for x in row)
 

@@ -12,10 +12,10 @@ these canonical spanning sets:
   by a u-quartic.
 
 GROUP_KEYS, BASE_POLYS and GROUP_DEGREES hold this shape.  XgIdeal is the
-one container for it, generic in its coefficients: a fibre over Q here, a
-family over Q[pi]/(pi^N) in the families module.  The split ribbon takes
-the groups as-is; a ribbon in canonical form replaces UU by UU minus
-v-linear terms; a hyperelliptic curve replaces VV by VV minus lifted
+one container for it: a fibre over Q here, a family over Q[pi]/(pi^N) in
+the families module, whose coefficients are never multiplied.  The split
+ribbon takes the groups as-is; a ribbon in canonical form replaces UU by UU
+minus v-linear terms; a hyperelliptic curve replaces VV by VV minus lifted
 quartics.
 """
 
@@ -98,8 +98,9 @@ GROUP_DEGREES = {"UU": 2, "UV": 3, "VV": 4}
 class XgIdeal:
     """A generator set in the three-group shape: (key, WPoly) items per group.
 
-    Generic in its coefficients, like WPoly: Fraction for a fibre over Q,
-    TruncatedScalar for a family over Q[pi]/(pi^N) (families.TruncatedFamily).
+    Its coefficients are Fractions for a fibre over Q, or TruncatedScalars
+    for a family over Q[pi]/(pi^N) (families.TruncatedFamily), which the
+    container only stores and maps: products and certificates are over Q.
     """
 
     __slots__ = ("g", "UU", "UV", "VV")

@@ -20,6 +20,7 @@ from ribbonlab.families import TruncatedFamily, _is_even, _lift_poly
 from ribbonlab.poly import BinaryForm, WPoly, monomials
 from ribbonlab.xg import GROUP_DEGREES, GROUPS, _integral, generator_multiples
 from ribbonlab.xg import hyperelliptic_model, v_linear_forms
+from test_poly import x0_power
 
 
 def form_product(f, h):
@@ -28,10 +29,6 @@ def form_product(f, h):
         for j, b in enumerate(h.coeffs):
             out[i + j] += a * b
     return BinaryForm(f.degree + h.degree, out)
-
-
-def form_scalar_product(f, q):
-    return BinaryForm(f.degree, [Fraction(q) * a for a in f.coeffs])
 
 
 def form_derivative(f, var):
@@ -87,7 +84,7 @@ def quadric(q):
     total = {}
     for i in range(q.size):
         for j in range(q.size):
-            c = q.entry(i, j)
+            c = q.mat.rows[i][j]
             for (a, b), sign in (((i + 2, j), 1), ((i + 1, j + 1), -1)):
                 e = [0] * (2 * g - 2)
                 e[a] += 1
@@ -147,8 +144,8 @@ def summed_quartic_lift(f, g):
 def hyperelliptic_vv(split_vv, g, h):
     """The VV group of hyperelliptic_model: each v_i v_j minus the lift of
     the product x0^(i+j) x1^(2g-6-i-j) * h."""
-    return [((i, j), p - summed_quartic_lift(form_product(
-        BinaryForm.monomial(2 * g - 6, i + j), h), g)) for (i, j), p in split_vv]
+    return [((i, j), p - summed_quartic_lift(form_product(x0_power(2 * g - 6, i + j), h), g))
+            for (i, j), p in split_vv]
 
 
 def tuple_keyed_multiples(gens, degree, grading, columns=None):
@@ -190,11 +187,6 @@ def layered_reduction_hilbert_function(family, modulus, degrees):
 
 # The family transforms, each building its result through the public
 # TruncatedFamily and WPoly constructors, which check every item again.
-
-def checked_truncate(family, order):
-    return TruncatedFamily(family.g, order, *family.mapped(
-        lambda name, key, p: p.map_coeffs(lambda c: c.truncate(order))))
-
 
 def checked_perturb_hyperelliptic(g, h, d, order_bound, odd_direction):
     ell = v_linear_forms(g, odd_direction)

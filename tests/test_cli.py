@@ -607,6 +607,23 @@ def test_family_documents_are_read_by_the_named_readers(capsys):
     assert doc["payload"]["message"] == "a family object must be a JSON object"
 
 
+def test_family_document_mixing_a_series_and_a_rational_is_refused(tmp_path, capsys):
+    # one monomial listed with a digit list and with a rational string: no
+    # sum of the two kinds is defined, so every family command names the term
+    doc = families.constant_family(xg.split_ribbon_ideal(3), 3).to_json()
+    term = doc["VV"][0]["poly"][0]
+    doc["VV"][0]["poly"][0:1] = [term, dict(term, c="1")]
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(doc))
+    for command in (["order"], ["rescale", "--k", "1"], ["discriminant"]):
+        code = main(["family"] + command + ["--family", str(fam)])
+        out, err = capsys.readouterr()
+        assert code == 1 and "Traceback" not in err, command
+        assert json.loads(out) == {"status": "error", "payload": {
+            "message": "term u=%r v=%r is listed with both a truncated series and a "
+                       "rational coefficient" % (term["u"], term["v"])}}, command
+
+
 def test_family_build_requires_h(capsys):
     code, doc = run_cli(capsys, "family", "build", "--g", "3")
     assert code == 1

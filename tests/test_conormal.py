@@ -20,6 +20,7 @@ from ribbonlab.exact import RatMatrix
 from ribbonlab.poly import BinaryForm, WPoly, monomials, veronese_pullback
 from ribbonlab.rnc import QuadForm, ideal_slice, ideal_square_slice, q_to_quadric
 from ribbonlab.suites import catalecticant_3x3_minors
+from test_poly import combine, x0_power
 
 
 def rand_quadform(rng, g, span=5):
@@ -60,17 +61,17 @@ def forward_substitution_phi(x, d):
         dj = WPoly(g, {e[:j] + (e[j] - 1,) + e[j + 1:]: e[j] * c
                        for e, c in x.terms.items() if e[j]})
         ws.append(veronese_pullback(dj) if dj else BinaryForm(w_degree))
-    x0x1 = BinaryForm.monomial(2, 1)
-    x1sq = BinaryForm.monomial(2, 0)
+    x0x1 = x0_power(2, 1)
+    x1sq = x0_power(2, 0)
     cs = []
     for j in range(g - 2):
         rhs = ws[j]
         if j >= 1:
-            rhs = rhs + 2 * (x0x1 * cs[j - 1])
+            rhs = combine((1, rhs), (2, x0x1 * cs[j - 1]))
         if j >= 2:
-            rhs = rhs - x1sq * cs[j - 2]
+            rhs = combine((1, rhs), (-1, x1sq * cs[j - 2]))
         cs.append(rhs.divide_exact(2, 0))
-    tail = -2 * (x0x1 * cs[g - 3]) + (x1sq * cs[g - 4] if g >= 4 else BinaryForm(w_degree))
+    tail = combine((-2, x0x1 * cs[g - 3]), *([(1, x1sq * cs[g - 4])] if g >= 4 else []))
     assert ws[g - 2] == tail, "conormal system inconsistent at row %d" % (g - 2)
     assert ws[g - 1] == x1sq * cs[g - 3], "conormal system inconsistent at row %d" % (g - 1)
     return tuple(c.coeffs for c in cs)
@@ -91,7 +92,8 @@ def test_closed_form_phi_matches_forward_substitution_oracle():
         for _ in range(3):
             combo = WPoly.zero(g)
             for p in rng.sample(basis, min(len(basis), 6)):
-                combo = combo + Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * p
+                c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                combo = combo + p.map_coeffs(lambda a: c * a)
             relations.append((combo, d))
     for g in range(3, 9):
         for _ in range(4):
@@ -153,10 +155,8 @@ def test_psi_2_is_lambda_contraction():
         lam = LambdaFunctional(g, [rng.randint(-3, 3) for _ in range(g - 2)])
         if lam.is_zero():
             lam = LambdaFunctional.basis_vector(g, 0)
-        expect = BinaryForm(g - 3)
-        for i in range(g - 2):
-            row = BinaryForm(g - 3, q.mat.rows[i])
-            expect = expect + lam.coords[i] * row
+        expect = combine(*((lam.coords[i], BinaryForm(g - 3, q.mat.rows[i]))
+                           for i in range(g - 2)))
         assert psi_d(lam, q_to_quadric(q), 2) == expect
 
 

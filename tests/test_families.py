@@ -45,7 +45,7 @@ from test_poly import sylvester_det
 
 def octic():
     # x0^8 + x1^8, the staple example: distinct roots, small lift
-    return BinaryForm.monomial(8, 8) + BinaryForm.monomial(8, 0)
+    return BinaryForm(8, [1, 0, 0, 0, 0, 0, 0, 0, 1])
 
 
 def random_squarefree(rng, degree):
@@ -53,6 +53,12 @@ def random_squarefree(rng, degree):
         h = BinaryForm(degree, [rng.randint(-5, 5) for _ in range(degree)] + [1])
         if binary_discriminant(h):
             return h
+
+
+def reduced(fam, order):
+    """fam mod pi^order, through the checking constructor."""
+    return TruncatedFamily(fam.g, order, *fam.mapped(
+        lambda name, key, p: p.map_coeffs(lambda c: c.truncate(order))))
 
 
 def worked_family(order_bound=4):
@@ -86,7 +92,7 @@ def test_perturb_validations():
     with pytest.raises(ValueError):
         perturb_hyperelliptic(3, h, 1, 4, [WPoly.u_monomial(3, [0, 0])])
     with pytest.raises(ValueError):
-        perturb_hyperelliptic(3, BinaryForm.monomial(6, 0), 1, 4, [v0])
+        perturb_hyperelliptic(3, BinaryForm(6, [1, 0, 0, 0, 0, 0, 0]), 1, 4, [v0])
 
 
 def test_zero_direction_gives_the_constant_family():
@@ -98,8 +104,8 @@ def test_zero_direction_gives_the_constant_family():
 def test_perturbation_is_invisible_below_its_order():
     fam = perturb_hyperelliptic(3, octic(), 2, 6, [WPoly.v_var(3, 0)])
     const = constant_family(hyperelliptic_model(3, octic()), 6)
-    assert fam.truncate(2) == const.truncate(2)
-    assert fam.truncate(3) != const.truncate(3)
+    assert reduced(fam, 2) == reduced(const, 2)
+    assert reduced(fam, 3) != reduced(const, 3)
     assert hyperell_order(fam) == 2
 
 
@@ -123,7 +129,7 @@ def test_rescale_identity_and_round_trip():
     fam = worked_family()
     assert rescale_v(fam, 0) is fam
     back = rescale_v(rescale_v(fam, 1), -1)
-    assert back == fam.truncate(back.order_bound)
+    assert back == reduced(fam, back.order_bound)
     assert back.order_bound == 1
 
 
@@ -232,7 +238,7 @@ def test_binary_discriminant_detects_multiple_roots():
         s = s * BinaryForm(1, [b, a])  # a*x0 + b*x1
     assert binary_discriminant(s) != 0
     assert binary_discriminant(octic()) != 0
-    double = BinaryForm.monomial(2, 2) * BinaryForm(6, [1] * 7)  # x0^2 factor
+    double = BinaryForm(2, [0, 0, 1]) * BinaryForm(6, [1] * 7)  # x0^2 factor
     assert binary_discriminant(double) == 0
     with pytest.raises(ValueError):
         binary_discriminant(BinaryForm(8))
@@ -266,7 +272,7 @@ def test_bezout_discriminant_matches_sylvester_oracle():
             assert _bezout_resultant(f, g) == sylvester_det(f, g), (f, g)
     # a shared root, also at infinity, makes both vanish
     line = BinaryForm(1, [1, -2])
-    for root in (line, BinaryForm.monomial(1, 1), BinaryForm.monomial(1, 0)):
+    for root in (line, BinaryForm(1, [0, 1]), BinaryForm(1, [1, 0])):
         f, g = root * random_form(rng, 4), root * random_form(rng, 4)
         assert _bezout_resultant(f, g) == sylvester_det(f, g) == 0
 
@@ -463,12 +469,17 @@ def test_flatness_at_genus_three_reaches_the_bound():
 
 
 def test_truncation_refuses_a_generator_it_empties():
-    fam = constant_family(split_ribbon_ideal(3), 3)
-    pi_v0_squared = WPoly(3, {(0, 0, 0, 2): TruncatedScalar([0, 1, 0])})
-    fam = TruncatedFamily(3, 3, fam.UU, fam.UV, [((0, 0), pi_v0_squared)])
-    assert fam.truncate(2).VV == [((0, 0), WPoly(3, {(0, 0, 0, 2): TruncatedScalar([0, 1])}))]
+    # rescaling by k = 1 leaves v0^2 unshifted and truncates it to order 2
+    split = constant_family(split_ribbon_ideal(3), 3)
+
+    def vv_family(digits):
+        vv = [((0, 0), WPoly(3, {(0, 0, 0, 2): TruncatedScalar(digits)}))]
+        return TruncatedFamily(3, 3, split.UU, split.UV, vv)
+
+    assert rescale_v(vv_family([0, 1, 0]), 1).VV == [
+        ((0, 0), WPoly(3, {(0, 0, 0, 2): TruncatedScalar([0, 1])}))]
     with pytest.raises(ValueError) as err:
-        fam.truncate(1)
+        rescale_v(vv_family([0, 0, 1]), 1)
     assert str(err.value) == "VV generator (0, 0) must be weighted-homogeneous of degree 4"
 
 
@@ -480,7 +491,8 @@ def test_family_json_round_trip():
 
 def test_family_document_sums_a_split_term():
     # a monomial listed twice is read as the sum of its coefficients, as the
-    # WPoly constructor sums them; a sum across truncation orders is refused
+    # WPoly constructor sums them; a sum across truncation orders, or of a
+    # series and a rational, is refused
     data = rescale_v(worked_family(), 1).to_json()
     term = data["VV"][0]["poly"][0]
     assert term["c"] == ["0", "0", "-1"]
@@ -491,6 +503,11 @@ def test_family_document_sums_a_split_term():
     split["VV"][0]["poly"][1]["c"] = ["-1", "0"]
     with pytest.raises(ValueError, match="^truncation order mismatch: 3 vs 2$"):
         TruncatedFamily.from_json(split)
+    for first, second in ((["1", "0", "-3"], "-1"), ("-1", ["1", "0", "-3"])):
+        split["VV"][0]["poly"][0:2] = [dict(term, c=first), dict(term, c=second)]
+        with pytest.raises(ValueError, match=r"^term u=\[0, 0, 4\] v=\[0\] is listed with "
+                           "both a truncated series and a rational coefficient$"):
+            TruncatedFamily.from_json(split)
 
 
 def test_family_validation():

@@ -120,7 +120,8 @@ def test_contains_matches_rank_oracle():
         for _ in range(6):
             member = WPoly.zero(s.g)
             for b in s.basis:
-                member = member + rng.randint(-3, 3) * b
+                c = rng.randint(-3, 3)
+                member = member + b.map_coeffs(lambda a: c * a)
             assert s.contains(member) and _stacked_rank_contains(s, member)
             m = rng.choice(s.monomials)
             other = member + WPoly(s.g, {m: Fraction(rng.choice([-2, -1, 1, 3]))})
@@ -143,7 +144,10 @@ def test_largest_guarded_slices(g, d):
     assert member and s.contains(member)
     m = rng.choice(s.monomials)
     assert not s.contains(member + WPoly(g, {m: Fraction(rng.choice([-2, 1, 3]))}))
-    polys = [rng.choice([-3, -1, 2, Fraction(5, 7)]) * b for b in s.basis]
+    polys = []
+    for b in s.basis:
+        c = rng.choice([-3, -1, 2, Fraction(5, 7)])
+        polys.append(b.map_coeffs(lambda a: c * a))
     rng.shuffle(polys)
     assert IdealSlice.from_polys(g, d, polys) == s
 

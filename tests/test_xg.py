@@ -43,6 +43,7 @@ from ribbonlab.xg import (
 from groebner_oracle import all_pairs_criterion, completed_buchberger, full_scan_normal_count
 from syzygy_oracle import all_kernels_syzygies, counts, rank_count_syzygies
 from test_exact import dense_kernel, dense_rref, to_dense
+from test_poly import x0_power
 
 
 def u(g, i):
@@ -194,7 +195,7 @@ def test_membership_oracle_rejects():
     assert not split_ribbon_contains(v(g, 0))
     assert not split_ribbon_contains(u(g, 2) * v(g, 1))
     first, second = split_ribbon_evaluation(u(g, 1))
-    assert first == BinaryForm.monomial(g - 1, 1)
+    assert first == x0_power(g - 1, 1)
     assert second.is_zero()
 
 
@@ -211,7 +212,7 @@ def test_evaluation_oracle_item_reads_the_rank_off_the_coordinates(monkeypatch):
     def spread(p):
         first, second = split_ribbon_evaluation(p)
         if p == target:
-            first = first + BinaryForm.monomial(first.degree, 1)
+            first = BinaryForm(first.degree, [c + int(k == 1) for k, c in enumerate(first.coeffs)])
         return first, second
 
     monkeypatch.setattr(suites, "split_ribbon_evaluation", spread)
@@ -252,7 +253,7 @@ def test_split_ribbon_ideal_returns_independent_lists():
     third = split_ribbon_ideal(g)
     assert second == third and second != first
     assert tuple(third.UU) == xg._split_groups(g)[0]
-    assert hyperelliptic_model(g, BinaryForm.monomial(10, 10)).UU == third.UU
+    assert hyperelliptic_model(g, x0_power(10, 10)).UU == third.UU
 
 
 def test_hilbert_function_split():
@@ -267,7 +268,7 @@ def test_hilbert_function_split():
 
 def test_hilbert_function_hyperelliptic_matches_split():
     for g in (3, 4):
-        h = BinaryForm.monomial(2 * g + 2, 2 * g + 2) - BinaryForm.monomial(2 * g + 2, 0)
+        h = squarefree_h(g)
         ideal = hyperelliptic_model(g, h)
         values = hilbert_function(ideal, "weighted", range(2, 6))
         assert values == [(2 * d - 1) * (g - 1) for d in range(2, 6)]
@@ -310,8 +311,8 @@ def degenerate_forms(g, rng):
     n = 2 * g + 2
     return [BinaryForm(n, [rng.randint(-5, 5) for _ in range(n + 1)]),
             squarefree_h(g),
-            BinaryForm.monomial(n, n),
-            BinaryForm.monomial(n, n) + BinaryForm.monomial(n, 0),
+            x0_power(n, n),
+            BinaryForm(n, [1] + [0] * (n - 1) + [1]),
             BinaryForm(n)]
 
 
@@ -432,7 +433,7 @@ def test_generator_multiples_matches_per_generator_builder():
 def test_generator_multiples_take_integral_coefficients_as_ints():
     g = 4
     h = squarefree_h(g)
-    halved = hyperelliptic_model(g, h * Fraction(1, 2))
+    halved = hyperelliptic_model(g, BinaryForm(h.degree, [c / 2 for c in h.coeffs]))
     for ideal in (split_ribbon_ideal(g), hyperelliptic_model(g, h)):
         _, rows, _ = generator_multiples(ideal.generators(), 4, "weighted")
         assert {type(c) for row in rows for c in row.values()} == {int}
@@ -533,7 +534,7 @@ def test_koszul_grading_guard():
         ell = random_ell(4, rng)
     with pytest.raises(ValueError):
         hilbert_function(canonical_ribbon_ideal(4, ell), "koszul", [2])
-    h = BinaryForm.monomial(10, 10) - BinaryForm.monomial(10, 0)
+    h = squarefree_h(4)
     with pytest.raises(ValueError):
         hilbert_function(hyperelliptic_model(4, h), "koszul", [2])
     # the split ribbon is homogeneous in both gradings
@@ -545,7 +546,7 @@ def test_v_rescaling_preserves_hilbert_function():
     g = 4
     ell = random_ell(g, rng)
     t = Fraction(5, 3)
-    scaled = [e * t for e in ell]
+    scaled = [e.map_coeffs(lambda c: c * t) for e in ell]
     a = hilbert_function(canonical_ribbon_ideal(g, ell), "weighted", range(6))
     b = hilbert_function(canonical_ribbon_ideal(g, scaled), "weighted", range(6))
     assert a == b
@@ -567,7 +568,7 @@ def test_groebner_principal_ideal():
 
 def squarefree_h(g):
     """x0^(2g+2) - x1^(2g+2): its roots are distinct roots of unity."""
-    return BinaryForm.monomial(2 * g + 2, 2 * g + 2) - BinaryForm.monomial(2 * g + 2, 0)
+    return BinaryForm(2 * g + 2, [-1] + [0] * (2 * g + 1) + [1])
 
 
 def test_buchberger_criterion_on_quadrics():
@@ -616,7 +617,7 @@ def test_buchberger_skips_coprime_pairs(monkeypatch):
 def test_buchberger_matches_oracles_on_non_integral_coefficients():
     # the integer check scales each generator by the lcm of its denominators
     h = BinaryForm(10, [Fraction(1, 2), 0, Fraction(-2, 3), 1, 0, 0, Fraction(5, 7), 0, 0, 0, 1])
-    ell = [e * Fraction(1, 3) for e in ribbon_ell(4, [1, -2])]
+    ell = [e.map_coeffs(lambda c: c / 3) for e in ribbon_ell(4, [1, -2])]
     for ideal in (hyperelliptic_model(4, h), canonical_ribbon_ideal(4, ell)):
         gens = ideal.generators()
         assert any(c.denominator > 1 for p in gens for c in p.terms.values())
@@ -745,7 +746,7 @@ def test_syzygies_split_g4():
 
 
 def test_syzygies_hyperelliptic_g3():
-    h = BinaryForm.monomial(8, 8) - BinaryForm.monomial(8, 0)
+    h = squarefree_h(3)
     ideal = hyperelliptic_model(3, h)
     records = syzygies_by_degree(ideal, 7, shape_table="hyperelliptic")
     # two coprime generators: the Koszul pair in degree 6 is everything
@@ -894,7 +895,7 @@ def test_eliminate_v_split_gives_quadric_slice():
 
 
 def test_hyperelliptic_g3_example():
-    h = BinaryForm.monomial(8, 8) + BinaryForm.monomial(8, 0)
+    h = BinaryForm(8, [1, 0, 0, 0, 0, 0, 0, 0, 1])
     ideal = hyperelliptic_model(3, h)
     expected = (v(3, 0) * v(3, 0)
                 - WPoly.u_monomial(3, [2, 2, 2, 2])
@@ -908,12 +909,11 @@ def _pure_u(p):
 
 def test_hyperelliptic_lift_round_trip():
     g = 4
-    h = (BinaryForm.monomial(10, 10) + 3 * BinaryForm.monomial(10, 4)
-         - BinaryForm.monomial(10, 0))
+    h = BinaryForm(10, [-1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 1])  # x0^10 + 3 x0^4 x1^6 - x1^10
     ideal = hyperelliptic_model(g, h)
     for (i, j), p in ideal.VV:
         p_ij = _pure_u(p).map_coeffs(lambda c: -c)
-        shifted = BinaryForm.monomial(2 * g - 6, i + j) * h
+        shifted = x0_power(2 * g - 6, i + j) * h
         assert veronese_pullback(p_ij) == shifted
 
 
@@ -923,7 +923,7 @@ def test_hyperelliptic_zero_h_is_split():
     assert hyperelliptic_model(g, zero_h).generators() == \
         split_ribbon_ideal(g).generators()
     with pytest.raises(ValueError):
-        hyperelliptic_model(g, BinaryForm.monomial(4, 0))
+        hyperelliptic_model(g, BinaryForm(4, [1, 0, 0, 0, 0]))
 
 
 def per_key_model(g, ell=None, h=None):
@@ -937,7 +937,7 @@ def per_key_model(g, ell=None, h=None):
           for t, k in enumerate(uu_keys(g))]
     vv = [((i, j), vv_base_poly(g, (i, j))) for i, j in vv_keys(g)]
     if h is not None:
-        vv = [((i, j), p - quartic_lift(BinaryForm.monomial(2 * g - 6, i + j) * h, g))
+        vv = [((i, j), p - quartic_lift(x0_power(2 * g - 6, i + j) * h, g))
               for (i, j), p in vv]
     return XgIdeal(g, uu, [(k, uv_base_poly(g, k)) for k in uv_keys(g)], vv)
 
