@@ -195,7 +195,7 @@ def cmd_limit_relation(args):
     if not x:
         raise CommandError("the zero polynomial is not a canonical relation")
     try:
-        degree = x.degree("weighted")
+        degree = x.degree()
     except ValueError:  # x is inhomogeneous
         raise CommandError("not a canonical relation")
     d = args.d

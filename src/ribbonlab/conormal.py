@@ -95,7 +95,7 @@ def phi_d(x: WPoly, d: int) -> RatMatrix:
     g = x.g
     if not x.is_u_only():
         raise ValueError("x must be a u-polynomial")
-    if x.terms and x.degree("weighted") != d:
+    if x.terms and x.degree() != d:
         raise ValueError("x is not homogeneous of degree %d" % d)
     if d < 2:
         raise ValueError("relations live in degree >= 2")

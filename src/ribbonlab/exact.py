@@ -129,6 +129,14 @@ def json_int(value, what: str) -> int:
     raise ValueError("%s must be an integer, got %r" % (what, value))
 
 
+def json_rat(value, what: str) -> Fraction:
+    """A rational field of a JSON document: an int, or a string rat_from_str reads."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return rat(value)
+    raise ValueError("%s must be an integer or a rational string such as \"p/q\", got %r"
+                     % (what, value))
+
+
 class TruncatedScalar:
     """Element of Q[pi]/(pi^order), coefficients stored low degree first.
 
@@ -220,7 +228,7 @@ class TruncatedScalar:
 
     @classmethod
     def from_json(cls, data) -> "TruncatedScalar":
-        return cls([rat_from_str(c) for c in data])
+        return cls([json_rat(c, "a truncated series digit") for c in data])
 
 
 class RatMatrix:

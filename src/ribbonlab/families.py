@@ -105,7 +105,8 @@ class TruncatedFamily(XgIdeal):
                     if not isinstance(c, TruncatedScalar) or c.order != order_bound:
                         raise ValueError("coefficients must live in Q[pi]/(pi^%d)"
                                          % order_bound)
-                if p.degree("weighted") != GROUP_DEGREES[name]:
+                # an inhomogeneous generator is refused by name, like a wrong degree
+                if {sum(e[:g]) + 2 * sum(e[g:]) for e in p.terms} != {GROUP_DEGREES[name]}:
                     _refuse_degree(name, key)
 
     @classmethod
@@ -461,7 +462,7 @@ def reduction_hilbert_function(family: TruncatedFamily, modulus: int, degrees):
         raise ValueError("modulus must lie between 1 and the order bound")
     table = {m: [] for m in range(1, modulus + 1)}
     for degree in degrees:
-        _, rows, columns = generator_multiples(family.generators(), degree, "weighted")
+        _, rows, columns = generator_multiples(family.generators(), degree)
         n = len(columns)
         top = n * modulus
         elim = RowEliminator(top, [{t * n + col: c.coeffs[t]

@@ -13,9 +13,9 @@ Two polynomial flavors live here:
   coefficientwise: a product of two WPolys is over Q, and a TruncatedScalar
   coefficient is refused there.
 
-Gradings: "weighted" counts deg u = 1, deg v = 2; "koszul" counts every
-variable once.  The variable order is u_0 < u_1 < ... < u_{g-1} < v_0 < ...
-< v_{g-3} throughout; monomial-order keys below take it as given.
+One grading throughout, that of X_g: deg u = 1, deg v = 2.  The variable order
+is u_0 < u_1 < ... < u_{g-1} < v_0 < ... < v_{g-3} throughout; monomial-order
+keys below take it as given and compare total degrees, not weighted ones, first.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .exact import from_integers, rat, rat_from_str, rat_to_str, to_integers
-from .exact import TruncatedScalar, json_fields, json_int, json_list
-
-GRADINGS = ("weighted", "koszul")
+from .exact import from_integers, rat, rat_to_str, to_integers
+from .exact import TruncatedScalar, json_fields, json_int, json_list, json_rat
 
 
 class BinaryForm:
@@ -132,7 +130,7 @@ class BinaryForm:
     def from_json(cls, data) -> "BinaryForm":
         degree, coeffs = json_fields(data, "a binary form object", "degree", "coeffs")
         return cls(json_int(degree, "the degree"),
-                   [rat_from_str(c) for c in json_list(coeffs, "the coeffs")])
+                   [json_rat(c, "a coefficient") for c in json_list(coeffs, "the coeffs")])
 
 
 class WPoly:
@@ -199,12 +197,12 @@ class WPoly:
         return cls(g, {tuple(e): Fraction(1)})
 
     @classmethod
-    def u_monomial(cls, g: int, indices, coeff=1) -> "WPoly":
-        """coeff * product of u_i over the (multiset of) indices."""
+    def u_monomial(cls, g: int, indices) -> "WPoly":
+        """The product of u_i over the (multiset of) indices."""
         e = [0] * (2 * g - 2)
         for i in indices:
             e[i] += 1
-        return cls(g, {tuple(e): rat(coeff)})
+        return cls(g, {tuple(e): Fraction(1)})
 
     def __bool__(self):
         return bool(self.terms)
@@ -277,18 +275,13 @@ class WPoly:
         """fn applied to every coefficient; the terms it sends to zero are dropped."""
         return WPoly._raw(self.g, {e: v for e, c in self.terms.items() if (v := fn(c))})
 
-    def degree(self, grading: str = "weighted"):
-        """Common degree of all terms; None for the zero polynomial."""
-        if grading == "weighted":
-            g = self.g
-            degrees = (sum(e[:g]) + 2 * sum(e[g:]) for e in self.terms)
-        elif grading == "koszul":
-            degrees = map(sum, self.terms)
-        else:
-            raise ValueError("unknown grading %r" % grading)
+    def degree(self):
+        """Common weighted degree of all terms; None for the zero polynomial."""
+        g = self.g
+        degrees = (sum(e[:g]) + 2 * sum(e[g:]) for e in self.terms)
         first = next(degrees, None)
         if any(w != first for w in degrees):
-            raise ValueError("polynomial is inhomogeneous in the %s grading" % grading)
+            raise ValueError("polynomial is inhomogeneous in the weighted grading")
         return first
 
     def is_u_only(self) -> bool:
@@ -334,7 +327,7 @@ class WPoly:
                                  "u and v and a coefficient c" % (entry,))
             exps = tuple(entry["u"]) + tuple(entry["v"])
             c = entry["c"]
-            coeff = TruncatedScalar.from_json(c) if isinstance(c, list) else rat_from_str(c)
+            coeff = TruncatedScalar.from_json(c) if isinstance(c, list) else json_rat(c, "c")
             if exps not in terms:
                 terms[exps] = coeff
             elif type(terms[exps]) is type(coeff):
@@ -348,7 +341,7 @@ class WPoly:
 def grlex_key(exps):
     """Graded-lex sort key (largest monomial has the largest key).
 
-    The grading is the Koszul one (total degree); ties are broken
+    It orders by total degree (u and v count once each); ties are broken
     lexicographically with v_{g-3} most significant, matching the stated
     variable order u_0 < ... < v_{g-3}.
     """
@@ -374,26 +367,22 @@ def _compositions(n: int, k: int):
             yield head + (last,)
 
 
-def monomials(g: int, degree: int, grading: str = "weighted", u_only: bool = False):
-    """All exponent tuples of the given degree, in descending grlex order.
+def monomials(g: int, degree: int, *, u_only: bool = False):
+    """All exponent tuples of the given weighted degree, in descending grlex order.
 
     The order is a fixed convention so that coefficient vectors, rref forms
     and JSON output are reproducible.  It is built, not sorted: fewer v
     factors means a larger total degree, and v exponents outrank u ones.
     Each enumeration is built once per process; every call gets a fresh list.
     """
-    return list(_monomials(g, degree, grading, u_only))
+    return list(_monomials(g, degree, u_only))
 
 
 @lru_cache(maxsize=None)
-def _monomials(g: int, degree: int, grading: str, u_only: bool) -> tuple:
-    if grading not in GRADINGS:
-        raise ValueError("unknown grading %r" % grading)
+def _monomials(g: int, degree: int, u_only: bool) -> tuple:
     if u_only:
         pad = (0,) * (g - 2)
         return tuple(u + pad for u in _compositions(degree, g))
-    if grading == "koszul":
-        return tuple(_compositions(degree, 2 * g - 2))
     return tuple(u + v for s in range(degree // 2 + 1)
                  for v in _compositions(s, g - 2)
                  for u in _compositions(degree - 2 * s, g))
@@ -411,7 +400,7 @@ def veronese_pullback(p: WPoly) -> BinaryForm:
         raise ValueError("pullback requires a u-only polynomial")
     if not p.terms:
         raise ValueError("pullback of the zero polynomial has no determined degree")
-    d = p.degree("weighted")
+    d = p.degree()
     scale, ints = to_integers(p.terms.values())
     coeffs = [0] * (d * (g - 1) + 1)
     for e, c in zip(p.terms, ints):

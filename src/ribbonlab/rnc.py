@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import RatMatrix, _clear, from_integers, rat_from_str, rat_to_str
+from .exact import RatMatrix, _clear, from_integers, rat_to_str
 from .exact import row_space_matrix, to_integers
-from .exact import json_fields, json_int, json_list
+from .exact import json_fields, json_int, json_list, json_rat
 
 
 class QuadForm:
@@ -86,7 +86,8 @@ class QuadForm:
         g, matrix = json_fields(data, "a quadric object", "g", "matrix")
         rows = [json_list(row, "a matrix row")
                 for row in json_list(matrix, "the quadric matrix")]
-        return cls(json_int(g, "the genus g"), [[rat_from_str(x) for x in row] for row in rows])
+        return cls(json_int(g, "the genus g"),
+                   [[json_rat(x, "a matrix entry") for x in row] for row in rows])
 
 
 def q_to_quadric(q: QuadForm) -> WPoly:
@@ -152,7 +153,7 @@ class IdealSlice:
                 continue
             if not p.is_u_only():
                 raise ValueError("slice elements must be u-polynomials")
-            if p.degree("weighted") != d:
+            if p.degree() != d:
                 raise ValueError("expected degree %d" % d)
             vectors.append(out.vector_of(p))
         out.rows = row_space_matrix(vectors, len(mons))

@@ -329,7 +329,7 @@ def conormal_items(gmax, dmax):
 
 def split_membership_evaluation_oracle(rng, g, degree):
     ideal = split_ribbon_ideal(g)
-    basis = monomials(g, degree, "weighted")
+    basis = monomials(g, degree)
     one = Fraction(1)
     spots = []
     for e in basis:
@@ -351,7 +351,7 @@ def split_membership_evaluation_oracle(rng, g, degree):
     # the evaluation is linear and sends each monomial to at most one
     # coordinate, so a generator multiple's image is read off these spots
     gens = ideal.generators()
-    layout, multiples, _ = generator_multiples(gens, degree, "weighted", basis)
+    layout, multiples, _ = generator_multiples(gens, degree, basis)
     for (k, _), multiple in zip(layout, multiples):
         image = {}
         for col, c in multiple.items():
@@ -391,7 +391,7 @@ def groebner_certificate_and_normal_counts(rng, g):
     degrees = list(range(0, 7))
     wants = hilbert_function(ideal, "weighted", degrees)
     for degree, want in zip(degrees, wants):
-        got = result.normal_monomial_count(degree, "weighted")
+        got = result.normal_monomial_count(degree)
         if got != want:
             return False, {"degree": degree, "normal": got, "hilbert": want}, None
     return True, None, {"order": result.order}

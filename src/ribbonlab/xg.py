@@ -25,7 +25,7 @@ import json
 import zlib
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 from operator import add, mul, sub
 from random import Random
 
@@ -290,7 +290,7 @@ def split_ribbon_evaluation(p: WPoly):
     g = p.g
     if not p.terms:
         raise ValueError("evaluation of the zero polynomial has no determined degree")
-    d = p.degree("weighted")
+    d = p.degree()
     deg1 = d * (g - 1)
     deg2 = deg1 - (g + 1)
     scale, ints = to_integers(p.terms.values())
@@ -319,12 +319,12 @@ def _dense_form(values, degree: int, scale: int) -> tuple:
     return tuple(coeffs)
 
 
-def generator_multiples(gens, degree: int, grading: str, columns=None):
+def generator_multiples(gens, degree: int, columns=None):
     """Rows of every multiple m * gen of the given degree: the one matrix builder.
 
     For each generator of degree w <= degree (in order) and each monomial m
     of degree - w (in `monomials` order), one sparse row {column: coeff} of
-    m * gen over `columns`, which defaults to monomials(g, degree, grading);
+    m * gen over `columns`, which defaults to monomials(g, degree);
     pass another order to change the column order.  The multiplier list of
     each weight w is enumerated once and shared by the generators of that
     weight.  Returns (layout, rows, columns) with layout[i] = (generator
@@ -338,7 +338,7 @@ def generator_multiples(gens, degree: int, grading: str, columns=None):
     """
     gens = list(gens)
     if columns is None:
-        columns = monomials(gens[0].g, degree, grading) if gens else []
+        columns = monomials(gens[0].g, degree) if gens else []
     radix = [(degree + 1) ** i for i in range(2 * gens[0].g - 2)] if gens else []
 
     def pack(e):
@@ -348,11 +348,11 @@ def generator_multiples(gens, degree: int, grading: str, columns=None):
     layout, rows = [], []
     multipliers = {}
     for e, gen in enumerate(gens):
-        w = gen.degree(grading)
+        w = gen.degree()
         if w is None or w > degree:
             continue
         if w not in multipliers:
-            multipliers[w] = [(m, pack(m)) for m in monomials(gen.g, degree - w, grading)]
+            multipliers[w] = [(m, pack(m)) for m in monomials(gen.g, degree - w)]
         terms = [(pack(t), _integral(c)) for t, c in gen.terms.items()]
         for m, packed in multipliers[w]:
             layout.append((e, m))
@@ -366,13 +366,15 @@ def _integral(c):
 
 
 def hilbert_function(ideal: XgIdeal, grading, degrees):
-    """Dimension of (ring / ideal) in each requested degree, by sparse rank.
+    """Dimension of (ring / ideal) in each requested weighted degree, by sparse rank.
 
     No Groebner machinery.  Returns the list of dimensions aligned with
-    `degrees`.  When UU and UV are exactly split_ribbon_ideal's groups over
-    Q, as in the split and hyperelliptic models, the quotient by the ideal B
-    they generate is known in closed form.  B is spanned by the binomials
-    m - m' of monomials with the same key
+    `degrees`.  `grading` is "weighted", the one grading of X_g, and any other
+    value is refused; the argument stays for the callers that pass it.  When
+    UU and UV are exactly split_ribbon_ideal's groups over Q, as in the split
+    and hyperelliptic models, the quotient by the ideal B they generate is
+    known in closed form.  B is spanned by the binomials m - m' of monomials
+    with the same key
 
         e -> (c, b, a) = (# u factors, # v factors, sum i e_(u_i) + sum j e_(v_j)),
 
@@ -391,16 +393,18 @@ def hilbert_function(ideal: XgIdeal, grading, degrees):
     since the rank takes only rational entries; its quotient dimensions are
     families.reduction_hilbert_function.
     """
+    if grading != "weighted":
+        raise ValueError("unknown grading %r" % grading)
     if _has_split_binomials(ideal):
-        return _split_quotient_dimensions(ideal, grading, degrees)
+        return _split_quotient_dimensions(ideal, degrees)
     out = []
     for degree in degrees:
-        _, rows, columns = generator_multiples(ideal.generators(), degree, grading)
+        _, rows, columns = generator_multiples(ideal.generators(), degree)
         out.append(len(columns) - sparse_rank(rows, len(columns)))
     return out
 
 
-def _split_quotient_dimensions(ideal: XgIdeal, grading, degrees):
+def _split_quotient_dimensions(ideal: XgIdeal, degrees):
     """hilbert_function as #classes minus the rank of the projected VV multiples.
 
     The key is additive, so a multiple m * p is p's projection shifted by
@@ -409,17 +413,16 @@ def _split_quotient_dimensions(ideal: XgIdeal, grading, degrees):
     rows reach the engine without a Fraction to convert.
     """
     g = ideal.g
-    v_weight = WPoly.v_var(g, 0).degree(grading)  # refuses an unknown grading
     projected = []
     for _, p in ideal.VV:
-        w = p.degree(grading)
+        w = p.degree()
         if w is not None:
             projected.append((w, [(_key(e, g), _integral(x)) for e, x in p.terms.items()]))
     out = []
     for degree in degrees:
         rows = []
         for w, terms in projected:
-            for cm, bm, am, vm in _classes(g, degree - w, v_weight):
+            for cm, bm, am, vm in _classes(g, degree - w):
                 # a product with no u factor is a class of its own
                 rows.append(_summed(((cm + c, bm + b, am + a) if cm or c
                                      else (0, bm + b, tuple(map(add, vm, v))), x)
@@ -429,7 +432,7 @@ def _split_quotient_dimensions(ideal: XgIdeal, grading, degrees):
                  enumerate(sorted({cls for row in rows for cls in row}, reverse=True))}
         rank = sparse_rank([{index[cls]: x for cls, x in row.items()} for row in rows],
                            len(index))
-        out.append(_class_count(g, degree, v_weight) - rank)
+        out.append(_class_count(g, degree) - rank)
     return out
 
 
@@ -459,13 +462,13 @@ def _key(e, g: int):
     return c, sum(v), a, None if c else v
 
 
-def _classes(g: int, degree: int, v_weight: int):
+def _classes(g: int, degree: int):
     """The classes of the degree's monomials modulo B, as _key tuples.
 
     First each fibre (c, b, a) with c >= 1, then each pure-v monomial.
     """
-    for b in range(degree // v_weight + 1):
-        c = degree - v_weight * b
+    for b in range(degree // 2 + 1):
+        c = degree - 2 * b
         if c:
             for a in range(c * (g - 1) + b * (g - 3) + 1):
                 yield c, b, a, None
@@ -474,11 +477,11 @@ def _classes(g: int, degree: int, v_weight: int):
                 yield 0, b, sum(j * k for j, k in enumerate(v)), v
 
 
-def _class_count(g: int, degree: int, v_weight: int) -> int:
+def _class_count(g: int, degree: int) -> int:
     """dim (S/B)_degree in closed form: the number of classes (see hilbert_function)."""
     return sum(c * (g - 1) + b * (g - 3) + 1 if c else comb(g - 3 + b, b)
-               for b in range(degree // v_weight + 1)
-               for c in (degree - v_weight * b,))
+               for b in range(degree // 2 + 1)
+               for c in (degree - 2 * b,))
 
 
 def eliminate_v_degree(ideal: XgIdeal, degree: int):
@@ -493,10 +496,9 @@ def eliminate_v_degree(ideal: XgIdeal, degree: int):
     from .rnc import IdealSlice
 
     g = ideal.g
-    v_cols = [e for e in monomials(g, degree, "weighted") if any(e[g:])]
+    v_cols = [e for e in monomials(g, degree) if any(e[g:])]
     u_cols = monomials(g, degree, u_only=True)
-    _, rows, columns = generator_multiples(ideal.generators(), degree, "weighted",
-                                           v_cols + u_cols)
+    _, rows, columns = generator_multiples(ideal.generators(), degree, v_cols + u_cols)
     nv = len(v_cols)
     vectors = [{c - nv: v for c, v in row.items()}
                for row in RowEliminator(len(columns), rows).reduced_rows()
@@ -518,8 +520,8 @@ class GroebnerResult:
         key = MONOMIAL_ORDERS[self.order]
         return [max(p.terms, key=key) for p in self.basis]
 
-    def normal_monomial_count(self, degree: int, grading: str = "weighted") -> int:
-        """Monomials of the degree not divisible by any leading monomial.
+    def normal_monomial_count(self, degree: int) -> int:
+        """Monomials of the weighted degree not divisible by any leading monomial.
 
         Counted depth first from v_{g-3} down to u_0, without listing the
         monomials.  Each lead's support is filed under its first variable,
@@ -528,12 +530,13 @@ class GroebnerResult:
         the first exponent of x that one divides, the branch is cut, since
         every larger exponent is divisible too.  On the split model at g=7,
         degree 6, grlex, this walk visits 678 branches against 912 for the
-        walk from u_0 up to v_{g-3}.
+        walk from u_0 up to v_{g-3}.  The last variable, u_0 of weight 1, takes
+        the rest: one monomial unless a lead filed under u_0 divides it.
         """
         g = self.basis[0].g
         # the walk's variables in order: v_{g-3}..v_0, then u_{g-1}..u_0
-        weights = (WPoly.v_var(g, 0).degree(grading),) * (g - 2) + (1,) * g
-        n = len(weights)
+        weights = (2,) * (g - 2) + (1,) * g
+        last = len(weights) - 1
         filed = [[] for _ in weights]  # (support before x, exponent of x) per lead
         for lead in self.leading_exponents():
             s = _support(lead[::-1])
@@ -542,21 +545,18 @@ class GroebnerResult:
             filed[s[-1][0]].append((s[:-1], s[-1][1]))
         for leads in filed:  # by exponent of x, so the first lead that divides is the least
             leads.sort(key=lambda lead: lead[1])
-        # the variables after x make up a rest only in multiples of steps[x]
-        steps = [gcd(*weights[x + 1:]) for x in range(n)]
-        e = [0] * n
+        e = [0] * len(weights)
 
         def count(x, rest):
-            w, step, total = weights[x], steps[x], 0
+            w, total = weights[x], 0
             # every exponent of x from the least one at which a filed lead divides is cut
             top = next((b for before, b in filed[x] if all(e[i] >= c for i, c in before)),
                        rest // w + 1)
-            if not step:  # the last variable takes the whole rest
-                return int(rest % w == 0 and rest // w < top)
+            if x == last:
+                return int(rest < top)
             for k in range(min(top, rest // w + 1)):
-                if (rest - w * k) % step == 0:
-                    e[x] = k
-                    total += count(x + 1, rest - w * k)
+                e[x] = k
+                total += count(x + 1, rest - w * k)
             e[x] = 0
             return total
 
@@ -748,19 +748,19 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
     groups = ideal.generator_groups()
     gens = ideal.generators()
     records = {}
-    min_gen_degree = min(p.degree("weighted") for p in gens)
+    min_gen_degree = min(p.degree() for p in gens)
     degrees = range(min_gen_degree + 1, max_degree + 1)
     # the new count is #free rows - rank, and rank = #columns - dim (S/I)_degree
     # is known in closed form for split binomials: a count of 0 skips the kernel
-    quotient = (dict(zip(degrees, _split_quotient_dimensions(ideal, "weighted", degrees)))
+    quotient = (dict(zip(degrees, _split_quotient_dimensions(ideal, degrees)))
                 if _has_split_binomials(ideal) else None)
     for degree in degrees:
-        layout, rows, columns = generator_multiples(gens, degree, "weighted")
+        layout, rows, columns = generator_multiples(gens, degree)
         row_of = {key: i for i, key in enumerate(layout)}
         lifted_rows = [{row_of[e, tuple(map(add, m, shift))]: c
                         for e, coeff in enumerate(rep) for m, c in coeff.terms.items()}
                        for lower in records.values()
-                       for shift in monomials(g, degree - lower.degree, "weighted")
+                       for shift in monomials(g, degree - lower.degree)
                        for rep in lower.representatives]
         elim = RowEliminator(len(layout), lifted_rows)
         from_lower_dim = elim.rank

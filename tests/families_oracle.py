@@ -57,7 +57,7 @@ def oracle_reduction_hilbert_function(family, modulus, degrees):
     """Q-dimensions of the quotient slices of the reduction mod pi^modulus alone."""
     out = []
     for degree in degrees:
-        _, rows, columns = generator_multiples(family.generators(), degree, "weighted")
+        _, rows, columns = generator_multiples(family.generators(), degree)
         # pi^layer * row, one column per (monomial, pi digit)
         layered = [{col * modulus + t: c.coeffs[t - layer]
                     for col, c in row.items()

@@ -91,7 +91,7 @@ def completed_buchberger(gens, order="grlex", cap=12):
     return basis, input_is_groebner, not skipped
 
 
-def full_scan_normal_count(leads, g, degree, grading):
+def full_scan_normal_count(leads, g, degree):
     """Monomials of the degree divisible by none of `leads`, tested full width."""
-    return sum(1 for e in monomials(g, degree, grading)
+    return sum(1 for e in monomials(g, degree)
                if not any(_divides(lead, e) for lead in leads))

@@ -55,7 +55,7 @@ def wpoly_product(p, q):
 def pullback(p):
     """veronese_pullback on a nonzero u-only polynomial of weighted degree d."""
     g = p.g
-    d = p.degree("weighted")
+    d = p.degree()
     coeffs = [Fraction(0)] * (d * (g - 1) + 1)
     for e, c in p.terms.items():
         coeffs[sum(i * k for i, k in enumerate(e[:g]))] += c
@@ -108,7 +108,7 @@ def slice_contains(slice_, p):
 def evaluation(p):
     """split_ribbon_evaluation on a nonzero weighted-homogeneous p."""
     g = p.g
-    d = p.degree("weighted")
+    d = p.degree()
     deg1 = d * (g - 1)
     deg2 = deg1 - (g + 1)
     first = [Fraction(0)] * (deg1 + 1)
@@ -137,7 +137,7 @@ def summed_quartic_lift(f, g):
             a = min(n, rem)
             indices.append(a)
             rem -= a
-        total = total + WPoly.u_monomial(g, indices, c)
+        total = total + WPoly.u_monomial(g, indices).map_coeffs(lambda one: one * c)
     return total
 
 
@@ -148,20 +148,20 @@ def hyperelliptic_vv(split_vv, g, h):
             for (i, j), p in split_vv]
 
 
-def tuple_keyed_multiples(gens, degree, grading, columns=None):
+def tuple_keyed_multiples(gens, degree, columns=None):
     """generator_multiples with each column looked up by its exponent tuple m + t."""
     gens = list(gens)
     if columns is None:
-        columns = monomials(gens[0].g, degree, grading) if gens else []
+        columns = monomials(gens[0].g, degree) if gens else []
     idx = {e: i for i, e in enumerate(columns)}
     layout, rows = [], []
     multipliers = {}
     for e, gen in enumerate(gens):
-        w = gen.degree(grading)
+        w = gen.degree()
         if w is None or w > degree:
             continue
         if w not in multipliers:
-            multipliers[w] = monomials(gen.g, degree - w, grading)
+            multipliers[w] = monomials(gen.g, degree - w)
         terms = [(t, _integral(c)) for t, c in gen.terms.items()]
         for m in multipliers[w]:
             layout.append((e, m))
@@ -173,7 +173,7 @@ def layered_reduction_hilbert_function(family, modulus, degrees):
     """reduction_hilbert_function with every multiple written once per pi-layer."""
     table = {m: [] for m in range(1, modulus + 1)}
     for degree in degrees:
-        _, rows, columns = generator_multiples(family.generators(), degree, "weighted")
+        _, rows, columns = generator_multiples(family.generators(), degree)
         n = len(columns)
         layered = [{t * n + col: c.coeffs[t - layer]
                     for col, c in row.items()

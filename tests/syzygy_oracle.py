@@ -45,10 +45,9 @@ def all_kernels_syzygies(ideal, max_degree, shape_table="ribbon"):
     records = {}
     minimal_reps = {}
     layouts = {}
-    min_gen_degree = min(p.degree("weighted") for p in ideal.generators())
+    min_gen_degree = min(p.degree() for p in ideal.generators())
     for degree in range(min_gen_degree + 1, max_degree + 1):
-        layout, rows, columns = generator_multiples(ideal.generators(), degree,
-                                                    "weighted")
+        layout, rows, columns = generator_multiples(ideal.generators(), degree)
         kernel = left_kernel(rows, len(columns))
         layouts[degree] = layout
         index_to = {col_key: i for i, col_key in enumerate(layout)}
@@ -56,7 +55,7 @@ def all_kernels_syzygies(ideal, max_degree, shape_table="ribbon"):
         for lower_degree, reps in minimal_reps.items():
             shift = degree - lower_degree
             lower_layout = layouts[lower_degree]
-            for m_extra in monomials(g, shift, "weighted"):
+            for m_extra in monomials(g, shift):
                 for vec in reps:
                     lifted = {}
                     for col, c in vec.items():
@@ -102,15 +101,15 @@ def rank_count_syzygies(ideal, max_degree, shape_table="ribbon"):
     groups = ideal.generator_groups()
     gens = ideal.generators()
     records = {}
-    min_gen_degree = min(p.degree("weighted") for p in gens)
+    min_gen_degree = min(p.degree() for p in gens)
     for degree in range(min_gen_degree + 1, max_degree + 1):
-        layout, rows, columns = generator_multiples(gens, degree, "weighted")
+        layout, rows, columns = generator_multiples(gens, degree)
         kernel_dim = len(rows) - sparse_rank(rows, len(columns))
         row_of = {key: i for i, key in enumerate(layout)}
         lifted_rows = [{row_of[e, tuple(map(add, m, shift))]: c
                         for e, coeff in enumerate(rep) for m, c in coeff.terms.items()}
                        for lower in records.values()
-                       for shift in monomials(g, degree - lower["degree"], "weighted")
+                       for shift in monomials(g, degree - lower["degree"])
                        for rep in lower["representatives"]]
         elim = RowEliminator(len(layout), lifted_rows)
         from_lower_dim = elim.rank

@@ -150,7 +150,7 @@ def test_criterion_07_groebner_certificate_and_series():
         assert result is not None and result.input_is_groebner, g
         assert result.order in ("grlex", "grevlex")
         computed = hilbert_function(ideal, "weighted", degrees)
-        normal = [result.normal_monomial_count(d, "weighted") for d in degrees]
+        normal = [result.normal_monomial_count(d) for d in degrees]
         assert normal == computed, (g, normal, computed)
         displayed = [1, g] + [(g - 2) * (2 * n - 1) for n in degrees[2:]]
         corrected = [1, g] + [(g - 1) * (2 * n - 1) for n in degrees[2:]]

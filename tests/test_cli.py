@@ -624,6 +624,99 @@ def test_family_document_mixing_a_series_and_a_rational_is_refused(tmp_path, cap
                        "rational coefficient" % (term["u"], term["v"])}}, command
 
 
+def test_family_generator_of_the_wrong_degree_is_refused_by_name(capsys):
+    # a homogeneous generator of the wrong weighted degree and an
+    # inhomogeneous one end in the same named refusal, with no traceback
+    doc = families.constant_family(xg.split_ribbon_ideal(3), 2).to_json()
+    v0_squared = doc["VV"][0]["poly"][0]
+    for poly in ([{"u": [3, 0, 0], "v": [0], "c": ["1", "0"]}],
+                 [v0_squared, {"u": [1, 0, 0], "v": [0], "c": ["1", "0"]}]):
+        doc["VV"][0]["poly"] = poly
+        code = main(["family", "order", "--family", json.dumps(doc)])
+        out, err = capsys.readouterr()
+        assert code == 1 and "Traceback" not in err, poly
+        assert json.loads(out) == {"status": "error", "payload": {
+            "message": "VV generator (0, 0) must be weighted-homogeneous of degree 4"}}, poly
+
+
+def test_json_documents_take_integer_rationals(tmp_path, capsys):
+    # an integer is as exact as its string: a term coefficient, a matrix
+    # entry, a form coefficient and a family digit all read either spelling
+    def stdout(*argv):
+        assert main(list(argv)) == 0, argv
+        return capsys.readouterr().out
+
+    relation = [{"u": [1, 0, 1], "v": [0], "c": 1}, {"u": [0, 2, 0], "v": [0], "c": -1}]
+    quadric = {"g": 3, "matrix": [[1]]}
+    h = {"degree": 8, "coeffs": [1, 0, 0, 0, 0, 0, 0, 0, 1]}
+    for argv, as_ints, as_strings in (
+            (["limit-relation", "--g", "3", "--poly"], relation,
+             [dict(t, c=str(t["c"])) for t in relation]),
+            (["limit-quadric", "--q"], quadric, {"g": 3, "matrix": [["1"]]}),
+            (["family", "build", "--g", "3", "--model", "hyperelliptic", "--h"], h,
+             {"degree": 8, "coeffs": [str(c) for c in h["coeffs"]]})):
+        assert stdout(*argv, json.dumps(as_ints)) == stdout(*argv, json.dumps(as_strings))
+    family = json.loads(stdout("family", "build", "--g", "3", "--d", "1", "--h",
+                               json.dumps(h)))["payload"]["family"]
+    with_ints = json.loads(json.dumps(family))
+    for group in ("UU", "UV", "VV"):
+        for generator in with_ints[group]:
+            for term in generator["poly"]:
+                term["c"] = [int(x) if "/" not in x else x for x in term["c"]]
+    assert with_ints != family
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(family))
+    fam_ints = tmp_path / "fam_ints.json"
+    fam_ints.write_text(json.dumps(with_ints))
+    assert stdout("family", "order", "--family", str(fam_ints)) == \
+        stdout("family", "order", "--family", str(fam))
+
+
+def test_json_rationals_refuse_booleans_and_floats_by_name(capsys):
+    for argv, message in (
+            (["limit-relation", "--g", "3", "--poly", '[{"u":[2,0,0],"v":[0],"c":true}]'],
+             'c must be an integer or a rational string such as "p/q", got True'),
+            (["limit-quadric", "--q", '{"g":3,"matrix":[[false]]}'],
+             'a matrix entry must be an integer or a rational string such as "p/q", got False'),
+            (["family", "build", "--g", "3", "--h",
+              '{"degree":8,"coeffs":[true,0,0,0,0,0,0,0,1]}'],
+             'a coefficient must be an integer or a rational string such as "p/q", got True'),
+            (["family", "order", "--family", json.dumps(
+                {"g": 3, "order_bound": 1, "UU": [], "UV": [], "VV": [
+                    {"key": [0, 0], "poly": [{"u": [0, 0, 0], "v": [2], "c": [True]}]}]})],
+             'a truncated series digit must be an integer or a rational string such as '
+             '"p/q", got True'),
+            (["limit-quadric", "--q", '{"g":3,"matrix":[[1.5]]}'],
+             'JSON number 1.5 is not exact; write it as an integer or a "p/q" string')):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and "Traceback" not in err, argv
+        assert json.loads(out) == {"status": "error", "payload": {"message": message}}, argv
+
+
+def test_an_unforeseen_exception_ends_in_one_error_document(tmp_path, monkeypatch, capsys):
+    # the last-resort branch: exit 1 and one document naming the exception
+    # type; the traceback goes to stderr unless --quiet
+    def boom(args):
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setattr(cli, "cmd_limit_quadric", boom)
+    code = main(["limit-quadric", "--g", "3", "--q", "[[1]]"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out) == {"status": "error",
+                               "payload": {"message": "RuntimeError: handler failed"}}
+    assert "Traceback" in err and "RuntimeError: handler failed" in err
+    path = tmp_path / "out.json"
+    code = main(["limit-quadric", "--g", "3", "--q", "[[1]]", "--quiet",
+                 "--json-out", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err == ""
+    doc = json.loads(path.read_text())
+    assert doc["status"] == "error"
+    assert doc["payload"]["message"].startswith("RuntimeError: ")
+
+
 def test_family_build_requires_h(capsys):
     code, doc = run_cli(capsys, "family", "build", "--g", "3")
     assert code == 1

@@ -308,7 +308,7 @@ def bumped(rng, fam):
         e, c = rng.choice(list(p.terms.items()))
         c = -c.constant_term()  # cancels the term's constant digit
     else:
-        e = rng.choice(monomials(g, (2, 3, 4)[name], "weighted"))
+        e = rng.choice(monomials(g, (2, 3, 4)[name]))
         c = Fraction(rng.randint(1, 3))
     digit = rng.randrange(n)
     bump = WPoly(g, {e: TruncatedScalar.from_rational(c, n).shift(digit)})
@@ -508,6 +508,19 @@ def test_family_document_sums_a_split_term():
         with pytest.raises(ValueError, match=r"^term u=\[0, 0, 4\] v=\[0\] is listed with "
                            "both a truncated series and a rational coefficient$"):
             TruncatedFamily.from_json(split)
+
+
+def test_family_document_refuses_a_generator_of_the_wrong_degree_by_name():
+    # an inhomogeneous generator is refused as a homogeneous one of the wrong
+    # weighted degree is: by its group and key
+    data = constant_family(split_ribbon_ideal(3), 2).to_json()
+    v0_squared = data["VV"][0]["poly"][0]
+    for poly in ([{"u": [3, 0, 0], "v": [0], "c": ["1", "0"]}],
+                 [v0_squared, {"u": [1, 0, 0], "v": [0], "c": ["1", "0"]}]):
+        data["VV"][0]["poly"] = poly
+        with pytest.raises(ValueError, match=r"^VV generator \(0, 0\) must be "
+                           "weighted-homogeneous of degree 4$"):
+            TruncatedFamily.from_json(data)
 
 
 def test_family_validation():

@@ -55,7 +55,7 @@ def rand_form(rng, degree):
 
 
 def rand_poly(rng, g, d, nterms, u_only=False):
-    mons = monomials(g, d, "weighted", u_only=u_only)
+    mons = monomials(g, d, u_only=u_only)
     return WPoly(g, {e: rand_rat(rng, zero_share=0) for e in rng.sample(mons, min(nterms, len(mons)))})
 
 
@@ -292,7 +292,7 @@ def test_flatness_absorbs_the_multiples_and_shifted_layer_zero_pivots(monkeypatc
     h = random_squarefree(random.Random(2281), 10)
     fam = rescale_v(perturb_hyperelliptic(4, h, 1, 4, random_ribbon_ell(4, random.Random(3))), 1)
     modulus, degree = fam.order_bound, 4
-    _, rows, columns = generator_multiples(fam.generators(), degree, "weighted")
+    _, rows, columns = generator_multiples(fam.generators(), degree)
     n = len(columns)
     rank = sparse_rank([{t * n + col: c.coeffs[t] for col, c in row.items()
                          for t in range(modulus) if c.coeffs[t]} for row in rows], n * modulus)
@@ -344,24 +344,20 @@ def test_transforms_match_their_public_constructor_builds(g):
 def test_packed_builder_matches_the_tuple_keyed_oracle():
     rng = random.Random(2301)
     fam = perturb_hyperelliptic(4, random_squarefree(rng, 10), 1, 3, random_ribbon_ell(4, rng))
-    koszul = [WPoly(4, {e: rand_rat(rng, zero_share=0)
-                        for e in rng.sample(monomials(4, d, "koszul"), 5)}) for d in (2, 3)]
-    cases = {"weighted": [split_ribbon_ideal(5).generators(),
-                          hyperelliptic_model(4, random_squarefree(rng, 10)).generators(),
-                          canonical_ribbon_ideal(5, random_ribbon_ell(5, rng)).generators(),
-                          [rand_poly(rng, 4, 3, 5), rand_poly(rng, 4, 2, 4)],
-                          fam.generators()],
-             "koszul": [split_ribbon_ideal(5).generators(), koszul]}
-    for grading, gens_list in cases.items():
-        for gens in gens_list:
-            g = gens[0].g
-            for degree in range(0, 7):
-                mons = monomials(g, degree, grading)
-                for columns in (None, mons[::-1], rng.sample(mons, len(mons))):
-                    got = generator_multiples(gens, degree, grading, columns)
-                    assert got == oracle.tuple_keyed_multiples(gens, degree, grading, columns)
+    gens_list = [split_ribbon_ideal(5).generators(),
+                 hyperelliptic_model(4, random_squarefree(rng, 10)).generators(),
+                 canonical_ribbon_ideal(5, random_ribbon_ell(5, rng)).generators(),
+                 [rand_poly(rng, 4, 3, 5), rand_poly(rng, 4, 2, 4)],
+                 fam.generators()]
+    for gens in gens_list:
+        g = gens[0].g
+        for degree in range(0, 7):
+            mons = monomials(g, degree)
+            for columns in (None, mons[::-1], rng.sample(mons, len(mons))):
+                got = generator_multiples(gens, degree, columns)
+                assert got == oracle.tuple_keyed_multiples(gens, degree, columns)
     # TruncatedScalar coefficients reach the rows as they are
-    _, rows, _ = generator_multiples(fam.generators(), 4, "weighted")
+    _, rows, _ = generator_multiples(fam.generators(), 4)
     assert any(isinstance(c, TruncatedScalar) and any(c.coeffs[1:])
                for row in rows for c in row.values())
-    assert generator_multiples([], 3, "weighted") == ([], [], [])
+    assert generator_multiples([], 3) == ([], [], [])

@@ -121,25 +121,22 @@ def test_monomial_order_classic_examples():
 def test_monomials_counts_and_order():
     for g in (3, 4, 5):
         for d in (0, 1, 2, 3, 4):
-            ms = monomials(g, d, "weighted")
+            ms = monomials(g, d)
             expect = sum(math.comb(g - 1 + (d - 2 * b), d - 2 * b) * math.comb(g - 3 + b, b)
                          for b in range(d // 2 + 1))
             assert len(ms) == expect
             keys = [grlex_key(e) for e in ms]
             assert keys == sorted(keys, reverse=True)
             assert len(set(ms)) == len(ms)
-            mk = monomials(g, d, "koszul")
-            assert len(mk) == math.comb(2 * g - 3 + d, d)
             mu = monomials(g, d, u_only=True)
             assert len(mu) == math.comb(g - 1 + d, d)
             assert all(len(e) == 2 * g - 2 for e in mu)
             assert all(not any(e[g:]) for e in mu)
 
 
-def sorted_monomials(g, degree, grading="weighted", u_only=False):
+def sorted_monomials(g, degree, u_only=False):
     """The old enumeration, kept as the oracle: recurse over u then v, then sort."""
     nv = 0 if u_only else g - 2
-    v_weight = 2 if grading == "weighted" else 1
     results = []
     u_parts = []
 
@@ -164,8 +161,8 @@ def sorted_monomials(g, degree, grading="weighted", u_only=False):
                 if remaining == 0:
                     v_parts.append(prefix)
                 return
-            for k in range(remaining // v_weight, -1, -1):
-                v_rec(prefix + (k,), remaining - k * v_weight, slots - 1)
+            for k in range(remaining // 2, -1, -1):
+                v_rec(prefix + (k,), remaining - 2 * k, slots - 1)
 
         v_rec((), rest, nv)
         for vp in v_parts:
@@ -177,19 +174,22 @@ def sorted_monomials(g, degree, grading="weighted", u_only=False):
 def test_monomials_match_sorted_oracle():
     for g in range(3, 9):
         for d in range(-2, 8):
-            for grading in ("weighted", "koszul"):
-                for u_only in (False, True):
-                    assert (monomials(g, d, grading, u_only)
-                            == sorted_monomials(g, d, grading, u_only)), (g, d, grading, u_only)
-    with pytest.raises(ValueError):
-        monomials(4, 2, "bigraded")
+            for u_only in (False, True):
+                assert (monomials(g, d, u_only=u_only)
+                        == sorted_monomials(g, d, u_only)), (g, d, u_only)
+
+
+def test_monomials_take_no_grading():
+    # u_only is keyword-only, so a stale grading argument is not read as u_only=True
+    with pytest.raises(TypeError):
+        monomials(4, 3, "weighted")
 
 
 def test_monomials_returns_a_fresh_list_each_call():
-    first = monomials(4, 3, "weighted")
+    first = monomials(4, 3)
     want = list(first)
     first.clear()
-    again = monomials(4, 3, "weighted")
+    again = monomials(4, 3)
     assert again == want and again is not first
     again.append((9,) * 6)
     again.reverse()
@@ -211,10 +211,15 @@ def test_wpoly_ring_axioms():
 def test_wpoly_degrees_and_splits():
     g = 4
     p = WPoly.u_var(g, 0) * WPoly.u_var(g, 3) + WPoly.v_var(g, 1)
-    assert p.degree("weighted") == 2
-    with pytest.raises(ValueError):
-        p.degree("koszul")
+    assert p.degree() == 2
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        (p + WPoly.u_var(g, 1)).degree()
     assert not p.is_u_only()
+
+
+def u_term(g, indices, c):
+    """c times the product of u_i over the indices."""
+    return WPoly.u_monomial(g, indices).map_coeffs(lambda one: c * one)
 
 
 def test_veronese_pullback_examples():
@@ -233,9 +238,9 @@ def test_veronese_pullback_is_multiplicative():
     rng = random.Random(12)
     g = 4
     for _ in range(6):
-        p = WPoly.u_monomial(g, [rng.randint(0, 3)], rng.randint(1, 5)) + \
-            WPoly.u_monomial(g, [rng.randint(0, 3)], rng.randint(-5, -1))
-        q = WPoly.u_monomial(g, [rng.randint(0, 3), rng.randint(0, 3)], rng.randint(1, 4))
+        p = u_term(g, [rng.randint(0, 3)], rng.randint(1, 5)) + \
+            u_term(g, [rng.randint(0, 3)], rng.randint(-5, -1))
+        q = u_term(g, [rng.randint(0, 3), rng.randint(0, 3)], rng.randint(1, 4))
         if not (p * q):
             continue
         assert veronese_pullback(p * q) == veronese_pullback(p) * veronese_pullback(q)
@@ -251,7 +256,7 @@ def test_veronese_pullback_rejects_bad_input():
 def test_quartic_lift_greedy_rule():
     # x0^5 * x1^3 at g = 3 lifts along indices (2, 2, 1, 0)
     f = BinaryForm(8, [0, 0, 0, 0, 0, 7, 0, 0, 0])
-    assert quartic_lift(f, 3) == WPoly.u_monomial(3, [2, 2, 1, 0], 7)
+    assert quartic_lift(f, 3) == u_term(3, [2, 2, 1, 0], 7)
 
 
 def test_quartic_lift_is_right_inverse_of_pullback():
@@ -273,7 +278,7 @@ def test_json_round_trips():
     f = BinaryForm(3, [1, Fraction(-2, 3), 0, 5])
     assert BinaryForm.from_json(f.to_json()) == f
     g = 4
-    p = WPoly.u_monomial(g, [0, 3], Fraction(1, 2)) - WPoly.v_var(g, 1)
+    p = u_term(g, [0, 3], Fraction(1, 2)) - WPoly.v_var(g, 1)
     assert WPoly.from_json(g, p.to_json()) == p
 
 
@@ -354,7 +359,7 @@ def test_pullback_and_evaluation_match_public_constructor():
     rng = random.Random(53)
     for g in (3, 4, 5):
         for d in (1, 2, 3):
-            ms = monomials(g, d, "weighted")
+            ms = monomials(g, d)
             p = WPoly(g, {e: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                           for e in rng.sample(ms, min(4, len(ms)))})
             if not p:

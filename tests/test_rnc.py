@@ -229,7 +229,8 @@ def test_lifts_differ_by_ideal_elements():
     rng = random.Random(7)
     for g in (3, 4):
         exps = [rng.randint(0, g - 1) for _ in range(4)]
-        p = WPoly.u_monomial(g, exps, 3) + WPoly.u_monomial(g, [0] * 4, -2)
+        p = (WPoly.u_monomial(g, exps).map_coeffs(lambda one: 3 * one)
+             - WPoly.u_monomial(g, [0] * 4).map_coeffs(lambda one: 2 * one))
         f = veronese_pullback(p)
         if f.is_zero():
             continue

@@ -113,6 +113,81 @@ def test_every_public_name_is_used():
     assert sorted(q for q in unread if q not in traced) == []
 
 
+def _defaulted_parameters(path):
+    """(qualified name, def name, parameter, positional index or None) of
+    every defaulted parameter of a public function or method in a file; the
+    index counts the arguments a call passes, so a method's self or cls is
+    not counted."""
+    out = []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = [(None, node) for node in tree.body]
+    defs += [(cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for node in cls.body]
+    for owner, node in defs:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        qualified = node.name if owner is None else "%s.%s" % (owner, node.name)
+        bound = owner is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        positional = node.args.posonlyargs + node.args.args
+        skip = 1 if bound else 0
+        first = len(positional) - len(node.args.defaults)
+        out += [(qualified, node.name, arg.arg, i - skip)
+                for i, arg in enumerate(positional) if i >= first]
+        out += [(qualified, node.name, arg.arg, None)
+                for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if default is not None]
+    return out
+
+
+def _calls(path):
+    """{called name: [(positional count, keyword names)]} of every call in a
+    file, by the name it calls (`f(...)` or `x.f(...)`), except calls inside
+    a def of that same name; a *args or **kwargs counts as passing all."""
+    calls = {}
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name is not None and name not in inside:
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (float("inf") if starred else len(node.args), keywords))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return calls
+
+
+def test_every_optional_parameter_is_passed():
+    # a default that no call overrides is a mode nobody runs: every defaulted
+    # parameter of a public function or method in the package is passed, by
+    # keyword or by position, by some call in the package or the benchmark.
+    # Calls are resolved by name only, as in test_every_public_name_is_used.
+    package = sorted(Path(ribbonlab.__file__).parent.glob("*.py"))
+    calls = {}
+    for path in package + sorted(BENCH.glob("*.py")):
+        for name, found in _calls(path).items():
+            calls.setdefault(name, []).extend(found)
+
+    def passed(name, parameter, index):
+        return any(parameter in keywords or None in keywords
+                   or (index is not None and count > index)
+                   for count, keywords in calls.get(name, ()))
+
+    unpassed = ["%s:%s(%s)" % (path.name, qualified, parameter)
+                for path in package
+                for qualified, name, parameter, index in _defaulted_parameters(path)
+                if not passed(name, parameter, index)]
+    assert unpassed == []
+
+
 def test_traced_names_resolve():
     # the traced benchmark patches these by name; a renamed or deleted one
     # would otherwise only show up there (bench/tracer.py imports only the

@@ -91,7 +91,7 @@ def syzygy_ell_space(g):
     VV group spans all v-quadratics.  Returns the canonical rref basis.
     """
     split = split_ribbon_ideal(g)
-    layout, rows, columns = generator_multiples(split.generators(), 3, "weighted")
+    layout, rows, columns = generator_multiples(split.generators(), 3)
     kernel = left_kernel(rows, len(columns))
     nuu = len(split.UU)
     nv = g - 2
@@ -152,7 +152,7 @@ def test_generator_group_sizes():
         assert len(ideal.UV) == (g - 1) * (g - 3)
         assert len(ideal.VV) == (g - 2) * (g - 1) // 2
         for degree, group in ((2, ideal.UU), (3, ideal.UV), (4, ideal.VV)):
-            assert all(p.degree("weighted") == degree for _, p in group)
+            assert all(p.degree() == degree for _, p in group)
     with pytest.raises(ValueError):
         split_ribbon_ideal(2)
 
@@ -282,11 +282,11 @@ def test_hilbert_function_hyperelliptic_g7():
     assert values == [(2 * d - 1) * (g - 1) for d in range(2, 7)]
 
 
-def all_multiples_hilbert(ideal, grading, degrees):
+def all_multiples_hilbert(ideal, degrees):
     """Test-only oracle: the rank of every generator multiple over the monomials."""
     out = []
     for degree in degrees:
-        _, rows, columns = generator_multiples(ideal.generators(), degree, grading)
+        _, rows, columns = generator_multiples(ideal.generators(), degree)
         out.append(len(columns) - sparse_rank(rows, len(columns)))
     return out
 
@@ -321,21 +321,18 @@ def test_split_binomials_join_exactly_the_key_classes():
     # and the closed-form count is their number
     for g in range(3, 9):
         split = split_ribbon_ideal(g)
-        for grading in ("weighted", "koszul"):
-            for degree in range(-2, 7 if g == 8 else 8):
-                _, rows, columns = generator_multiples(
-                    [p for _, p in split.UU + split.UV], degree, grading)
-                parent = {}
-                for row in rows:
-                    a, b = (_find(parent, c) for c in row)
-                    if a != b:
-                        parent[a] = b
-                pairs = {(_find(parent, c), split_key(e, g)) for c, e in enumerate(columns)}
-                roots = {root for root, _ in pairs}
-                keys = {key for _, key in pairs}
-                assert len(pairs) == len(roots) == len(keys), (g, grading, degree)
-                v_weight = 2 if grading == "weighted" else 1
-                assert xg._class_count(g, degree, v_weight) == len(keys), (g, grading, degree)
+        for degree in range(-2, 7 if g == 8 else 8):
+            _, rows, columns = generator_multiples([p for _, p in split.UU + split.UV], degree)
+            parent = {}
+            for row in rows:
+                a, b = (_find(parent, c) for c in row)
+                if a != b:
+                    parent[a] = b
+            pairs = {(_find(parent, c), split_key(e, g)) for c, e in enumerate(columns)}
+            roots = {root for root, _ in pairs}
+            keys = {key for _, key in pairs}
+            assert len(pairs) == len(roots) == len(keys), (g, degree)
+            assert xg._class_count(g, degree) == len(keys), (g, degree)
 
 
 def test_split_quotient_matches_all_multiples():
@@ -346,10 +343,7 @@ def test_split_quotient_matches_all_multiples():
                                             for h in degenerate_forms(g, rng)]
         for ideal in models:
             assert hilbert_function(ideal, "weighted", degrees) == \
-                all_multiples_hilbert(ideal, "weighted", degrees)
-        koszul = range(-1, 7 if g <= 5 else 5)
-        assert hilbert_function(models[0], "koszul", koszul) == \
-            all_multiples_hilbert(models[0], "koszul", koszul)
+                all_multiples_hilbert(ideal, degrees)
 
 
 def test_generic_branch_matches_all_multiples():
@@ -359,10 +353,7 @@ def test_generic_branch_matches_all_multiples():
         scaled = scaled_v(hyperelliptic_model(g, squarefree_h(g)), Fraction(2, 3))
         for ideal in (ribbon, scaled):
             assert hilbert_function(ideal, "weighted", range(7)) == \
-                all_multiples_hilbert(ideal, "weighted", range(7))
-        scaled_split = scaled_v(split_ribbon_ideal(g), Fraction(-3))
-        assert hilbert_function(scaled_split, "koszul", range(6)) == \
-            all_multiples_hilbert(scaled_split, "koszul", range(6))
+                all_multiples_hilbert(ideal, range(7))
 
 
 def test_split_quotient_builds_no_monomial_matrix(monkeypatch):
@@ -371,7 +362,6 @@ def test_split_quotient_builds_no_monomial_matrix(monkeypatch):
 
     monkeypatch.setattr(xg, "generator_multiples", refuse)
     assert hilbert_function(hyperelliptic_model(8, squarefree_h(8)), "weighted", [6]) == [77]
-    assert hilbert_function(split_ribbon_ideal(5), "koszul", [3]) == [24]
 
 
 def test_split_quotient_keeps_the_generic_refusals():
@@ -379,26 +369,24 @@ def test_split_quotient_keeps_the_generic_refusals():
     assert hilbert_function(ideal, "weighted", [-3, -1]) == [0, 0]
     with pytest.raises(ValueError, match="unknown grading"):
         hilbert_function(ideal, "lex", [2])
-    with pytest.raises(ValueError, match="inhomogeneous in the koszul grading"):
-        hilbert_function(ideal, "koszul", [2])
     # a family's coefficients live in Q[pi]/(pi^N), which the rank refuses
     with pytest.raises(TypeError):
         hilbert_function(constant_family(ideal, 3), "weighted", [2])
 
 
-def per_generator_multiples(gens, degree, grading, columns=None):
+def per_generator_multiples(gens, degree, columns=None):
     """Test-only oracle: the matrix builder enumerating multipliers once per generator."""
     gens = list(gens)
     if columns is None:
-        columns = monomials(gens[0].g, degree, grading) if gens else []
+        columns = monomials(gens[0].g, degree) if gens else []
     idx = {e: i for i, e in enumerate(columns)}
     layout, rows = [], []
     for e, gen in enumerate(gens):
-        w = gen.degree(grading)
+        w = gen.degree()
         if w is None or w > degree:
             continue
         terms = list(gen.terms.items())
-        for m in monomials(gen.g, degree - w, grading):
+        for m in monomials(gen.g, degree - w):
             layout.append((e, m))
             rows.append({idx[tuple(a + b for a, b in zip(m, t))]: c for t, c in terms})
     return layout, rows, columns
@@ -415,19 +403,11 @@ def test_generator_multiples_matches_per_generator_builder():
         for name, ideal in models.items():
             gens = ideal.generators()
             for degree in range(2, 7 if g < 6 else 6):
-                basis = monomials(g, degree, "weighted")
+                basis = monomials(g, degree)
                 v_first = [e for e in basis if any(e[g:])] + [e for e in basis if not any(e[g:])]
                 for columns in (None, v_first):
-                    assert generator_multiples(gens, degree, "weighted", columns) == \
-                        per_generator_multiples(gens, degree, "weighted", columns)
-                # v, u_i u_j and v_i v_j all have Koszul degree 2, but the
-                # v-linear and u-quartic corrections bend it
-                if name == "split":
-                    assert generator_multiples(gens, degree, "koszul") == \
-                        per_generator_multiples(gens, degree, "koszul")
-                else:
-                    with pytest.raises(ValueError, match="inhomogeneous"):
-                        generator_multiples(gens, degree, "koszul")
+                    assert generator_multiples(gens, degree, columns) == \
+                        per_generator_multiples(gens, degree, columns)
 
 
 def test_generator_multiples_take_integral_coefficients_as_ints():
@@ -435,9 +415,9 @@ def test_generator_multiples_take_integral_coefficients_as_ints():
     h = squarefree_h(g)
     halved = hyperelliptic_model(g, BinaryForm(h.degree, [c / 2 for c in h.coeffs]))
     for ideal in (split_ribbon_ideal(g), hyperelliptic_model(g, h)):
-        _, rows, _ = generator_multiples(ideal.generators(), 4, "weighted")
+        _, rows, _ = generator_multiples(ideal.generators(), 4)
         assert {type(c) for row in rows for c in row.values()} == {int}
-    _, rows, _ = generator_multiples(halved.generators(), 4, "weighted")
+    _, rows, _ = generator_multiples(halved.generators(), 4)
     assert {type(c) for row in rows for c in row.values()} == {int, Fraction}
     assert all(type(c) is Fraction for row in rows for c in row.values()
                if not isinstance(c, int))
@@ -445,8 +425,8 @@ def test_generator_multiples_take_integral_coefficients_as_ints():
     for ideal in (split_ribbon_ideal(g), hyperelliptic_model(g, h), halved, ribbon):
         gens = ideal.generators()
         for degree in (3, 4, 5):
-            built = generator_multiples(gens, degree, "weighted")
-            as_given = per_generator_multiples(gens, degree, "weighted")
+            built = generator_multiples(gens, degree)
+            as_given = per_generator_multiples(gens, degree)
             assert built == as_given
             n = len(built[2])
             ints, fractions = RowEliminator(n, built[1]), RowEliminator(n, as_given[1])
@@ -528,17 +508,16 @@ def test_arbitrary_correction_can_shrink_the_scheme():
 
 
 def test_koszul_grading_guard():
+    # X_g has one grading: "koszul" is refused as unknown, also for the split
+    # ribbon, which is homogeneous under the total degree
     rng = random.Random(3)
     ell = random_ell(4, rng)
     while all(not e for e in ell):
         ell = random_ell(4, rng)
-    with pytest.raises(ValueError):
-        hilbert_function(canonical_ribbon_ideal(4, ell), "koszul", [2])
-    h = squarefree_h(4)
-    with pytest.raises(ValueError):
-        hilbert_function(hyperelliptic_model(4, h), "koszul", [2])
-    # the split ribbon is homogeneous in both gradings
-    assert hilbert_function(split_ribbon_ideal(4), "koszul", [2]) == [12]
+    for ideal in (canonical_ribbon_ideal(4, ell), hyperelliptic_model(4, squarefree_h(4)),
+                  split_ribbon_ideal(4)):
+        with pytest.raises(ValueError, match="unknown grading 'koszul'"):
+            hilbert_function(ideal, "koszul", [2])
 
 
 def test_v_rescaling_preserves_hilbert_function():
@@ -656,20 +635,16 @@ def test_normal_monomial_counts_match_hilbert():
     for g in (3, 4):
         ideal = split_ribbon_ideal(g)
         res = certify_groebner(ideal)
-        for grading, top in (("koszul", 7), ("weighted", 6)):
-            hf = hilbert_function(ideal, grading, range(top + 1))
-            counts = [res.normal_monomial_count(d, grading) for d in range(top + 1)]
-            assert counts == hf
+        hf = hilbert_function(ideal, "weighted", range(7))
+        assert [res.normal_monomial_count(d) for d in range(7)] == hf
 
 
 def test_normal_monomial_count_matches_full_scan():
     for g in range(3, 9):
         res = certify_groebner(split_ribbon_ideal(g))
         leads = res.leading_exponents()
-        for grading in ("koszul", "weighted"):
-            for d in range(8):
-                assert (res.normal_monomial_count(d, grading)
-                        == full_scan_normal_count(leads, g, d, grading))
+        for d in range(8):
+            assert res.normal_monomial_count(d) == full_scan_normal_count(leads, g, d)
 
 
 def test_normal_monomial_count_matches_full_scan_on_other_leads():
@@ -679,10 +654,9 @@ def test_normal_monomial_count_matches_full_scan_on_other_leads():
     assert results[2].order == "grevlex"
     for res in results:
         g, leads = res.basis[0].g, res.leading_exponents()
-        for grading in ("koszul", "weighted"):
-            for d in range(8):
-                assert (res.normal_monomial_count(d, grading)
-                        == full_scan_normal_count(leads, g, d, grading)), (res.order, grading, d)
+        for d in range(8):
+            assert (res.normal_monomial_count(d)
+                    == full_scan_normal_count(leads, g, d)), (res.order, d)
 
 
 def test_normal_monomial_count_refusals_and_unit_ideal():
@@ -691,18 +665,15 @@ def test_normal_monomial_count_refusals_and_unit_ideal():
     unit = buchberger([u(g, 0) * u(g, 1), WPoly(g, {(0,) * (2 * g - 2): 3})])
     assert unit.input_is_groebner
     for r in (res, unit):
-        with pytest.raises(ValueError, match="unknown grading 'lex'"):
-            r.normal_monomial_count(2, "lex")
         assert r.normal_monomial_count(-1) == 0
-    assert [unit.normal_monomial_count(d, grading)
-            for grading in ("koszul", "weighted") for d in range(4)] == [0] * 8
+    assert [unit.normal_monomial_count(d) for d in range(4)] == [0] * 4
 
 
 def test_normal_quadratic_monomial_patterns():
     for g in (4, 5):
         res = certify_groebner(split_ribbon_ideal(g))
         leads = res.leading_exponents()
-        normal = {e for e in monomials(g, 2, "koszul")
+        normal = {e for e in monomials(g, 2) + monomials(g, 3)
                   if not any(all(a >= b for a, b in zip(e, lead)) for lead in leads)}
         for i in range(g - 1):
             e = [0] * (2 * g - 2)
@@ -778,12 +749,12 @@ def _lifted_span(ideal, records, degree):
     in one degree: the lower records' representatives shifted by every
     monomial of the degree difference, and the lead row indices of an echelon
     basis of their span, which depend only on the span."""
-    layout, rows, _ = generator_multiples(ideal.generators(), degree, "weighted")
+    layout, rows, _ = generator_multiples(ideal.generators(), degree)
     row_of = {key: i for i, key in enumerate(layout)}
     lifted = [{row_of[e, tuple(map(add, m, shift))]: c
                for e, coeff in enumerate(rep) for m, c in coeff.terms.items()}
               for lower in records.values() if lower.degree < degree
-              for shift in monomials(ideal.g, degree - lower.degree, "weighted")
+              for shift in monomials(ideal.g, degree - lower.degree)
               for rep in lower.representatives]
     return row_of, rows, lifted, set(RowEliminator(len(layout), lifted).pivots)
 
@@ -960,15 +931,15 @@ def test_eliminate_v_degree_matches_dense_oracle():
         models = [split_ribbon_ideal(g), canonical_ribbon_ideal(g, random_ribbon_ell(g, rng))]
         for ideal in models:
             for degree in range(2, 6 - (g - 3)):
-                basis = monomials(g, degree, "weighted")
+                basis = monomials(g, degree)
                 cols = [e for e in basis if any(e[g:])] + [e for e in basis if not any(e[g:])]
                 nv = sum(1 for e in basis if any(e[g:]))
                 rows = []
                 for gen in ideal.generators():
-                    w = gen.degree("weighted")
+                    w = gen.degree()
                     if w > degree:
                         continue
-                    for m in monomials(g, degree - w, "weighted"):
+                    for m in monomials(g, degree - w):
                         p = WPoly(g, {m: Fraction(1)}) * gen
                         rows.append([p.terms.get(e, Fraction(0)) for e in cols])
                 reduced, _ = dense_rref(rows, len(cols))
