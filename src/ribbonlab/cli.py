@@ -12,7 +12,11 @@ This module holds only the argument parsing, the commands, the cost guard and
 the error contract; the verify checks are (check, params) data in
 ribbonlab.suites.  Each command handler imports the modules it runs when it is
 called, so limit-quadric loads only conormal, rnc and exact, limit-relation
-only conormal, poly and exact, and only verify loads suites.  Every command
+only conormal, poly and exact, and only verify loads suites.  Each JSON
+document is read by one reader, the from_json of its class (QuadForm, WPoly,
+BinaryForm, TruncatedFamily), which names the field of any entry it refuses;
+a bare --q matrix or --h coefficient list is first wrapped into the object
+form that reader takes.  Every command
 prints one JSON document {"status": ..., "payload": ...}, whatever its input:
 a failure, a bad argument or an unwritable --json-out included, is a status
 "error" document whose payload carries the message (an exception of an
@@ -131,21 +135,6 @@ def _load_json_arg(text):
         raise CommandError("file %r is not valid JSON: %s" % (text, exc))
 
 
-def _parse_binary_form(data):
-    from .poly import BinaryForm
-
-    if isinstance(data, dict):
-        return BinaryForm.from_json(data)
-    if isinstance(data, list):
-        if not data:
-            raise CommandError("a binary form needs at least one coefficient")
-        try:
-            return BinaryForm(len(data) - 1, data)
-        except TypeError as exc:
-            raise CommandError("malformed binary form: %s" % exc)
-    raise CommandError("expected a coefficient list or a degree/coeffs object")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -155,20 +144,13 @@ def cmd_limit_quadric(args):
     from .rnc import QuadForm
 
     data = _load_json_arg(args.q)
-    if isinstance(data, dict):
-        q = QuadForm.from_json(data)
-        if args.g is not None and args.g != q.g:
-            raise CommandError("--g %d disagrees with the matrix header g=%d"
-                               % (args.g, q.g))
-    elif isinstance(data, list):
+    if isinstance(data, list):
         if args.g is None:
             raise CommandError("--g is required when --q is a bare matrix")
-        try:
-            q = QuadForm(args.g, data)
-        except TypeError as exc:
-            raise CommandError("malformed matrix: %s" % exc)
-    else:
-        raise CommandError("--q must be a matrix or a {g, matrix} object")
+        data = {"g": args.g, "matrix": data}
+    q = QuadForm.from_json(data)
+    if args.g is not None and args.g != q.g:
+        raise CommandError("--g %d disagrees with the matrix header g=%d" % (args.g, q.g))
     degenerate, witness = is_limit_quadric(q)
     return {"g": q.g,
             "degenerate": degenerate,
@@ -177,8 +159,7 @@ def cmd_limit_quadric(args):
 
 
 def cmd_limit_relation(args):
-    from .conormal import LambdaFunctional, phi_d
-    from .exact import left_kernel
+    from .conormal import relation_rank
     from .poly import WPoly
 
     if args.d is not None:
@@ -186,11 +167,6 @@ def cmd_limit_relation(args):
     data = _load_json_arg(args.poly)
     if not isinstance(data, list):
         raise CommandError("--poly must be a list of term objects")
-    for term in data:
-        # WPoly.from_json reads a list c as a truncated series, for family files
-        if isinstance(term, dict) and isinstance(term.get("c"), list):
-            raise CommandError("bad term %r: the coefficient c of a relation is a "
-                               "rational number, not a list" % (term,))
     x = WPoly.from_json(args.g, data)
     if not x:
         raise CommandError("the zero polynomial is not a canonical relation")
@@ -203,19 +179,16 @@ def cmd_limit_relation(args):
         d = degree
         _check_slice_size(args.g, d)
     try:
-        matrix = phi_d(x, d)
+        matrix, rank, witness = relation_rank(x, d)
     except ValueError:
         # phi_d refuses x unless it is u-only, of degree d and pulls back to zero
         raise CommandError("not a canonical relation")
-    kernel = left_kernel(matrix.rows, matrix.ncols)
     return {"g": args.g,
             "d": d,
-            "limit": bool(kernel),
-            "rank": matrix.nrows - len(kernel),
+            "limit": witness is not None,
+            "rank": rank,
             "matrix": matrix.to_json(),
-            "witness_lambda": (LambdaFunctional(args.g, [kernel[0].get(i, 0)
-                                                         for i in range(matrix.nrows)])
-                               .normalized().to_json() if kernel else None)}
+            "witness_lambda": witness.to_json() if witness is not None else None}
 
 
 def cmd_verify(args):
@@ -247,6 +220,7 @@ def cmd_verify(args):
 
 def cmd_family_build(args):
     from .families import constant_family, perturb_hyperelliptic
+    from .poly import BinaryForm
     from .xg import hyperelliptic_model, random_ribbon_ell, rng_for, split_ribbon_ideal
 
     g, d, bound = args.g, args.d, args.order_bound
@@ -259,7 +233,10 @@ def cmd_family_build(args):
                 "family": family.to_json()}
     if args.h is None:
         raise CommandError("--h is required for model %r" % args.model)
-    h = _parse_binary_form(_load_json_arg(args.h))
+    data = _load_json_arg(args.h)
+    if isinstance(data, list):
+        data = {"degree": len(data) - 1, "coeffs": data}
+    h = BinaryForm.from_json(data)
     if args.model == "hyperelliptic":
         family = constant_family(hyperelliptic_model(g, h), bound)
         return {"g": g, "model": "hyperelliptic", "order_bound": bound,

@@ -150,18 +150,26 @@ def is_limit_quadric(q: QuadForm):
     return True, LambdaFunctional(q.g, kernel[0]).normalized()
 
 
-def is_limit_relation(x: WPoly, d: int):
-    """Degeneracy test for a relation: rank(phi_d(x)) < g - 2.
+def relation_rank(x: WPoly, d: int):
+    """(phi_d(x), its rank, witness) for a degree-d relation x.
 
-    Returns (flag, witness); the witness is the first vector of the left
-    kernel, normalized with first nonzero coordinate 1.
+    The witness is the first vector of the left kernel, normalized with
+    first nonzero coordinate 1, or None when the rank is g - 2.
     """
     m = phi_d(x, d)
     kernel = left_kernel(m.rows, m.ncols)
-    if kernel:
-        return True, LambdaFunctional(x.g, [kernel[0].get(i, 0)
-                                            for i in range(m.nrows)]).normalized()
-    return False, None
+    witness = (LambdaFunctional(x.g, [kernel[0].get(i, 0) for i in range(m.nrows)])
+               .normalized() if kernel else None)
+    return m, m.nrows - len(kernel), witness
+
+
+def is_limit_relation(x: WPoly, d: int):
+    """Degeneracy test for a relation: rank(phi_d(x)) < g - 2.
+
+    Returns (flag, witness), the witness as relation_rank gives it.
+    """
+    witness = relation_rank(x, d)[2]
+    return witness is not None, witness
 
 
 def _conormal_kernel(g: int, d: int, functionals) -> IdealSlice:

@@ -12,9 +12,10 @@ make up most of the generator-multiple matrices of the models in X_g, are
 taken by a union-find pre-pass in that engine rather than by elimination
 steps.  Floating point is never used.
 
-Values are coerced once, at the boundary: the public constructors, the
-`from_json` readers, `rat_from_str` and the CLI parsers check their input and
-send it through `rat`.  Arithmetic on the package's own values builds its
+Values are coerced once, at the boundary: the public constructors check
+their input and send it through `rat`, and the `from_json` readers, which
+read every document the CLI takes, check each rational field with
+`json_rat`.  Arithmetic on the package's own values builds its
 results with each class's private `_raw`, which stores them unchecked.
 
 The polynomial kernels follow the engine's rule: integers inside,
@@ -80,16 +81,23 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse an integer, "p/q" or decimal string; exponent notation is refused.
+    """Parse an ASCII integer, "p/q" or decimal string.
 
-    Fraction would build 10**exponent in full, so a short literal such as
-    "1e10000000" could cost unbounded time and memory.
+    Three of Fraction's literal extras are refused by name: exponent
+    notation (Fraction would build 10**exponent in full, so a short literal
+    such as "1e10000000" could cost unbounded time and memory), the digit
+    separator "_" ("1_0" would read as 10) and non-ASCII digits (12/3
+    written in Arabic-Indic digits would read as 4).
     """
     if not isinstance(s, str):
         raise ValueError("expected a rational string such as \"p/q\", got %r" % (s,))
+    if not s.isascii():
+        raise ValueError("non-ASCII characters are not accepted: %r" % s)
     text = s.strip()
     if "e" in text or "E" in text:
         raise ValueError("exponent notation is not accepted: %r" % s)
+    if "_" in text:
+        raise ValueError("digit separators are not accepted: %r" % s)
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -130,9 +138,17 @@ def json_int(value, what: str) -> int:
 
 
 def json_rat(value, what: str) -> Fraction:
-    """A rational field of a JSON document: an int, or a string rat_from_str reads."""
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        return rat(value)
+    """A rational field of a JSON document: an int, or a string rat_from_str reads.
+
+    Every refusal names the field, `what`.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return rat_from_str(value)
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (what, exc)) from None
     raise ValueError("%s must be an integer or a rational string such as \"p/q\", got %r"
                      % (what, value))
 
@@ -228,7 +244,8 @@ class TruncatedScalar:
 
     @classmethod
     def from_json(cls, data) -> "TruncatedScalar":
-        return cls([json_rat(c, "a truncated series digit") for c in data])
+        return cls([json_rat(c, "a truncated series digit")
+                    for c in json_list(data, "a truncated series")])
 
 
 class RatMatrix:

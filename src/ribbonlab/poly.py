@@ -157,15 +157,7 @@ class WPoly:
                     raise ValueError("bad exponent tuple %r for g=%d" % (exps, g))
                 if not isinstance(coeff, TruncatedScalar):
                     coeff = rat(coeff)
-                if not coeff:
-                    continue
-                if exps in clean:
-                    s = clean[exps] + coeff
-                    if s:
-                        clean[exps] = s
-                    else:
-                        del clean[exps]
-                else:
+                if coeff:
                     clean[exps] = coeff
         self.terms = clean
 
@@ -317,7 +309,13 @@ class WPoly:
         return out
 
     @classmethod
-    def from_json(cls, g: int, data) -> "WPoly":
+    def from_json(cls, g: int, data, read_coeff=None) -> "WPoly":
+        """The polynomial of a to_json term list; a monomial listed twice is
+        read as the sum of its coefficients.
+
+        read_coeff(c) reads each term's coefficient c; the default reads a
+        rational, and a family document passes TruncatedScalar.from_json.
+        """
         terms = {}
         for entry in data:
             if not (isinstance(entry, dict) and "c" in entry and all(
@@ -327,16 +325,9 @@ class WPoly:
                                  "u and v and a coefficient c" % (entry,))
             exps = tuple(entry["u"]) + tuple(entry["v"])
             c = entry["c"]
-            coeff = TruncatedScalar.from_json(c) if isinstance(c, list) else json_rat(c, "c")
-            if exps not in terms:
-                terms[exps] = coeff
-            elif type(terms[exps]) is type(coeff):
-                terms[exps] = terms[exps] + coeff
-            else:
-                raise ValueError("term u=%r v=%r is listed with both a truncated series and "
-                                 "a rational coefficient" % (entry["u"], entry["v"]))
+            coeff = read_coeff(c) if read_coeff else json_rat(c, "c")
+            terms[exps] = terms[exps] + coeff if exps in terms else coeff
         return cls(g, terms)
-
 
 def grlex_key(exps):
     """Graded-lex sort key (largest monomial has the largest key).

@@ -30,7 +30,7 @@ from operator import add, mul, sub
 from random import Random
 
 from .exact import _ZERO, RowEliminator, _clear, _primitive, left_kernel, rat
-from .exact import json_fields, json_int, json_list, sparse_rank, to_integers
+from .exact import TruncatedScalar, json_fields, json_int, json_list, sparse_rank, to_integers
 from .poly import (
     MONOMIAL_ORDERS,
     BinaryForm,
@@ -61,8 +61,6 @@ def uv_keys(g: int):
     for s in range(0, 2 * g - 3):
         pairs = [(i, s - i) for i in range(g)
                  if 0 <= s - i <= g - 3]
-        if not pairs:
-            continue
         base = min(pairs, key=lambda p: p[1])
         for i, j in pairs:
             if (i, j) != base:
@@ -147,7 +145,7 @@ def load_groups(g: int, data):
     def item(name, doc):
         key, poly = json_fields(doc, "a %s generator" % name, "key", "poly")
         return (tuple(json_int(k, "a key entry") for k in json_list(key, "a key")),
-                WPoly.from_json(g, json_list(poly, "a poly")))
+                WPoly.from_json(g, json_list(poly, "a poly"), TruncatedScalar.from_json))
 
     return [[item(name, doc) for doc in json_list(items, "the %s group" % name)]
             for name, items in zip(GROUPS, json_fields(data, "a family object", *GROUPS))]

@@ -195,15 +195,16 @@ def test_malformed_terms_are_refused_by_name_without_a_traceback(capsys):
 
 
 def test_truncated_coefficients_are_refused_in_a_relation(capsys):
-    # WPoly.from_json reads a list c as a truncated series, which a relation
-    # over Q cannot have; it is refused before phi_d is built
+    # the coefficient c of a relation over Q is read as a rational, so a digit
+    # list is refused by name before phi_d is built
     term = {"u": [1, 0, 1], "v": [0], "c": ["1", "2"]}
     poly = json.dumps([term, {"u": [0, 2, 0], "v": [0], "c": ["-1", "-2"]}])
     code = main(["limit-relation", "--g", "3", "--poly", poly])
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert code == 1 and doc["status"] == "error"
-    assert doc["payload"]["message"].startswith("bad term %r: the coefficient c" % (term,))
+    assert doc["payload"]["message"] == \
+        'c must be an integer or a rational string such as "p/q", got %r' % (term["c"],)
     assert re.fullmatch(r"elapsed \d+\.\d ms\n", captured.err)
 
 
@@ -225,13 +226,14 @@ def test_repeated_monomials_are_summed(capsys):
 def test_booleans_and_zero_denominators_are_refused(capsys):
     code, doc = run_cli(capsys, "limit-quadric", "--g", "4", "--q", "[[1,0],[0,true]]")
     assert code == 1 and doc["status"] == "error"
-    assert doc["payload"]["message"] == "malformed matrix: cannot coerce True to a rational"
+    assert doc["payload"]["message"] == \
+        'a matrix entry must be an integer or a rational string such as "p/q", got True'
     poly = json.dumps([{"u": [1, 0, 1], "v": [0], "c": "1/0"}])
     code, doc = run_cli(capsys, "limit-relation", "--g", "3", "--poly", poly)
     assert code == 1 and doc["status"] == "error"
-    assert doc["payload"]["message"] == "zero denominator in '1/0'"
+    assert doc["payload"]["message"] == "c: zero denominator in '1/0'"
     code, doc = run_cli(capsys, "limit-quadric", "--g", "4", "--q", '[[1,0],[0,"2/0"]]')
-    assert code == 1 and doc["payload"]["message"] == "zero denominator in '2/0'"
+    assert code == 1 and doc["payload"]["message"] == "a matrix entry: zero denominator in '2/0'"
 
 
 # SHA-256 of the `verify --suite all --gmax 5 --dmax 4` stdout at seeds 1-5;
@@ -586,7 +588,8 @@ def test_family_build_refuses_a_coefficient_entry_by_name(capsys):
         out, err = capsys.readouterr()
         assert code == 1 and "Traceback" not in err, entry
         assert json.loads(out) == {"status": "error", "payload": {
-            "message": "malformed binary form: cannot coerce %s to a rational" % shown}}
+            "message": 'a coefficient must be an integer or a rational string such as '
+                       '"p/q", got %s' % shown}}
 
 
 def test_family_documents_are_read_by_the_named_readers(capsys):
@@ -608,8 +611,9 @@ def test_family_documents_are_read_by_the_named_readers(capsys):
 
 
 def test_family_document_mixing_a_series_and_a_rational_is_refused(tmp_path, capsys):
-    # one monomial listed with a digit list and with a rational string: no
-    # sum of the two kinds is defined, so every family command names the term
+    # one monomial listed with a digit list and with a rational string: every
+    # coefficient of a family is a truncated series, so every family command
+    # refuses the rational by name
     doc = families.constant_family(xg.split_ribbon_ideal(3), 3).to_json()
     term = doc["VV"][0]["poly"][0]
     doc["VV"][0]["poly"][0:1] = [term, dict(term, c="1")]
@@ -620,8 +624,7 @@ def test_family_document_mixing_a_series_and_a_rational_is_refused(tmp_path, cap
         out, err = capsys.readouterr()
         assert code == 1 and "Traceback" not in err, command
         assert json.loads(out) == {"status": "error", "payload": {
-            "message": "term u=%r v=%r is listed with both a truncated series and a "
-                       "rational coefficient" % (term["u"], term["v"])}}, command
+            "message": "a truncated series must be a list, got '1'"}}, command
 
 
 def test_family_generator_of_the_wrong_degree_is_refused_by_name(capsys):
@@ -692,6 +695,38 @@ def test_json_rationals_refuse_booleans_and_floats_by_name(capsys):
         out, err = capsys.readouterr()
         assert code == 1 and "Traceback" not in err, argv
         assert json.loads(out) == {"status": "error", "payload": {"message": message}}, argv
+
+
+# Each rational-bearing field of the CLI documents, as (argv with the entry
+# at %s, the name its refusals carry); the bare and the object form of --q
+# and --h go through the same from_json reader.
+RATIONAL_FIELDS = {
+    "bare --q": (["limit-quadric", "--g", "4", "--q", "[[1,0],[0,%s]]"], "a matrix entry"),
+    "object --q": (["limit-quadric", "--q", '{"g":4,"matrix":[[1,0],[0,%s]]}'],
+                   "a matrix entry"),
+    "bare --h": (["family", "build", "--g", "3", "--model", "hyperelliptic",
+                  "--h", "[1,0,0,%s,0,0,0,0,1]"], "a coefficient"),
+    "object --h": (["family", "build", "--g", "3", "--model", "hyperelliptic",
+                    "--h", '{"degree":8,"coeffs":[1,0,0,%s,0,0,0,0,1]}'], "a coefficient"),
+    "--poly c": (["limit-relation", "--g", "3", "--poly",
+                  '[{"u":[1,0,1],"v":[0],"c":%s},{"u":[0,2,0],"v":[0],"c":"-1"}]'], "c"),
+    "family digit": (["family", "order", "--family", json.dumps(
+        {"g": 3, "order_bound": 2, "UU": [], "UV": [], "VV": [
+            {"key": [0, 0], "poly": [{"u": [0, 0, 0], "v": [2], "c": ["1", "%s"]}]}]}
+    ).replace('"%s"', "%s")], "a truncated series digit"),
+}
+
+
+@pytest.mark.parametrize("entry", ["true", "null", "[2]", "{}", '"1_0"'])
+@pytest.mark.parametrize("field", sorted(RATIONAL_FIELDS))
+def test_every_rational_field_refuses_a_bad_entry_by_name(capsys, field, entry):
+    template, name = RATIONAL_FIELDS[field]
+    code = main([arg.replace("%s", entry) for arg in template])
+    out, err = capsys.readouterr()
+    assert code == 1 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert re.match(re.escape(name) + "( must be |: )", doc["payload"]["message"]), doc
 
 
 def test_an_unforeseen_exception_ends_in_one_error_document(tmp_path, monkeypatch, capsys):

@@ -145,6 +145,18 @@ def test_exponent_notation_is_refused():
     assert rat_from_str(" 1.25 ") == rat("5/4") == Fraction(5, 4)
 
 
+def test_python_literal_extras_are_refused():
+    # Fraction reads "1_0" as 10 and the Arabic-Indic "١٢/٣" as 4; the grammar
+    # is ASCII integer, "p/q" or decimal
+    for text, reason in (("1_0", "digit separators"), ("1/1_000", "digit separators"),
+                         ("١٢/٣", "non-ASCII"), ("１２", "non-ASCII")):
+        with pytest.raises(ValueError, match=reason):
+            rat_from_str(text)
+        with pytest.raises(ValueError, match=reason):
+            rat(text)
+    assert rat_from_str("12/3") == Fraction(4) and rat_from_str("-0.5") == Fraction(-1, 2)
+
+
 def test_rref_drops_dependent_row():
     R, pivots = RatMatrix([[2, 4], [1, 2]]).rref()
     assert R.rows == ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(0)))

@@ -490,9 +490,9 @@ def test_family_json_round_trip():
 
 
 def test_family_document_sums_a_split_term():
-    # a monomial listed twice is read as the sum of its coefficients, as the
-    # WPoly constructor sums them; a sum across truncation orders, or of a
-    # series and a rational, is refused
+    # a monomial listed twice is read as the sum of its coefficients; a sum
+    # across truncation orders is refused, and a rational coefficient is no
+    # truncated series wherever it is listed
     data = rescale_v(worked_family(), 1).to_json()
     term = data["VV"][0]["poly"][0]
     assert term["c"] == ["0", "0", "-1"]
@@ -505,8 +505,7 @@ def test_family_document_sums_a_split_term():
         TruncatedFamily.from_json(split)
     for first, second in ((["1", "0", "-3"], "-1"), ("-1", ["1", "0", "-3"])):
         split["VV"][0]["poly"][0:2] = [dict(term, c=first), dict(term, c=second)]
-        with pytest.raises(ValueError, match=r"^term u=\[0, 0, 4\] v=\[0\] is listed with "
-                           "both a truncated series and a rational coefficient$"):
+        with pytest.raises(ValueError, match="^a truncated series must be a list, got '-1'$"):
             TruncatedFamily.from_json(split)
 
 

@@ -57,6 +57,17 @@ def test_every_test_module_imports():
     assert failed == []
 
 
+def test_cli_reads_every_document_through_a_from_json_reader():
+    # a value class built by name in the CLI would be a second reader of its
+    # document, beside the from_json one that checks every field
+    classes = {"QuadForm", "BinaryForm", "WPoly", "TruncatedScalar", "TruncatedFamily"}
+    tree = ast.parse(Path(cli.__file__).read_text(), filename=cli.__file__)
+    found = ["cli.py:%d %s" % (node.lineno, node.func.id) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in classes]
+    assert found == []
+
+
 def _load(path):
     spec = importlib.util.spec_from_file_location("bench_" + path.stem, path)
     module = importlib.util.module_from_spec(spec)
