@@ -14,19 +14,19 @@ ribbonlab.suites.  Each command handler imports the modules it runs when it is
 called, so limit-quadric loads only conormal, rnc and exact, limit-relation
 only conormal, poly and exact, and only verify loads suites.  Each JSON
 document is read by one reader, the from_json of its class (QuadForm, WPoly,
-BinaryForm, TruncatedFamily), which names the field of any entry it refuses;
-a bare --q matrix or --h coefficient list is first wrapped into the object
-form that reader takes.  Every command
-prints one JSON document {"status": ..., "payload": ...}, whatever its input:
-a failure, a bad argument or an unwritable --json-out included, is a status
-"error" document whose payload carries the message (an exception of an
+BinaryForm, TruncatedFamily), which names the field of any entry it refuses; a
+bare --q matrix or --h coefficient list is first wrapped into the object form
+that reader takes, and any other value of either is refused by its flag.  Every
+command prints one JSON document {"status": ..., "payload": ...}, whatever its
+input: a failure, a bad argument or an unwritable --json-out included, is a
+status "error" document whose payload carries the message (an exception of an
 unexpected type is named in it, and its traceback goes to stderr); only --help
-prints usage instead.  The bytes
-depend only on the inputs and --seed: verify and family build seed each random
-draw from a stable checksum of (seed, suite, property, params) (xg.rng_for),
-verify runs its items one after another in a fixed order, and wall-clock timing
-goes to stderr, never into the document.  Exit status is 0 only when the status
-is "ok" and, for verify, every property passed.
+prints usage instead.  The bytes depend only on the inputs and --seed: verify
+and family build seed each random draw from a stable checksum of (seed, suite,
+property, params) (xg.rng_for), verify runs its items one after another in a
+fixed order, and wall-clock timing goes to stderr, never into the document.
+Exit status is 0 only when the status is "ok" and, for verify, every property
+passed.
 
 limit-relation and verify refuse, before building anything, arguments that
 reach a degree-d slice in g coordinates with more than MAX_SLICE_MONOMIALS
@@ -148,6 +148,9 @@ def cmd_limit_quadric(args):
         if args.g is None:
             raise CommandError("--g is required when --q is a bare matrix")
         data = {"g": args.g, "matrix": data}
+    elif not isinstance(data, dict):
+        raise CommandError("--q must be a bare matrix (a list of rows, with --g) "
+                           "or a {g, matrix} object, got %r" % (data,))
     q = QuadForm.from_json(data)
     if args.g is not None and args.g != q.g:
         raise CommandError("--g %d disagrees with the matrix header g=%d" % (args.g, q.g))
@@ -234,8 +237,11 @@ def cmd_family_build(args):
     if args.h is None:
         raise CommandError("--h is required for model %r" % args.model)
     data = _load_json_arg(args.h)
-    if isinstance(data, list):
+    if isinstance(data, list) and data:
         data = {"degree": len(data) - 1, "coeffs": data}
+    elif not isinstance(data, dict):
+        raise CommandError("--h must be a nonempty coefficient list or a "
+                           "{degree, coeffs} object, got %r" % (data,))
     h = BinaryForm.from_json(data)
     if args.model == "hyperelliptic":
         family = constant_family(hyperelliptic_model(g, h), bound)

@@ -137,30 +137,32 @@ def psi_d(lam: LambdaFunctional, x: WPoly, d: int) -> BinaryForm:
                                     for col in zip(*m.rows)])
 
 
+def _rank_and_witness(g: int, m: RatMatrix):
+    """(rank, witness) of a matrix m with g - 2 rows: the witness is the first
+    vector of m's canonical left kernel, normalized with first nonzero
+    coordinate 1, or None at full rank."""
+    kernel = left_kernel(m.rows, m.ncols)
+    witness = (LambdaFunctional(g, [kernel[0].get(i, 0) for i in range(g - 2)])
+               .normalized() if kernel else None)
+    return g - 2 - len(kernel), witness
+
+
 def is_limit_quadric(q: QuadForm):
     """Degeneracy test for a quadric direction: q has a nonzero kernel.
 
-    Returns (flag, witness): the witness is the first vector of the canonical
-    kernel of q, normalized with first nonzero coordinate 1.  The kernel of
-    the zero form is the whole space, led by e_0, so e_0 is its witness.
+    Returns (flag, witness), the witness read from q's matrix as for a
+    relation: q is symmetric and phi_2(x_q) = q, so it is the witness of
+    is_limit_relation(x_q, 2).  The zero form's witness is e_0.
     """
-    kernel = q.kernel_basis()
-    if not kernel:
-        return False, None
-    return True, LambdaFunctional(q.g, kernel[0]).normalized()
+    witness = _rank_and_witness(q.g, q.mat)[1]
+    return witness is not None, witness
 
 
 def relation_rank(x: WPoly, d: int):
-    """(phi_d(x), its rank, witness) for a degree-d relation x.
-
-    The witness is the first vector of the left kernel, normalized with
-    first nonzero coordinate 1, or None when the rank is g - 2.
-    """
+    """(phi_d(x), its rank, witness) for a degree-d relation x, the rank and
+    witness as `_rank_and_witness` reads them."""
     m = phi_d(x, d)
-    kernel = left_kernel(m.rows, m.ncols)
-    witness = (LambdaFunctional(x.g, [kernel[0].get(i, 0) for i in range(m.nrows)])
-               .normalized() if kernel else None)
-    return m, m.nrows - len(kernel), witness
+    return (m, *_rank_and_witness(x.g, m))
 
 
 def is_limit_relation(x: WPoly, d: int):

@@ -80,17 +80,11 @@ def rat_to_str(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def rat_from_str(s: str) -> Fraction:
-    """Parse an ASCII integer, "p/q" or decimal string.
-
-    Three of Fraction's literal extras are refused by name: exponent
-    notation (Fraction would build 10**exponent in full, so a short literal
-    such as "1e10000000" could cost unbounded time and memory), the digit
-    separator "_" ("1_0" would read as 10) and non-ASCII digits (12/3
-    written in Arabic-Indic digits would read as 4).
-    """
-    if not isinstance(s, str):
-        raise ValueError("expected a rational string such as \"p/q\", got %r" % (s,))
+def _plain_literal(s: str) -> str:
+    """s stripped, after refusing by name three literal extras of Fraction and
+    int: exponents (Fraction builds 10**exponent in full, so "1e10000000"
+    could cost unbounded time and memory), the digit separator "_" ("1_0"
+    reads as 10) and non-ASCII digits (Arabic-Indic 12/3 reads as 4)."""
     if not s.isascii():
         raise ValueError("non-ASCII characters are not accepted: %r" % s)
     text = s.strip()
@@ -98,8 +92,15 @@ def rat_from_str(s: str) -> Fraction:
         raise ValueError("exponent notation is not accepted: %r" % s)
     if "_" in text:
         raise ValueError("digit separators are not accepted: %r" % s)
+    return text
+
+
+def rat_from_str(s: str) -> Fraction:
+    """Parse an ASCII integer, "p/q" or decimal string (see `_plain_literal`)."""
+    if not isinstance(s, str):
+        raise ValueError("expected a rational string such as \"p/q\", got %r" % (s,))
     try:
-        return Fraction(text)
+        return Fraction(_plain_literal(s))
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % s) from None
 
@@ -126,10 +127,15 @@ def json_list(value, what: str) -> list:
 
 
 def json_int(value, what: str) -> int:
-    """An integer field of a JSON document: an int, or a string int() reads."""
+    """An integer field of a JSON document: an int, or a string int() reads
+    under rat_from_str's literal rule; every refusal names the field, `what`."""
     if isinstance(value, str):
         try:
-            return int(value)
+            text = _plain_literal(value)
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (what, exc)) from None
+        try:
+            return int(text)
         except ValueError:
             pass
     elif isinstance(value, int) and not isinstance(value, bool):
@@ -258,19 +264,12 @@ class RatMatrix:
 
     __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, rows, ncols=None):
+    def __init__(self, rows, ncols: int):
         self.rows = tuple(tuple(rat(x) for x in row) for row in rows)
         self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(row) != self.ncols for row in self.rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != self.ncols:
-                raise ValueError("ncols disagrees with row length")
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit ncols")
-            self.ncols = ncols
+        self.ncols = ncols
+        if any(len(row) != ncols for row in self.rows):
+            raise ValueError("every row must have %d entries" % ncols)
 
     @classmethod
     def _raw(cls, rows: tuple, ncols: int) -> "RatMatrix":
@@ -414,7 +413,7 @@ class RowEliminator:
 
     __slots__ = ("ncols", "pivots")
 
-    def __init__(self, ncols: int, rows=()):
+    def __init__(self, ncols: int, rows):
         self.ncols = ncols
         self.pivots = {}
         parent = {}

@@ -150,7 +150,7 @@ def minor_for_monomial(matrix: LinFormMatrix, monomial):
     return labels, det
 
 
-def verify_power_ideal(m: int, r: int, mode: str = "phi2"):
+def verify_power_ideal(m: int, r: int, mode: str):
     """Check every degree-r monomial is +/- a maximal minor; JSON-able report.
 
     Establishes (z_1..z_m)^r inside the ideal of maximal minors by
@@ -167,16 +167,11 @@ def verify_power_ideal(m: int, r: int, mode: str = "phi2"):
     else:
         raise ValueError("unknown mode %r" % mode)
     witnesses = []
-    all_realized = True
     for combo in combinations_with_replacement(range(m), r):
-        monomial = [0] * m
-        for i in combo:
-            monomial[i] += 1
-        monomial = tuple(monomial)
+        monomial = tuple(combo.count(i) for i in range(m))
         try:
             labels, det = minor_for_monomial(matrix, monomial)
         except ArithmeticError:
-            all_realized = False
             witnesses.append({"monomial": list(monomial), "columns": None,
                               "sign": None})
             continue
@@ -186,4 +181,5 @@ def verify_power_ideal(m: int, r: int, mode: str = "phi2"):
             "sign": int(det[monomial]),
         })
     return {"m": m, "r": r, "mode": mode, "monomials_checked": len(witnesses),
-            "all_realized": all_realized, "witnesses": witnesses}
+            "all_realized": all(w["columns"] is not None for w in witnesses),
+            "witnesses": witnesses}

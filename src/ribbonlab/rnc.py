@@ -64,9 +64,6 @@ class QuadForm:
     def det(self) -> Fraction:
         return self.mat.det()
 
-    def kernel_basis(self):
-        return self.mat.kernel_basis()
-
     def __eq__(self, other):
         if not isinstance(other, QuadForm):
             return NotImplemented

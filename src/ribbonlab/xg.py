@@ -623,7 +623,7 @@ def _s_poly(f, h):
                              _shifted(h[2], lcm, h[0]))[1])
 
 
-def buchberger(gens, order: str = "grlex") -> GroebnerResult:
+def buchberger(gens, order: str) -> GroebnerResult:
     """Buchberger's criterion: is the input a Groebner basis in `order`?
 
     `gens` is a list of WPoly over Q.  Every S-pair of the input is
@@ -725,8 +725,7 @@ class SyzygyRecord:
                 % (self.degree, self.minimal_count, self.shape_name, self.shape_matched))
 
 
-def syzygies_by_degree(ideal: XgIdeal, max_degree: int,
-                       shape_table: str = "ribbon"):
+def syzygies_by_degree(ideal: XgIdeal, max_degree: int, shape_table: str):
     """First syzygies of the generator set, degree by weighted degree.
 
     In each degree up to max_degree the lower minimal representatives,

@@ -729,6 +729,75 @@ def test_every_rational_field_refuses_a_bad_entry_by_name(capsys, field, entry):
     assert re.match(re.escape(name) + "( must be |: )", doc["payload"]["message"]), doc
 
 
+# Each integer field of the CLI documents, as (argv with the entry at %s, the
+# name its refusals carry); strings are held to the rational fields' literal
+# rule, so "1_0" and Arabic-Indic digits are refused by name, not read as 10
+# and 3.
+def _family_document(g="3", bound="2", key_entry="0"):
+    """The g=3 split family of order bound 2, with g, order_bound and the
+    second entry of the VV key spelled as given (JSON text)."""
+    doc = families.constant_family(xg.split_ribbon_ideal(3), 2).to_json()
+    doc.update(g="G", order_bound="B")
+    doc["VV"][0]["key"][1] = "K"
+    return (json.dumps(doc).replace('"G"', g).replace('"B"', bound)
+            .replace('"K"', key_entry))
+
+
+INTEGER_FIELDS = {
+    "quadric g": (["limit-quadric", "--q", '{"g":%s,"matrix":[[1]]}'], "the genus g"),
+    "binary form degree": (["family", "build", "--g", "3", "--model", "hyperelliptic",
+                            "--h", '{"degree":%s,"coeffs":[1,0,0,0,0,0,0,0,1]}'],
+                           "the degree"),
+    "family g": (["family", "order", "--family", _family_document(g="%s")],
+                 "the genus g"),
+    "family order bound": (["family", "order", "--family", _family_document(bound="%s")],
+                           "the order bound"),
+    "family key entry": (["family", "order", "--family", _family_document(key_entry="%s")],
+                         "a key entry"),
+}
+
+
+@pytest.mark.parametrize("entry", ["true", "null", "[2]", "{}", '"x"', '"1_0"',
+                                   '"\u0663"', '"3e0"'])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_every_integer_field_refuses_a_bad_entry_by_name(capsys, field, entry):
+    template, name = INTEGER_FIELDS[field]
+    code = main([arg.replace("%s", entry) for arg in template])
+    out, err = capsys.readouterr()
+    assert code == 1 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert re.match(re.escape(name) + "( must be an integer, got |: )",
+                    doc["payload"]["message"]), doc
+
+
+def test_integer_fields_read_plain_integer_strings(capsys):
+    # the valid spellings of the documents above: an int, or an ASCII integer string
+    for entry in ("3", '"3"', '" +3 "'):
+        code, doc = run_cli(capsys, "family", "order", "--family", _family_document(g=entry))
+        assert code == 0 and doc["payload"]["g"] == 3, entry
+        code, doc = run_cli(capsys, "limit-quadric", "--q",
+                            '{"g":%s,"matrix":[[1]]}' % entry)
+        assert code == 0 and doc["payload"]["g"] == 3, entry
+
+
+def test_bad_bare_documents_name_their_argument_and_accepted_forms(capsys):
+    cases = [
+        (["family", "build", "--g", "3", "--model", "hyperelliptic", "--h", "[]"],
+         "--h must be a nonempty coefficient list or a {degree, coeffs} object, got []"),
+        (["family", "build", "--g", "3", "--model", "hyperelliptic", "--h", "5"],
+         "--h must be a nonempty coefficient list or a {degree, coeffs} object, got 5"),
+        (["limit-quadric", "--q", "5"],
+         "--q must be a bare matrix (a list of rows, with --g) or a {g, matrix} object, "
+         "got 5"),
+    ]
+    for argv, message in cases:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and "Traceback" not in err, argv
+        assert json.loads(out) == {"status": "error", "payload": {"message": message}}, argv
+
+
 def test_an_unforeseen_exception_ends_in_one_error_document(tmp_path, monkeypatch, capsys):
     # the last-resort branch: exit 1 and one document naming the exception
     # type; the traceback goes to stderr unless --quiet

@@ -201,18 +201,18 @@ def test_is_limit_relation_examples():
 
 
 def test_three_way_agreement_on_quadrics():
-    # det(q) = 0 iff rank phi_2(x_q) < g-2 iff some lambda kills psi_2
+    # det(q) = 0 iff rank phi_2(x_q) < g-2 iff some lambda kills psi_2; and
+    # phi_2(x_q) = q, so both verdicts read the same witness
     rng = random.Random(6)
     for g in (3, 4, 5):
         for _ in range(10):
-            q = rand_quadform(rng, g)
-            if q.is_zero():
-                continue
-            degenerate, witness = is_limit_quadric(q)
-            rel_flag, rel_witness = is_limit_relation(q_to_quadric(q), 2)
-            assert degenerate == rel_flag
-            if degenerate:
-                assert psi_d(rel_witness, q_to_quadric(q), 2).is_zero()
+            for q in (rand_quadform(rng, g), rank_deficient_quadform(rng, g)):
+                degenerate, witness = is_limit_quadric(q)
+                rel_flag, rel_witness = is_limit_relation(q_to_quadric(q), 2)
+                assert degenerate == rel_flag
+                assert witness == rel_witness
+                if degenerate:
+                    assert psi_d(rel_witness, q_to_quadric(q), 2).is_zero()
 
 
 def test_phi_3_bijective_at_g4():

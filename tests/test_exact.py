@@ -28,7 +28,7 @@ def rand_fraction(rng, span=9):
 
 def rand_matrix(rng, nrows, ncols, span=9):
     return RatMatrix([[rand_fraction(rng, span) for _ in range(ncols)]
-                      for _ in range(nrows)])
+                      for _ in range(nrows)], ncols)
 
 
 def laplace_det(m: RatMatrix) -> Fraction:
@@ -43,7 +43,7 @@ def laplace_det(m: RatMatrix) -> Fraction:
         if not m.rows[0][j]:
             continue
         minor = RatMatrix([[m.rows[i][k] for k in range(n) if k != j]
-                           for i in range(1, n)])
+                           for i in range(1, n)], n - 1)
         total += (-1) ** j * m.rows[0][j] * laplace_det(minor)
     return total
 
@@ -128,7 +128,7 @@ def test_booleans_and_zero_denominators_are_refused():
         with pytest.raises(TypeError, match="cannot coerce"):
             rat(value)
         with pytest.raises(TypeError):
-            RatMatrix([[1, value]])
+            RatMatrix([[1, value]], 2)
     for text in ("1/0", " -3/0 ", "0/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             rat_from_str(text)
@@ -157,19 +157,28 @@ def test_python_literal_extras_are_refused():
     assert rat_from_str("12/3") == Fraction(4) and rat_from_str("-0.5") == Fraction(-1, 2)
 
 
+def test_rat_matrix_rows_have_ncols_entries():
+    # one rule for every shape, the empty matrix included
+    empty = RatMatrix([], 3)
+    assert (empty.nrows, empty.ncols, empty.rank()) == (0, 3, 0)
+    for rows in ([[1, 2], [3]], [[1, 2, 3]], [[1], [2]]):
+        with pytest.raises(ValueError, match="every row must have 2 entries"):
+            RatMatrix(rows, 2)
+
+
 def test_rref_drops_dependent_row():
-    R, pivots = RatMatrix([[2, 4], [1, 2]]).rref()
+    R, pivots = RatMatrix([[2, 4], [1, 2]], 2).rref()
     assert R.rows == ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(0)))
     assert pivots == (0,)
 
 
 def test_kernel_of_rank_one_matrix():
-    basis = RatMatrix([[2, 4], [1, 2]]).kernel_basis()
+    basis = RatMatrix([[2, 4], [1, 2]], 2).kernel_basis()
     assert basis == [(Fraction(-2), Fraction(1))]
 
 
 def test_det_swap_matrix():
-    assert RatMatrix([[0, 1], [1, 0]]).det() == -1
+    assert RatMatrix([[0, 1], [1, 0]], 2).det() == -1
 
 
 def test_det_matches_laplace_oracle():
@@ -206,7 +215,7 @@ def test_det_matches_gaussian_oracle_with_denominators_and_zero_pivots():
         rows = [[rat(rand_entry(rng)) for _ in range(n)] for _ in range(n)]
         if rng.random() < 0.5:
             rows[0][0] = Fraction(0)
-        m = RatMatrix(rows)
+        m = RatMatrix(rows, n)
         assert m.det() == gauss_det(rows)
         assert type(m.det()) is Fraction
 
@@ -236,7 +245,7 @@ def test_det_singular_matrix_is_zero():
     for _ in range(6):
         m = rand_matrix(rng, 3, 3)
         doubled = RatMatrix([m.rows[0], m.rows[1],
-                             [2 * a for a in m.rows[0]]])
+                             [2 * a for a in m.rows[0]]], 3)
         assert doubled.det() == 0
 
 
@@ -247,7 +256,7 @@ def test_rref_is_idempotent_and_preserves_row_space():
         R, pivots = m.rref()
         R2, pivots2 = R.rref()
         assert R2.rows == R.rows and pivots2 == pivots
-        stacked = RatMatrix(list(m.rows) + list(R.rows))
+        stacked = RatMatrix(list(m.rows) + list(R.rows), m.ncols)
         assert stacked.rank() == len(pivots) == m.rank()
 
 
@@ -313,7 +322,7 @@ def test_row_eliminator_tracks_dense_rank():
     rng = random.Random(41)
     for _ in range(10):
         ncols = rng.randint(1, 6)
-        elim = RowEliminator(ncols)
+        elim = RowEliminator(ncols, [])
         seen = []
         for _ in range(rng.randint(1, 10)):
             if rng.random() < 0.4:
@@ -394,7 +403,7 @@ def test_binomial_pre_pass_matches_incremental_adds():
         ncols = rng.randint(3, 10)
         rows = rand_binomial_rows(rng, ncols)
         fast = RowEliminator(ncols, rows)
-        slow = RowEliminator(ncols)
+        slow = RowEliminator(ncols, [])
         for row in rows:
             slow.add(row)
         dense = [[rat(row.get(c, 0)) for c in range(ncols)] if isinstance(row, dict)
@@ -412,7 +421,7 @@ def test_binomial_pre_pass_matches_incremental_adds():
             assert fast.add(vec) == slow.add(vec)
         assert fast.reduced_rows() == slow.reduced_rows()
         fast.pivots = snapshot
-        slow = RowEliminator(ncols)
+        slow = RowEliminator(ncols, [])
         for row in rows:
             slow.add(row)
         for _ in range(3):
@@ -724,7 +733,7 @@ def test_engine_agrees_with_sympy():
                  for _ in range(rng.randint(0, min(nrows, ncols)))]
         rows = [[sum((rng.randint(-2, 2) * v[c] for v in basis), Fraction(0))
                  for c in range(ncols)] for _ in range(nrows)]
-        m, s = RatMatrix(rows), to_sympy(rows)
+        m, s = RatMatrix(rows, ncols), to_sympy(rows)
         assert m.rank() == s.rank()
         assert sparse_rank([{c: x for c, x in enumerate(row) if x} for row in rows],
                            ncols) == s.rank()

@@ -85,7 +85,7 @@ def test_symbolic_minor_against_numeric_determinant():
         z = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
         numeric = RatMatrix(
             [[0 if mat.entries[row][col] is None else z[mat.entries[row][col]]
-              for col in cols] for row in range(4)]).det()
+              for col in cols] for row in range(4)], 4).det()
         via_poly = sum(
             (c * _eval_monomial(z, exps) for exps, c in det.items()),
             Fraction(0))

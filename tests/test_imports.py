@@ -67,7 +67,7 @@ def test_model_calls_load_only_what_they_run():
     setup = "import ribbonlab as r\nsplit = r.split_ribbon_ideal(4)\n"
     for call in ("r.hyperelliptic_model(4, r.BinaryForm(10, [1] + [0] * 9 + [-1]))",
                  "r.hilbert_function(split, 'weighted', [2, 3])",
-                 "r.syzygies_by_degree(split, 4)",
+                 "r.syzygies_by_degree(split, 4, 'ribbon')",
                  "r.certify_groebner(split)"):
         assert loaded_after(setup + call) == MODEL_MODULES, call
     assert loaded_after(setup + "r.eliminate_v_degree(split, 4)") == \

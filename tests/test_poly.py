@@ -318,7 +318,7 @@ def sylvester_det(f, g):
     fc, gc = list(reversed(f.coeffs)), list(reversed(g.coeffs))
     rows = ([[0] * k + fc + [0] * (n - 1 - k) for k in range(n)]
             + [[0] * k + gc + [0] * (m - 1 - k) for k in range(m)])
-    return RatMatrix(rows).det()
+    return RatMatrix(rows, m + n).det()
 
 
 def test_wpoly_arithmetic_matches_public_constructor():

@@ -125,78 +125,117 @@ def test_every_public_name_is_used():
 
 
 def _defaulted_parameters(path):
-    """(qualified name, def name, parameter, positional index or None) of
-    every defaulted parameter of a public function or method in a file; the
-    index counts the arguments a call passes, so a method's self or cls is
-    not counted."""
+    """(qualified name, called name, parameter, positional index or None) of
+    every defaulted parameter of a public function, method or constructor in
+    a file; a constructor is called by its class name, and the index counts
+    the arguments a call passes, so a method's self or cls is not counted."""
     out = []
     tree = ast.parse(path.read_text(), filename=str(path))
     defs = [(None, node) for node in tree.body]
     defs += [(cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
-             for node in cls.body]
+             and not cls.name.startswith("_") for node in cls.body]
     for owner, node in defs:
-        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+        if not isinstance(node, ast.FunctionDef):
             continue
-        qualified = node.name if owner is None else "%s.%s" % (owner, node.name)
+        if node.name == "__init__" and owner is not None:
+            qualified = name = owner
+        elif node.name.startswith("_"):
+            continue
+        else:
+            qualified = node.name if owner is None else "%s.%s" % (owner, node.name)
+            name = node.name
         bound = owner is not None and not any(
             isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
         positional = node.args.posonlyargs + node.args.args
         skip = 1 if bound else 0
         first = len(positional) - len(node.args.defaults)
-        out += [(qualified, node.name, arg.arg, i - skip)
+        out += [(qualified, name, arg.arg, i - skip)
                 for i, arg in enumerate(positional) if i >= first]
-        out += [(qualified, node.name, arg.arg, None)
+        out += [(qualified, name, arg.arg, None)
                 for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
                 if default is not None]
     return out
 
 
 def _calls(path):
-    """{called name: [(positional count, keyword names)]} of every call in a
-    file, by the name it calls (`f(...)` or `x.f(...)`), except calls inside
-    a def of that same name; a *args or **kwargs counts as passing all."""
+    """{called name: [(positional count, keyword names, starred)]} of every
+    call in a file, by the name it calls (`f(...)` or `x.f(...)`, and
+    `cls(...)` in a classmethod as its class), except calls inside a def of
+    that same name; `starred` is whether the call has a *args or **kwargs."""
     calls = {}
 
-    def visit(node, inside):
+    def visit(node, inside, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside | {node.name}
         if isinstance(node, ast.Call):
             func = node.func
             name = (func.id if isinstance(func, ast.Name)
                     else func.attr if isinstance(func, ast.Attribute) else None)
+            if name == "cls" and owner is not None:
+                name = owner
             if name is not None and name not in inside:
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
                 keywords = {k.arg for k in node.keywords}
-                calls.setdefault(name, []).append(
-                    (float("inf") if starred else len(node.args), keywords))
+                starred = None in keywords or any(isinstance(a, ast.Starred)
+                                                  for a in node.args)
+                calls.setdefault(name, []).append((len(node.args), keywords, starred))
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            if isinstance(node, ast.ClassDef):  # owner: the class of a classmethod
+                owner = node.name if isinstance(child, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "classmethod"
+                    for d in child.decorator_list) else None
+            visit(child, inside, owner)
 
-    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset(), None)
     return calls
 
 
-def test_every_optional_parameter_is_passed():
-    # a default that no call overrides is a mode nobody runs: every defaulted
-    # parameter of a public function or method in the package is passed, by
-    # keyword or by position, by some call in the package or the benchmark.
-    # Calls are resolved by name only, as in test_every_public_name_is_used.
+def _program_calls():
+    """(package files, {called name: calls}) over src/ribbonlab and bench/."""
     package = sorted(Path(ribbonlab.__file__).parent.glob("*.py"))
     calls = {}
     for path in package + sorted(BENCH.glob("*.py")):
         for name, found in _calls(path).items():
             calls.setdefault(name, []).extend(found)
+    return package, calls
+
+
+def test_every_optional_parameter_is_passed():
+    # a default that no call overrides is a mode nobody runs: every defaulted
+    # parameter of a public function, method or constructor in the package is
+    # passed, by keyword or by position, by some call in the package or the
+    # benchmark.  Calls are resolved by name only, as in
+    # test_every_public_name_is_used.
+    package, calls = _program_calls()
 
     def passed(name, parameter, index):
-        return any(parameter in keywords or None in keywords
+        return any(starred or parameter in keywords
                    or (index is not None and count > index)
-                   for count, keywords in calls.get(name, ()))
+                   for count, keywords, starred in calls.get(name, ()))
 
     unpassed = ["%s:%s(%s)" % (path.name, qualified, parameter)
                 for path in package
                 for qualified, name, parameter, index in _defaulted_parameters(path)
                 if not passed(name, parameter, index)]
     assert unpassed == []
+
+
+def test_every_default_is_relied_on():
+    # the mirror rule: a default that every call overrides is a required
+    # parameter in disguise, so every defaulted parameter of a public
+    # function, method or constructor in the package is omitted by some call
+    # in the package or the benchmark.  A starred call counts as omitting.
+    package, calls = _program_calls()
+
+    def omitted(name, parameter, index):
+        return any(starred or (parameter not in keywords
+                               and (index is None or count <= index))
+                   for count, keywords, starred in calls.get(name, ()))
+
+    overridden = ["%s:%s(%s)" % (path.name, qualified, parameter)
+                  for path in package
+                  for qualified, name, parameter, index in _defaulted_parameters(path)
+                  if not omitted(name, parameter, index)]
+    assert overridden == []
 
 
 def test_traced_names_resolve():

@@ -541,7 +541,7 @@ def test_groebner_certificate_split():
 
 
 def test_groebner_principal_ideal():
-    res = buchberger([u(3, 0) * u(3, 2) - u(3, 1) * u(3, 1)])
+    res = buchberger([u(3, 0) * u(3, 2) - u(3, 1) * u(3, 1)], "grlex")
     assert res.input_is_groebner
 
 
@@ -620,7 +620,7 @@ def test_rational_kernels_refuse_a_family_by_name():
     family = constant_family(hyperelliptic_model(4, squarefree_h(4)), 3)
     for call in (lambda: certify_groebner(family),
                  lambda: hilbert_function(family, "weighted", [2]),
-                 lambda: syzygies_by_degree(family, 4)):
+                 lambda: syzygies_by_degree(family, 4, "ribbon")):
         with pytest.raises(TypeError, match="cannot coerce TruncatedScalar"):
             call()
 
@@ -662,7 +662,7 @@ def test_normal_monomial_count_matches_full_scan_on_other_leads():
 def test_normal_monomial_count_refusals_and_unit_ideal():
     g = 4
     res = certify_groebner(split_ribbon_ideal(g))
-    unit = buchberger([u(g, 0) * u(g, 1), WPoly(g, {(0,) * (2 * g - 2): 3})])
+    unit = buchberger([u(g, 0) * u(g, 1), WPoly(g, {(0,) * (2 * g - 2): 3})], "grlex")
     assert unit.input_is_groebner
     for r in (res, unit):
         assert r.normal_monomial_count(-1) == 0
@@ -699,7 +699,7 @@ def _check_records_are_syzygies(ideal, records):
 
 def test_syzygies_split_g3():
     ideal = split_ribbon_ideal(3)
-    records = syzygies_by_degree(ideal, 7)
+    records = syzygies_by_degree(ideal, 7, "ribbon")
     assert [records[d].minimal_count for d in range(3, 8)] == [0, 0, 0, 1, 0]
     assert records[6].kernel_dim == 1
     # the complete intersection's only syzygy mixes coefficient degrees,
@@ -710,7 +710,7 @@ def test_syzygies_split_g3():
 
 def test_syzygies_split_g4():
     ideal = split_ribbon_ideal(4)
-    records = syzygies_by_degree(ideal, 6)
+    records = syzygies_by_degree(ideal, 6, "ribbon")
     assert {d: records[d].minimal_count for d in records} == {3: 2, 4: 6, 5: 6, 6: 2}
     assert all(records[d].shape_matched for d in (3, 4, 5, 6))
     _check_records_are_syzygies(ideal, records)
@@ -803,16 +803,16 @@ def _kernel_table(records):
 def test_canonical_ribbon_syzygy_tables():
     for seed in range(3):
         ell = random_ribbon_ell(4, random.Random(seed))
-        records = syzygies_by_degree(canonical_ribbon_ideal(4, ell), 7)
+        records = syzygies_by_degree(canonical_ribbon_ideal(4, ell), 7, "ribbon")
         assert _kernel_table(records) == {3: (2, 2), 4: (14, 6), 5: (51, 3),
                                           6: (139, 0), 7: (313, 0)}
         _check_records_are_syzygies(canonical_ribbon_ideal(4, ell), records)
     space = ribbon_ell_space(5)
-    records = syzygies_by_degree(canonical_ribbon_ideal(5, space[1]), 6)
+    records = syzygies_by_degree(canonical_ribbon_ideal(5, space[1]), 6, "ribbon")
     assert _kernel_table(records) == {3: (8, 8), 4: (61, 21), 5: (249, 0), 6: (758, 0)}
     # e_0 and e_2 have catalecticant rank 1: six more minimal syzygies in degree 5
     for k in (0, 2):
-        records = syzygies_by_degree(canonical_ribbon_ideal(5, space[k]), 6)
+        records = syzygies_by_degree(canonical_ribbon_ideal(5, space[k]), 6, "ribbon")
         assert _kernel_table(records) == {3: (8, 8), 4: (61, 21), 5: (249, 6),
                                           6: (758, 0)}
 
@@ -821,7 +821,7 @@ def test_canonical_ribbon_syzygy_table_at_a_random_g5_functional():
     # a dense functional, unlike the unit ones above: its lifted degree-6
     # representatives (rank 758) are the costliest elimination of the table
     ideal = canonical_ribbon_ideal(5, random_ribbon_ell(5, random.Random(3)))
-    records = syzygies_by_degree(ideal, 6)
+    records = syzygies_by_degree(ideal, 6, "ribbon")
     assert _kernel_table(records) == {3: (8, 8), 4: (61, 21), 5: (249, 0), 6: (758, 0)}
     _check_records_are_syzygies(ideal, records)
 
@@ -839,7 +839,7 @@ def test_syzygies_eliminate_the_multiples_once_per_degree(monkeypatch):
 
     monkeypatch.setattr(xg, "left_kernel", recording_left_kernel)
     monkeypatch.setattr(xg, "sparse_rank", refused_sparse_rank)
-    records = syzygies_by_degree(ideal, 7)
+    records = syzygies_by_degree(ideal, 7, "ribbon")
     assert [records[d].minimal_count for d in range(3, 8)] == [2, 6, 3, 0, 0]
     calls = iter(kernels)
     for degree, rec in records.items():
