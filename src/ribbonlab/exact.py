@@ -553,14 +553,12 @@ def _sparse(vec):
     row = {}
     integral = True
     for c, v in _entries(vec):
+        if type(v) is not int and type(v) is not Fraction:
+            v = rat(v)  # before the zero test: the string "0" is truthy
         if v:
-            if type(v) is not int:
-                if type(v) is not Fraction:
-                    v = rat(v)
+            if type(v) is Fraction:
                 if v.denominator == 1:
                     v = v.numerator
-                    if not v:
-                        continue
                 else:
                     integral = False
             row[c] = v

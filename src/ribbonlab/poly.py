@@ -129,8 +129,10 @@ class BinaryForm:
     @classmethod
     def from_json(cls, data) -> "BinaryForm":
         degree, coeffs = json_fields(data, "a binary form object", "degree", "coeffs")
-        return cls(json_int(degree, "the degree"),
-                   [json_rat(c, "a coefficient") for c in json_list(coeffs, "the coeffs")])
+        degree = json_int(degree, "the degree")
+        if degree < 0:
+            raise ValueError("the degree must be nonnegative, got %d" % degree)
+        return cls(degree, [json_rat(c, "a coefficient") for c in json_list(coeffs, "the coeffs")])
 
 
 class WPoly:
@@ -279,18 +281,14 @@ class WPoly:
     def is_u_only(self) -> bool:
         return all(not any(e[self.g:]) for e in self.terms)
 
-    def var_name(self, index: int) -> str:
-        if index < self.g:
-            return "u%d" % index
-        return "v%d" % (index - self.g)
-
     def __repr__(self):
         if not self.terms:
             return "0"
+        names = ["u%d" % i for i in range(self.g)] + ["v%d" % j for j in range(self.g - 2)]
         parts = []
         for e in sorted(self.terms, key=grlex_key, reverse=True):
             c = self.terms[e]
-            mono = "*".join("%s%s" % (self.var_name(i), "^%d" % k if k > 1 else "")
+            mono = "*".join("%s%s" % (names[i], "^%d" % k if k > 1 else "")
                             for i, k in enumerate(e) if k)
             cs = rat_to_str(c) if isinstance(c, (int, Fraction)) else repr(c)
             parts.append("%s*%s" % (cs, mono) if mono else cs)
@@ -337,14 +335,6 @@ def grlex_key(exps):
     variable order u_0 < ... < v_{g-3}.
     """
     return (sum(exps), tuple(reversed(exps)))
-
-
-def grevlex_key(exps):
-    """Graded-reverse-lex sort key for the same variable order."""
-    return (sum(exps), tuple(-e for e in exps))
-
-
-MONOMIAL_ORDERS = {"grlex": grlex_key, "grevlex": grevlex_key}
 
 
 def _compositions(n: int, k: int):

@@ -387,7 +387,7 @@ def groebner_certificate_and_normal_counts(rng, g):
     ideal = split_ribbon_ideal(g)
     result = certify_groebner(ideal)
     if result is None:
-        return False, {"reason": "no declared order certifies the generators"}, None
+        return False, {"reason": "grlex does not certify the generators"}, None
     degrees = list(range(0, 7))
     wants = hilbert_function(ideal, "weighted", degrees)
     for degree, want in zip(degrees, wants):

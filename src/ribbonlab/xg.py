@@ -31,14 +31,7 @@ from random import Random
 
 from .exact import _ZERO, RowEliminator, _clear, _primitive, left_kernel, rat
 from .exact import TruncatedScalar, json_fields, json_int, json_list, sparse_rank, to_integers
-from .poly import (
-    MONOMIAL_ORDERS,
-    BinaryForm,
-    WPoly,
-    _compositions,
-    monomials,
-    quartic_lift,
-)
+from .poly import BinaryForm, WPoly, _compositions, grlex_key, monomials, quartic_lift
 
 GROUPS = ("UU", "UV", "VV")
 
@@ -505,18 +498,17 @@ def eliminate_v_degree(ideal: XgIdeal, degree: int):
 
 
 class GroebnerResult:
-    """Buchberger's criterion in `order` on `basis`, the input less its zeros."""
+    """Buchberger's criterion in grlex on `basis`, the input less its zeros."""
 
-    __slots__ = ("order", "basis", "input_is_groebner")
+    __slots__ = ("basis", "input_is_groebner")
+    order = "grlex"
 
-    def __init__(self, order, basis, input_is_groebner):
-        self.order = order
+    def __init__(self, basis, input_is_groebner):
         self.basis = basis
         self.input_is_groebner = input_is_groebner
 
     def leading_exponents(self):
-        key = MONOMIAL_ORDERS[self.order]
-        return [max(p.terms, key=key) for p in self.basis]
+        return [max(p.terms, key=grlex_key) for p in self.basis]
 
     def normal_monomial_count(self, degree: int) -> int:
         """Monomials of the weighted degree not divisible by any leading monomial.
@@ -566,15 +558,15 @@ def _support(lead):
     return tuple((i, b) for i, b in enumerate(lead) if b)
 
 
-def _integer_terms(p: WPoly, key):
-    """(lead, lead coefficient, {exponent: int} of the other terms) of p over Z.
+def _integer_terms(p: WPoly):
+    """(grlex lead, lead coefficient, {exponent: int} of the other terms) of p over Z.
 
     p is scaled to integers once (`to_integers`); a coefficient that is not
     rational, such as a family's TruncatedScalar, is refused by `rat` with a
     TypeError that names it.
     """
     ints = dict(zip(p.terms, to_integers([rat(c) for c in p.terms.values()])[1]))
-    lead = max(ints, key=key)
+    lead = max(ints, key=grlex_key)
     return lead, ints.pop(lead), ints
 
 
@@ -599,7 +591,7 @@ def _divisor(lt, filed):
     return units[0][0] if units else None
 
 
-def _top_reduce(p, polys, filed, key):
+def _top_reduce(p, polys, filed):
     """Reduce the leading term of the integer polynomial p until stuck or zero.
 
     A step clears the leading term c*lt against polys[t] = (lead, a, tail):
@@ -607,7 +599,7 @@ def _top_reduce(p, polys, filed, key):
     s*c = r*a, divided by its content.
     """
     while p:
-        lt = max(p, key=key)
+        lt = max(p, key=grlex_key)
         t = _divisor(lt, filed)
         if t is None:
             return p
@@ -623,8 +615,8 @@ def _s_poly(f, h):
                              _shifted(h[2], lcm, h[0]))[1])
 
 
-def buchberger(gens, order: str) -> GroebnerResult:
-    """Buchberger's criterion: is the input a Groebner basis in `order`?
+def buchberger(gens) -> GroebnerResult:
+    """Buchberger's criterion: is the input a Groebner basis in grlex?
 
     `gens` is a list of WPoly over Q.  Every S-pair of the input is
     top-reduced against the input, in pair order, and the check stops at the
@@ -641,36 +633,26 @@ def buchberger(gens, order: str) -> GroebnerResult:
     variables of the term it clears.  A coefficient that is not rational is
     refused with a TypeError.
     """
-    if order not in MONOMIAL_ORDERS:
-        raise ValueError("unknown order %r" % order)
-    key = MONOMIAL_ORDERS[order]
     basis = [p for p in gens if p]
     if not basis:
         raise ValueError("empty generating set")
-    polys = [_integer_terms(p, key) for p in basis]
+    polys = [_integer_terms(p) for p in basis]
     filed, masks = {}, []  # masks[t]: bit i set when variable i divides lead t
     for t, (lead, _, _) in enumerate(polys):
         s = _support(lead)
         filed.setdefault(s[0][0] if s else None, []).append((t, s))
         masks.append(sum(1 << i for i, _ in s))
     input_is_groebner = not any(
-        _top_reduce(_s_poly(polys[i], polys[j]), polys, filed, key)
+        _top_reduce(_s_poly(polys[i], polys[j]), polys, filed)
         for i in range(len(polys)) for j in range(i + 1, len(polys))
         if masks[i] & masks[j])
-    return GroebnerResult(order, basis, input_is_groebner)
+    return GroebnerResult(basis, input_is_groebner)
 
 
 def certify_groebner(ideal: XgIdeal):
-    """Try grlex then grevlex; return the first certifying GroebnerResult.
-
-    Each try is Buchberger's criterion; None when neither order certifies.
-    """
-    gens = ideal.generators()
-    for order in ("grlex", "grevlex"):
-        res = buchberger(gens, order)
-        if res.input_is_groebner:
-            return res
-    return None
+    """The GroebnerResult of the ideal's generators when grlex certifies them, else None."""
+    res = buchberger(ideal.generators())
+    return res if res.input_is_groebner else None
 
 
 RIBBON_SYZYGY_SHAPES = {

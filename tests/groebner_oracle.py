@@ -14,7 +14,7 @@ e" over every exponent.
   divisibility test against every leading exponent.
 """
 
-from ribbonlab.poly import MONOMIAL_ORDERS, WPoly, monomials
+from ribbonlab.poly import WPoly, grlex_key, monomials
 
 
 def _divides(lead, e):
@@ -30,11 +30,11 @@ def s_poly(f, h, lead_f, lead_h):
             - WPoly(g, {mh: 1 / h.terms[lead_h]}) * h)
 
 
-def top_reduce(p, basis, leads, key):
-    """Reduce the leading term of p against the basis until stuck or zero."""
+def top_reduce(p, basis, leads):
+    """Reduce the grlex leading term of p against the basis until stuck or zero."""
     g = p.g
     while p.terms:
-        lt = max(p.terms, key=key)
+        lt = max(p.terms, key=grlex_key)
         hit = next((t for t, lead in enumerate(leads) if _divides(lead, lt)), None)
         if hit is None:
             return p
@@ -44,22 +44,20 @@ def top_reduce(p, basis, leads, key):
     return p
 
 
-def all_pairs_criterion(gens, order="grlex"):
-    """True when every S-pair of the input top-reduces to zero."""
-    key = MONOMIAL_ORDERS[order]
+def all_pairs_criterion(gens):
+    """True when every S-pair of the input top-reduces to zero in grlex."""
     basis = [p for p in gens if p]
-    leads = [max(p.terms, key=key) for p in basis]
+    leads = [max(p.terms, key=grlex_key) for p in basis]
     return not any(
-        top_reduce(s_poly(basis[i], basis[j], leads[i], leads[j]), basis, leads, key)
+        top_reduce(s_poly(basis[i], basis[j], leads[i], leads[j]), basis, leads)
         for i in range(len(basis)) for j in range(i + 1, len(basis)))
 
 
-def completed_buchberger(gens, order="grlex", cap=12):
-    """Return (basis, input_is_groebner, complete) of the truncated completion."""
-    key = MONOMIAL_ORDERS[order]
+def completed_buchberger(gens, cap=12):
+    """Return (basis, input_is_groebner, complete) of the truncated grlex completion."""
     basis = [p for p in gens if p]
     g = basis[0].g
-    leads = [max(p.terms, key=key) for p in basis]
+    leads = [max(p.terms, key=grlex_key) for p in basis]
     n_input = len(basis)
 
     def wdeg(e):
@@ -77,15 +75,15 @@ def completed_buchberger(gens, order="grlex", cap=12):
         if from_completion and wdeg(lcm) > cap:
             skipped = True
             continue
-        r = top_reduce(s_poly(basis[i], basis[j], leads[i], leads[j]), basis, leads, key)
+        r = top_reduce(s_poly(basis[i], basis[j], leads[i], leads[j]), basis, leads)
         if r.terms:
             if not from_completion:
                 input_is_groebner = False
-            if wdeg(max(r.terms, key=key)) > cap:
+            if wdeg(max(r.terms, key=grlex_key)) > cap:
                 skipped = True
                 continue
             basis.append(r)
-            leads.append(max(r.terms, key=key))
+            leads.append(max(r.terms, key=grlex_key))
             new = len(basis) - 1
             pairs.extend((t, new) for t in range(new))
     return basis, input_is_groebner, not skipped

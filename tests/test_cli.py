@@ -172,6 +172,12 @@ def test_malformed_header_objects_are_refused_by_name_without_a_traceback(capsys
          "the coeffs must be a list"),
         (["family", "build", "--g", "3", "--h", '{"degree":null,"coeffs":[]}'],
          "the degree must be an integer"),
+        (["family", "build", "--g", "3", "--model", "hyperelliptic",
+          "--h", '{"degree":-1,"coeffs":[]}'],
+         "the degree must be nonnegative, got -1"),
+        (["family", "build", "--g", "3", "--model", "hyperelliptic",
+          "--h", '{"degree":"-2","coeffs":[]}'],
+         "the degree must be nonnegative, got -2"),
     ]
     for argv, message in cases:
         code = main(argv)

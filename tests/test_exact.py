@@ -129,6 +129,8 @@ def test_booleans_and_zero_denominators_are_refused():
             rat(value)
         with pytest.raises(TypeError):
             RatMatrix([[1, value]], 2)
+        with pytest.raises(TypeError, match="cannot coerce"):  # a falsy entry too
+            RowEliminator(2, [{0: 1, 1: value}])
     for text in ("1/0", " -3/0 ", "0/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             rat_from_str(text)

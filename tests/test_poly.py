@@ -11,7 +11,6 @@ from ribbonlab.families import _bezout_resultant
 from ribbonlab.poly import (
     BinaryForm,
     WPoly,
-    grevlex_key,
     grlex_key,
     monomials,
     quartic_lift,
@@ -115,7 +114,6 @@ def test_monomial_order_classic_examples():
     x2z = (1, 0, 2)
     xy2 = (0, 2, 1)
     assert grlex_key(x2z) > grlex_key(xy2)
-    assert grevlex_key(xy2) > grevlex_key(x2z)
 
 
 def test_monomials_counts_and_order():
