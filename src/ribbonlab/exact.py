@@ -2,15 +2,16 @@
 
 Every computation in this package is exact: scalars are `fractions.Fraction`
 (already kept in lowest terms with positive denominator) or truncated
-polynomials in pi over Q.  Every elimination (rank, rref, kernel) runs in
-one sparse engine, RowEliminator; only the determinant keeps its own
-Bareiss loop.  Both are fraction-free: the engine scales each row to a
-primitive integer vector on entry, clears leads by integer row operations
-and stores integer pivots, and builds `Fraction`s only for its canonical
-output (the monic rref and the kernel).  Binomial rows c*(e_a - e_b), which
-make up most of the generator-multiple matrices of the models in X_g, are
-taken by a union-find pre-pass in that engine rather than by elimination
-steps.  Floating point is never used.
+polynomials in pi over Q.  Every elimination (rank, rref, kernel) and every
+reduction of a vector against stored rows (membership in a span) runs in one
+sparse engine, RowEliminator; only the determinant keeps its own Bareiss
+loop.  Both are fraction-free: the engine scales each row to a primitive
+integer vector on entry, clears leads by integer row operations and stores
+integer pivots, and builds `Fraction`s only for its canonical output (the
+monic rref and the kernel).  Binomial rows c*(e_a - e_b), which make up most
+of the generator-multiple matrices of the models in X_g, are taken by a
+union-find pre-pass in that engine rather than by elimination steps.
+Floating point is never used.
 
 Values are coerced once, at the boundary: the public constructors check
 their input and send it through `rat`, and the `from_json` readers, which
@@ -442,10 +443,18 @@ class RowEliminator:
 
     def add(self, vec) -> bool:
         """Reduce vec against the pivots; keep it and return True if independent."""
-        return self._absorb(_sparse(vec))
+        return self._absorb(_sparse(vec)) is not None
 
-    def _absorb(self, row) -> bool:
-        """Reduce a primitive integer row, keeping it primitive after each step."""
+    def spans(self, vec) -> bool:
+        """Whether vec lies in the span of the pivots, which are left as they were."""
+        lead = self._absorb(_sparse(vec))
+        if lead is not None:
+            del self.pivots[lead]
+        return lead is None
+
+    def _absorb(self, row):
+        """Reduce a primitive integer row, keeping it primitive after each step;
+        return the lead it is stored at, or None if it reduced to zero."""
         pivots = self.pivots
         while row:
             lead = min(row)
@@ -454,9 +463,9 @@ class RowEliminator:
             if pivot is None:
                 # a compact copy: row's table grew and shrank while it was reduced
                 pivots[lead] = (b, dict(row))
-                return True
+                return lead
             row = _primitive(_clear(row, b, *pivot)[1])
-        return False
+        return None
 
     def _back_substituted(self):
         """{lead: tail} of the monic rref; every tail lies on non-pivot columns.

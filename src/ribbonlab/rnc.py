@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import RatMatrix, _clear, from_integers, rat_to_str
-from .exact import row_space_matrix, to_integers
-from .exact import json_fields, json_int, json_list, json_rat
+from .exact import RatMatrix, RowEliminator, from_integers, rat_to_str, row_space_matrix
+from .exact import json_fields, json_int, json_list, json_rat, to_integers
 
 
 class QuadForm:
@@ -127,10 +126,11 @@ class IdealSlice:
     `rows` are the canonical rref rows of the subspace over `monomials`, as
     dicts {column: Fraction} in ascending lead order, each with lead value 1
     first (see `row_space_matrix`); two slices are equal iff their rows are.
-    Producers hand over rows in this form; `from_polys` reduces a spanning set.
+    Producers hand over rows in this form; `from_polys` reduces a spanning
+    set.  `contains` asks a RowEliminator on the rows, built on its first call.
     """
 
-    __slots__ = ("g", "d", "monomials", "index", "rows")
+    __slots__ = ("g", "d", "monomials", "index", "rows", "_engine")
 
     def __init__(self, g: int, d: int, monomials, rows):
         self.g = g
@@ -138,6 +138,7 @@ class IdealSlice:
         self.monomials = monomials
         self.index = {e: i for i, e in enumerate(monomials)}
         self.rows = rows
+        self._engine = None
 
     @classmethod
     def from_polys(cls, g: int, d: int, polys) -> "IdealSlice":
@@ -175,23 +176,9 @@ class IdealSlice:
             raise ValueError("polynomial does not live in this slice's degree") from None
 
     def contains(self, p: WPoly) -> bool:
-        """Membership by one pass of p's vector over the stored canonical rows.
-
-        Each row is zero on the other rows' leads, so clearing its lead does
-        not touch another one; p lies in the slice iff nothing is left.  The
-        pass runs on integers, as RowEliminator's does: p's vector is scaled
-        once, each row that meets it is scaled when it is met, and a lead is
-        cleared by an integer combination of the two.
-        """
-        vec = self.vector_of(p)
-        vec = dict(zip(vec, to_integers(vec.values())[1]))
-        for row in self.rows:
-            lead = next(iter(row))
-            x = vec.pop(lead, 0)
-            if x:
-                tail = dict(zip(row, to_integers(row.values())[1]))
-                vec = _clear(vec, x, tail.pop(lead), tail)[1]
-        return not vec
+        if self._engine is None:
+            self._engine = RowEliminator(len(self.monomials), self.rows)
+        return self._engine.spans(self.vector_of(p))
 
     def __eq__(self, other):
         if not isinstance(other, IdealSlice):

@@ -43,7 +43,8 @@ from .families import (
 )
 from .fitting import phi2_symbolic, symbolic_minor, verify_power_ideal
 from .poly import BinaryForm, WPoly, monomials, veronese_pullback
-from .rnc import IdealSlice, QuadForm, ideal_slice, ideal_square_slice, q_to_quadric
+from .rnc import IdealSlice, QuadForm, hankel_generators, ideal_slice
+from .rnc import ideal_square_slice, q_to_quadric
 from .xg import (
     XgIdeal,
     canonical_ribbon_ideal,
@@ -166,8 +167,7 @@ def q_to_quadric_lands_in_ideal(rng, g, samples):
 def q_to_quadric_injective(rng, g):
     slice2 = ideal_slice(g, 2)
     n = g - 2
-    rows = [slice2.vector_of(q_to_quadric(QuadForm.basis_element(g, i, j)))
-            for i in range(n) for j in range(i, n)]
+    rows = [slice2.vector_of(x) for x in hankel_generators(g)]
     rank = sparse_rank(rows, len(slice2.monomials))
     want = n * (n + 1) // 2
     ok = rank == want == slice2.dim

@@ -390,7 +390,8 @@ def hilbert_function(ideal: XgIdeal, grading, degrees):
         return _split_quotient_dimensions(ideal, degrees)
     out = []
     for degree in degrees:
-        _, rows, columns = generator_multiples(ideal.generators(), degree)
+        columns = monomials(ideal.g, degree)
+        _, rows, _ = generator_multiples(ideal.generators(), degree, columns)
         out.append(len(columns) - sparse_rank(rows, len(columns)))
     return out
 
@@ -727,8 +728,8 @@ def syzygies_by_degree(ideal: XgIdeal, max_degree: int, shape_table: str):
     groups = ideal.generator_groups()
     gens = ideal.generators()
     records = {}
-    min_gen_degree = min(p.degree() for p in gens)
-    degrees = range(min_gen_degree + 1, max_degree + 1)
+    # the degrees above the lowest generator's; none if there is no generator
+    degrees = range(min((p.degree() for p in gens), default=max_degree) + 1, max_degree + 1)
     # the new count is #free rows - rank, and rank = #columns - dim (S/I)_degree
     # is known in closed form for split binomials: a count of 0 skips the kernel
     quotient = (dict(zip(degrees, _split_quotient_dimensions(ideal, degrees)))

@@ -14,7 +14,7 @@ import pytest
 
 import kernel_oracle as oracle
 from ribbonlab import families
-from ribbonlab.conormal import phi_d
+from ribbonlab.conormal import LambdaFunctional, phi_d, phi_kernel_slice, ribbon_slice
 from ribbonlab.exact import (_ZERO, RatMatrix, RowEliminator, TruncatedScalar, from_integers,
                              sparse_rank, to_integers)
 from ribbonlab.families import (
@@ -211,6 +211,75 @@ def test_contains_matches_fraction_oracle():
             for p in (member, other, WPoly.zero(s.g)):
                 assert s.contains(p) == oracle.slice_contains(s, p)
             assert s.contains(member) and s.contains(WPoly.zero(s.g))
+
+
+def rand_member(rng, s):
+    """A rational combination of up to four rows of the slice s."""
+    member = WPoly.zero(s.g)
+    for b in rng.sample(s.basis, min(4, s.dim)):
+        member = member + scaled(b, rand_rat(rng))
+    return member
+
+
+@pytest.mark.parametrize("g", [3, 4, 5, 6])
+def test_contains_matches_fraction_oracle_on_every_producer(g):
+    rng = random.Random(2250 + g)
+    lam = LambdaFunctional(g, [rand_rat(rng, zero_share=0) for _ in range(g - 2)])
+    slices = [ideal_slice(g, 2), ideal_slice(g, 3), ribbon_slice(lam, g, 2),
+              ribbon_slice(lam, g, 3), phi_kernel_slice(g, 2), phi_kernel_slice(g, 3),
+              IdealSlice.from_polys(g, 3, [rand_relation(rng, g, 3) for _ in range(4)])]
+    assert slices[0].dim and slices[1].dim and slices[4].dim == 0
+    for s in slices:
+        full = ideal_slice(g, s.d)
+        for _ in range(6):
+            member = rand_member(rng, s)
+            # a monomial is never in the curve ideal, and a row of the full
+            # slice lies outside each proper subslice
+            outside = [member + WPoly(g, {rng.choice(s.monomials): rand_rat(rng, zero_share=0)}),
+                       member + scaled(rng.choice(full.basis), rand_rat(rng, zero_share=0))]
+            assert s.contains(member) and oracle.slice_contains(s, member), s
+            assert not s.contains(outside[0]) and not oracle.slice_contains(s, outside[0]), s
+            assert s.contains(outside[1]) == oracle.slice_contains(s, outside[1]), s
+
+
+def test_contains_leaves_the_slice_engine_as_it_was():
+    rng = random.Random(2260)
+    s = ribbon_slice(LambdaFunctional(5, [Fraction(1, 2), -3, Fraction(2, 7)]), 5, 3)
+    assert s.contains(WPoly.zero(5))
+    engine = s._engine
+    pivots, rank = dict(engine.pivots), engine.rank
+    assert rank == s.dim
+    full = ideal_slice(5, 3)
+    outside = 0
+    for _ in range(40):
+        p = rand_member(rng, s)
+        if rng.random() < 0.7:
+            p = p + scaled(rng.choice(full.basis + [WPoly(5, {m: Fraction(1)})
+                                                    for m in s.monomials]), rand_rat(rng))
+        got = s.contains(p)
+        assert got == oracle.slice_contains(s, p)
+        outside += not got
+        assert s._engine is engine and dict(engine.pivots) == pivots and engine.rank == rank
+    assert outside >= 20
+
+
+def test_column_zero_leads_are_leads():
+    # a lead at column 0 is falsy, and must still count as a stored pivot
+    elim = RowEliminator(3, [{1: 1, 2: -1}])
+    pivots = dict(elim.pivots)
+    for vec in ({0: 1}, {0: Fraction(2, 3), 2: 5}, {0: 4, 1: 1, 2: -1}):
+        assert not elim.spans(vec) and dict(elim.pivots) == pivots and elim.rank == 1
+    assert elim.spans({1: Fraction(-3, 2), 2: Fraction(3, 2)}) and dict(elim.pivots) == pivots
+    assert elim.add({0: 2, 2: 1}) is True and elim.rank == 2 and 0 in elim.pivots
+    assert elim.add({0: 4, 1: 1, 2: 1}) is False and elim.spans({0: 4, 1: 1, 2: 1})
+    # a slice whose rows avoid column 0: a multiple of the first monomial is outside it
+    full = ideal_slice(4, 2)
+    s = IdealSlice.from_polys(4, 2, [p for p in full.basis if full.monomials[0] not in p.terms])
+    assert s.dim and all(0 not in row for row in s.rows)
+    for c in (Fraction(1), Fraction(-5, 3)):
+        p = WPoly(4, {s.monomials[0]: c}) + s.basis[0]
+        assert not s.contains(p) and not oracle.slice_contains(s, p)
+        assert s.contains(s.basis[0]) and 0 not in s._engine.pivots
 
 
 @pytest.mark.parametrize("g", [3, 4, 5, 6, 7])

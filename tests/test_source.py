@@ -43,6 +43,31 @@ def test_every_module_level_import_is_used():
     assert found == []
 
 
+# Every private name a module of the package imports from a sibling, as
+# (importer, source, name), with the reason it is shared instead of made
+# public.  A new coupling is added here with its reason.
+PRIVATE_IMPORTS = {
+    ("families", "exact", "_ZERO"): "the zero digit that truncated series share",
+    ("suites", "exact", "_ZERO"): "the shared zero that an identity test passes over",
+    ("xg", "exact", "_ZERO"): "the zero coefficient that the built forms share",
+    ("xg", "exact", "_clear"): "Buchberger's integer reduction clears a lead by the engine's rule",
+    ("xg", "exact", "_primitive"): "Buchberger's integer reduction divides by the content as the engine does",
+    ("xg", "poly", "_compositions"): "the pure-v classes of the split quotient, in grlex order",
+}
+
+
+def test_private_imports_are_the_listed_couplings():
+    # every relative `from .module import _name`, at module level and inside
+    # functions alike
+    found = set()
+    for path in sorted(Path(ribbonlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {(path.stem, node.module, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level
+                  for alias in node.names if alias.name.startswith("_")}
+    assert found == set(PRIVATE_IMPORTS)
+
+
 def test_every_test_module_imports():
     # the suite runs with --continue-on-collection-errors, where a test module
     # that fails to import (say, of a removed name) shows only as a collection

@@ -282,6 +282,19 @@ def test_hilbert_function_hyperelliptic_g7():
     assert values == [(2 * d - 1) * (g - 1) for d in range(2, 7)]
 
 
+def test_hilbert_function_without_generators_counts_every_monomial():
+    # no generator leaves the whole of X_g: one class per monomial
+    assert hilbert_function(XgIdeal(4, [], [], []), "weighted", [0, 1, 2, 3]) == [1, 4, 12, 28]
+    for g in (3, 5):
+        got = hilbert_function(XgIdeal(g, [], [], []), "weighted", range(5))
+        assert got == [len(monomials(g, d)) for d in range(5)], g
+
+
+def test_syzygies_without_generators_are_none():
+    for g, table in ((3, "ribbon"), (4, "ribbon"), (4, "hyperelliptic")):
+        assert syzygies_by_degree(XgIdeal(g, [], [], []), 7, table) == {}
+
+
 def all_multiples_hilbert(ideal, degrees):
     """Test-only oracle: the rank of every generator multiple over the monomials."""
     out = []
